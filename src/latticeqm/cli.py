@@ -310,7 +310,6 @@ def _wigner_checks(D, which: str) -> list:
         rows.append(("oracle", float(np.abs(T - oracle).max())))
         rows.append(("differential_plus", kravchuk.differential_relation_residual(D, +1)))
         rows.append(("differential_minus", kravchuk.differential_relation_residual(D, -1)))
-        rows.append(("oracle_resolved_columns", float(D.oracle_resolved_columns)))
     return rows
 
 

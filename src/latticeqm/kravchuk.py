@@ -6,15 +6,16 @@ dividing by the norm gives an orthonormal (N+1) x (N+1) table; with the
 checkerboard sign (-1)^(n+x) it becomes the rotation d-table of order j = N/2
 at angle beta, where p = sin^2(beta/2).
 
-Two independent construction routes are kept deliberately separate:
+Three construction routes are kept deliberately separate:
 
 * ``build_kravchuk`` runs the defining three-term recurrence in the degree.
   That route is definitional and accurate for low degrees and for moderate p,
   but loses digits on full tables at large N when p is far from 1/2.
-* ``build_wigner_d`` diagonalizes the Jacobi matrix of the same recurrence.
-  The columns come out orthonormal to machine precision in every regime; only
-  their overall signs are left free by the eigensolver, and those are anchored
-  as described in ``build_wigner_d``.
+* ``build_wigner_d`` forms the rotation exp(-i beta J_y) from the
+  eigenvectors of J_x, a real symmetric tridiagonal matrix that does not
+  depend on beta.  Every eigenvector enters twice, so the signs the
+  eigensolver leaves free cancel, and the table stays orthogonal to machine
+  precision for every N and every beta in (0, pi).
 * ``wigner_d_direct`` evaluates the classical finite sum for each entry in
   exact rational arithmetic.  It shares nothing with the other two routes and
   serves as the oracle they are both tested against.
@@ -123,16 +124,12 @@ class WignerDMatrix:
     """Orthogonal rotation table of order j = N/2 at angle beta.
 
     ``table[n, x]`` corresponds to row index m = j - n and column index
-    m' = j - x, so the (0, 0) corner carries cos(beta/2)^N.  The sign
-    convention keeps that corner positive.  ``oracle_resolved_columns``
-    counts how many column signs had to be anchored against the direct
-    summation oracle instead of an edge entry (see ``build_wigner_d``).
+    m' = j - x, so the (0, 0) corner carries cos(beta/2)^N.
     """
 
     N: int
     beta: float
     table: np.ndarray
-    oracle_resolved_columns: int
 
     @property
     def j(self) -> float:
@@ -141,6 +138,11 @@ class WignerDMatrix:
     @property
     def p(self) -> float:
         return math.sin(0.5 * self.beta) ** 2
+
+    @property
+    def q(self) -> float:
+        # taken directly: 1 - p keeps no digits of q next to beta = pi
+        return math.cos(0.5 * self.beta) ** 2
 
 
 def _validate_angle(beta: float) -> float:
@@ -151,64 +153,33 @@ def _validate_angle(beta: float) -> float:
 
 
 def build_wigner_d(N: int, beta: float) -> WignerDMatrix:
-    """Assemble the full d-table through the Jacobi matrix of the recurrence.
+    """Assemble the full d-table as exp(-i beta J_y) from the eigenvectors of J_x.
 
-    The orthonormal Kravchuk functions at p = sin^2(beta/2) satisfy a
-    symmetric three-term recurrence in the degree; its Jacobi matrix has the
-    sites as simple eigenvalues and the table columns as eigenvectors.
-    Diagonalizing keeps every column orthonormal to machine precision where
-    running the recurrence forward would lose all digits (large N with p far
-    from 1/2).
+    In the basis m = j - n, J_x is real, symmetric and tridiagonal with
+    off-diagonal sqrt((n+1)(N-n))/2, and it does not depend on beta.  Its
+    eigenvalues are the exact grid mu_k = k - N/2; write J_x = W diag(mu) W^T.
+    The phase P = diag(i^n) carries J_y to -J_x, so that
+    d(beta) = P^-1 exp(i beta J_x) P.  With
 
-    The eigensolver leaves one sign per column undetermined.  Each sign is
-    resolved once at build time, in order of preference: from the top entry
-    of the column (positive in this convention), from the bottom entry
-    (known checkerboard sign) when the top is below threshold, and by one
-    oracle evaluation at the column's largest entry when both edges are
-    negligible.  The count of oracle fallbacks is recorded on the result.
+        C = W diag(cos beta mu) W^T,   S = W diag(sin beta mu) W^T,
+
+    entry (n, x) is C, S, -C or -S as (n - x) mod 4 is 0, 1, 2 or 3.  Each
+    eigenvector appears twice in these products, so the sign the eigensolver
+    leaves free on it cancels and no column sign has to be resolved.
     """
     beta = _validate_angle(beta)
     N = int(N)
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
-    p = math.sin(0.5 * beta) ** 2
-    q = 1.0 - p
-    spq = math.sqrt(p * q)
-
-    n = np.arange(N + 1, dtype=float)
-    diagonal = n * (q - p) / spq
-    off = np.sqrt((n[:-1] + 1.0) * (N - n[:-1]))
-    J = np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1)
-    lam, vec = np.linalg.eigh(J)
-
-    expected = (n - N * p) / spq
-    grid_defect = float(np.abs(lam - expected).max())
-    if grid_defect > 1e-8 * max(1.0, float(np.abs(expected).max())):
-        raise RuntimeError(
-            f"Jacobi eigenvalues missed the site grid by {grid_defect:.3e}"
-        )
-
-    threshold = 1e-13 * max(N, 1)
-    parity = np.where(np.arange(N + 1) % 2 == 0, 1.0, -1.0)
-    fallbacks = 0
-    signs = np.ones(N + 1)
-    for x in range(N + 1):
-        col = vec[:, x]
-        if abs(col[0]) > threshold:
-            # true top entry is sqrt(rho(x)) > 0
-            signs[x] = 1.0 if col[0] > 0 else -1.0
-        elif abs(col[-1]) > threshold:
-            # true bottom entry is (-1)^(N+x) sqrt(rho(N-x))
-            signs[x] = parity[N] * parity[x] * (1.0 if col[-1] > 0 else -1.0)
-        else:
-            r = int(np.argmax(np.abs(col)))
-            target = parity[r] * parity[x] * wigner_d_entry(N, beta, r, x)
-            signs[x] = 1.0 if target * col[r] > 0 else -1.0
-            fallbacks += 1
-
-    phi = vec * signs
-    table = parity[:, None] * phi * parity[None, :]
-    return WignerDMatrix(N=N, beta=beta, table=table, oracle_resolved_columns=fallbacks)
+    n = np.arange(N + 1)
+    off = 0.5 * np.sqrt((n[:-1] + 1.0) * (N - n[:-1]))
+    _, W = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    angles = beta * (n - 0.5 * N)
+    C = (W * np.cos(angles)) @ W.T
+    S = (W * np.sin(angles)) @ W.T
+    k = np.subtract.outer(n, n) % 4
+    table = np.where(k % 2 == 0, C, S) * np.where(k < 2, 1.0, -1.0)
+    return WignerDMatrix(N=N, beta=beta, table=table)
 
 
 def wigner_d_entry(N: int, beta: float, n: int, x: int) -> float:
@@ -299,8 +270,8 @@ def recurrence_residuals(D: WignerDMatrix) -> RecurrenceResiduals:
     """
     N = D.N
     p = D.p
-    q = 1.0 - p
-    spq = math.sqrt(p * q)
+    q = D.q
+    spq = 0.5 * math.sin(D.beta)
     T = D.table
     n = np.arange(N + 1, dtype=float)
     x = np.arange(N + 1, dtype=float)

@@ -15,24 +15,20 @@ from enum import Enum
 
 import numpy as np
 
+from .report import format_float
+
 
 class DifferenceKind(Enum):
     """The elementary difference operators on lattice states."""
 
     FORWARD = "forward"      # (Df)_j = f_{j+1} - f_j
     BACKWARD = "backward"    # (Df)_j = f_j - f_{j-1}
-    SYMMETRIC = "symmetric"  # half-index stencil; needs half-step data, see cayley
     MEAN = "mean"            # (Df)_j = (f_{j+1} + f_j) / 2
 
 
 class BoundaryRule(Enum):
     PERIODIC = "periodic"
     ZERO_PADDED = "zero-padded"
-
-
-def _format_float(x: float) -> str:
-    # 17 significant digits: enough for exact double round-trips
-    return format(float(x), ".17g")
 
 
 @dataclass(frozen=True)
@@ -103,7 +99,7 @@ class LatticeState:
         """CSV table with header ``j,re,im``, one row per site."""
         lines = ["j,re,im"]
         for j, value in enumerate(self.amplitudes):
-            lines.append(f"{j},{_format_float(value.real)},{_format_float(value.imag)}")
+            lines.append(f"{j},{format_float(value.real)},{format_float(value.imag)}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -153,12 +149,7 @@ def apply_difference(
     f: LatticeState,
     boundary: BoundaryRule = BoundaryRule.PERIODIC,
 ) -> LatticeState:
-    """Apply a difference operator to a state.
-
-    The symmetric kind is rejected here: it lives on half-integer indices,
-    which a plain lattice state does not carry.  Half-step evolution in the
-    cayley module is the only consumer of that stencil.
-    """
+    """Apply a difference operator to a state."""
     v = f.amplitudes
     if kind is DifferenceKind.FORWARD:
         out = _shifted(v, +1, boundary) - v
@@ -166,11 +157,6 @@ def apply_difference(
         out = v - _shifted(v, -1, boundary)
     elif kind is DifferenceKind.MEAN:
         out = 0.5 * (_shifted(v, +1, boundary) + v)
-    elif kind is DifferenceKind.SYMMETRIC:
-        raise ValueError(
-            "symmetric differences need half-index values; "
-            "use the half-step propagator machinery instead"
-        )
     else:  # pragma: no cover
         raise ValueError(f"unknown difference kind {kind!r}")
     return LatticeState(out, f.epsilon)

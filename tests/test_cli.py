@@ -93,7 +93,16 @@ def test_wigner_check_rows(capsys):
     assert float(rows["oracle"]) < 1e-10
     assert float(rows["recurrence_three_term"]) < 1e-10
     assert float(rows["differential_plus"]) < 1e-6
-    assert float(rows["oracle_resolved_columns"]) == 0.0
+
+
+def test_wigner_near_pi_orthogonality_is_finite(capsys):
+    code, out, _ = run_cli(
+        capsys, "wigner", "--N", "8", "--beta", "3.1415926435897933", "--check", "orthogonality"
+    )
+    assert code == 0
+    name, value = out.splitlines()[1].split(",")
+    assert name == "orthogonality"
+    assert float(value) < 1e-12
 
 
 def test_wigner_single_check(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from latticeqm import (
+    WignerDMatrix,
     binomial_weights,
     build_kravchuk,
     build_wigner_d,
@@ -95,6 +96,9 @@ def test_table_matches_exact_summation():
         for beta in (0.3, math.pi / 2, 2.5):
             D = build_wigner_d(N, beta)
             assert np.abs(D.table - wigner_d_direct(N, beta)).max() < 1e-10
+    # next to pi the weight piles onto the far corner
+    beta = math.pi - 1e-6
+    assert np.abs(build_wigner_d(32, beta).table - wigner_d_direct(32, beta)).max() < 1e-10
 
 
 def test_table_matches_weighted_recurrence_in_stable_regime():
@@ -110,7 +114,7 @@ def test_table_matches_weighted_recurrence_in_stable_regime():
 
 
 def test_symmetry_and_orthogonality():
-    for N, beta in ((5, 0.9), (20, 1.7), (40, 0.3)):
+    for N, beta in ((5, 0.9), (20, 1.7), (40, 0.3), (8, math.pi - 1e-8)):
         D = build_wigner_d(N, beta)
         signs = np.array([(-1.0) ** i for i in range(N + 1)])
         # transpose picks up the parity of both indices
@@ -124,12 +128,15 @@ def test_symmetry_and_orthogonality():
 
 
 def test_orthogonality_where_naive_recurrence_fails():
-    # N=40 at a small angle: the literal recurrence loses all accuracy here,
-    # the spectral construction must not
+    # N=40 and N=800 at a small angle: the literal recurrence loses all
+    # accuracy here, the spectral construction must not
     D = build_wigner_d(40, 0.3)
     gram = D.table @ D.table.T
     assert np.abs(gram - np.eye(41)).max() < 1e-12
     assert np.abs(D.table - wigner_d_direct(40, 0.3)).max() < 1e-10
+    D = build_wigner_d(800, 0.3)
+    gram = D.table @ D.table.T
+    assert np.abs(gram - np.eye(801)).max() < 1e-13
 
 
 def test_recurrence_residuals():
@@ -139,6 +146,16 @@ def test_recurrence_residuals():
     res = recurrence_residuals(build_wigner_d(30, 0.7))
     assert res.three_term < 1e-10
     assert res.shift < 1e-10
+
+
+def test_recurrence_residuals_mirror_under_angle_reflection():
+    # beta -> pi - beta swaps p and q; the exact table scores alike at both
+    # ends only when q is not taken as 1 - p next to pi
+    def oracle_three_term(beta):
+        return recurrence_residuals(WignerDMatrix(16, beta, wigner_d_direct(16, beta))).three_term
+
+    near_zero = oracle_three_term(1e-6)
+    assert oracle_three_term(math.pi - 1e-6) <= 10.0 * near_zero
 
 
 def test_differential_relation():
@@ -166,6 +183,5 @@ def test_angle_and_argument_validation():
 
 def test_sign_resolution_metadata():
     D = build_wigner_d(33, 2.9)
-    assert D.oracle_resolved_columns >= 0
     gram = D.table @ D.table.T
     assert np.abs(gram - np.eye(34)).max() < 1e-12

@@ -126,11 +126,6 @@ def test_zero_padded_boundary():
     assert np.allclose(mean.amplitudes, [1.5, 3.0, 2.0])
 
 
-def test_symmetric_kind_is_rejected():
-    with pytest.raises(ValueError, match="half-index"):
-        apply_difference(DifferenceKind.SYMMETRIC, LatticeState([1.0, 2.0], 1.0))
-
-
 def test_position_frozen_examples():
     out = position_apply(LatticeState([1.0, 1.0], 0.5))
     assert np.allclose(out.amplitudes, [0.0, 0.5])
