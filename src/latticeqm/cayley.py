@@ -37,6 +37,8 @@ def check_hermitian(H, tol: float = 1e-12) -> np.ndarray:
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"Hamiltonian must be a square matrix, got shape {H.shape}")
+    if not np.isfinite(H).all():
+        raise ValueError("Hamiltonian has non-finite entries")
     scale = max(1.0, float(np.abs(H).max()))
     defect = float(np.abs(H - H.conj().T).max())
     if defect > tol * scale:
@@ -75,6 +77,8 @@ def build_propagator(H, tau: float) -> CayleyPropagator:
     """
     H = check_hermitian(H)
     tau = float(tau)
+    if tau == 0.0 or not math.isfinite(tau):
+        raise ValueError(f"tau must be finite and nonzero, got {tau}")
     d = H.shape[0]
     eye = np.eye(d, dtype=complex)
     plus = eye + 0.5j * tau * H
@@ -95,14 +99,19 @@ def build_propagator(H, tau: float) -> CayleyPropagator:
     )
 
 
-def evolve_state(prop: CayleyPropagator, psi0, n: int) -> np.ndarray:
-    """Apply n Cayley steps to a state vector."""
+def _checked_state(prop: CayleyPropagator, psi0, n: int) -> tuple[np.ndarray, int]:
     psi = np.asarray(psi0, dtype=complex)
     if psi.shape != (prop.dim,):
         raise ValueError(f"state shape {psi.shape} does not match dimension {prop.dim}")
     n = int(n)
     if n < 0:
         raise ValueError("step count must be non-negative")
+    return psi, n
+
+
+def evolve_state(prop: CayleyPropagator, psi0, n: int) -> np.ndarray:
+    """Apply n Cayley steps to a state vector."""
+    psi, n = _checked_state(prop, psi0, n)
     for _ in range(n):
         psi = prop.factor @ psi
     return psi
@@ -110,10 +119,10 @@ def evolve_state(prop: CayleyPropagator, psi0, n: int) -> np.ndarray:
 
 def evolve_trajectory(prop: CayleyPropagator, psi0, n: int) -> np.ndarray:
     """Stack of states psi_0 .. psi_n, one row per step."""
-    psi = np.asarray(psi0, dtype=complex)
-    out = np.empty((int(n) + 1, prop.dim), dtype=complex)
+    psi, n = _checked_state(prop, psi0, n)
+    out = np.empty((n + 1, prop.dim), dtype=complex)
     out[0] = psi
-    for i in range(1, int(n) + 1):
+    for i in range(1, n + 1):
         out[i] = prop.factor @ out[i - 1]
     return out
 
@@ -154,6 +163,20 @@ def heisenberg_evolve(prop: CayleyPropagator, A0, n: int) -> np.ndarray:
     return U.conj().T @ A @ U
 
 
+def _evolved(prop: CayleyPropagator, A0, n: int):
+    """A_n, A_{n+1}, A_{n-1}, A_{n+1/2}, A_{n-1/2} and [A_n, H] for one observable."""
+    H = prop.hamiltonian
+    C = prop.factor
+    Ch = prop.half_factor
+    A_n = heisenberg_evolve(prop, A0, n)
+    A_next = C.conj().T @ A_n @ C
+    A_prev = C @ A_n @ C.conj().T
+    A_half_up = Ch.conj().T @ A_n @ Ch
+    A_half_dn = Ch @ A_n @ Ch.conj().T
+    comm = A_n @ H - H @ A_n
+    return A_n, A_next, A_prev, A_half_up, A_half_dn, comm
+
+
 def _rsolve(X: np.ndarray, M: np.ndarray) -> np.ndarray:
     """X @ inv(M) without forming the inverse."""
     return np.linalg.solve(M.T, X.T).T
@@ -185,15 +208,7 @@ def heisenberg_scheme_residuals(prop: CayleyPropagator, A0, n: int = 0) -> Schem
     plus = eye + 0.5j * tau * H
     minus = eye - 0.5j * tau * H
 
-    A_n = heisenberg_evolve(prop, A0, n)
-    C = prop.factor
-    Ch = prop.half_factor
-    A_next = C.conj().T @ A_n @ C
-    A_prev = C @ A_n @ C.conj().T
-    A_half_up = Ch.conj().T @ A_n @ Ch
-    A_half_dn = Ch @ A_n @ Ch.conj().T
-
-    comm = A_n @ H - H @ A_n
+    A_n, A_next, A_prev, A_half_up, A_half_dn, comm = _evolved(prop, A0, n)
     spec = prop.spectral_function
     r_inv = spec(lambda lam: 1.0 / np.sqrt(1.0 + 0.25 * tau * tau * lam * lam))
     r2_inv = spec(lambda lam: 1.0 / (1.0 + 0.25 * tau * tau * lam * lam))
@@ -266,14 +281,8 @@ def involution_identities(H, A0, tau: float, n: int = 0, tol: float = 1e-10):
     tau = float(tau)
     u = 1.0 + 0.25 * tau * tau
     C = prop.factor
-    Ch = prop.half_factor
 
-    A_n = heisenberg_evolve(prop, A0, n)
-    A_next = C.conj().T @ A_n @ C
-    A_prev = C @ A_n @ C.conj().T
-    A_half_up = Ch.conj().T @ A_n @ Ch
-    A_half_dn = Ch @ A_n @ Ch.conj().T
-    comm = A_n @ H - H @ A_n
+    A_n, A_next, A_prev, A_half_up, A_half_dn, comm = _evolved(prop, A0, n)
     comm2 = comm @ H - H @ comm
 
     def norm(X):

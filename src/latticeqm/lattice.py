@@ -9,13 +9,14 @@ backward and mean difference operators defined below.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .report import format_float
+from .report import write_csv
 
 
 class DifferenceKind(Enum):
@@ -29,6 +30,19 @@ class DifferenceKind(Enum):
 class BoundaryRule(Enum):
     PERIODIC = "periodic"
     ZERO_PADDED = "zero-padded"
+
+
+def complex_array(data: dict) -> np.ndarray:
+    """Complex array from the "re" and "im" blocks of a JSON object.
+
+    "im" may be omitted for a real array; when present it must have the
+    shape of "re", so that a short block is never broadcast.
+    """
+    re = np.asarray(data["re"], dtype=float)
+    im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float)
+    if re.shape != im.shape:
+        raise ValueError(f"re and im blocks differ in shape: {re.shape} vs {im.shape}")
+    return re + 1j * im
 
 
 @dataclass(frozen=True)
@@ -89,18 +103,14 @@ class LatticeState:
     @classmethod
     def from_json(cls, text: str) -> "LatticeState":
         data = json.loads(text)
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float)
-        if re.shape != im.shape:
-            raise ValueError("re and im arrays differ in length")
-        return cls(re + 1j * im, float(data["epsilon"]))
+        return cls(complex_array(data), float(data["epsilon"]))
 
     def to_csv(self) -> str:
         """CSV table with header ``j,re,im``, one row per site."""
-        lines = ["j,re,im"]
-        for j, value in enumerate(self.amplitudes):
-            lines.append(f"{j},{format_float(value.real)},{format_float(value.imag)}")
-        return "\n".join(lines) + "\n"
+        amp = self.amplitudes
+        out = io.StringIO()
+        write_csv(out, "j,re,im", np.column_stack((np.arange(amp.size), amp.real, amp.imag)).tolist())
+        return out.getvalue()
 
     @classmethod
     def from_csv(cls, text: str, epsilon: float) -> "LatticeState":

@@ -1,15 +1,15 @@
-"""Verification report assembly and serialization.
+"""Check rows and the one CSV writer every artifact goes through.
 
 A report is an ordered list of named checks, each carrying the measured
 residual and the tolerance it was held to.  Status is derived, never stored:
 a row passes iff residual <= tolerance, and the report passes iff every row
-does.  CSV uses the fixed header ``check,params,residual,tolerance,status``
-with floats printed to 17 significant digits; JSON mirrors the same fields.
+does.  Every CSV table the package emits, the report's fixed
+``check,params,residual,tolerance,status`` table included, is rendered by
+``write_csv`` with floats printed to 17 significant digits.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -18,12 +18,37 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def write_csv(out, header: str, rows) -> None:
+    """Stream one CSV table to the text stream ``out``.
+
+    Each row is a sequence of values: strings are written as they are, every
+    other value through ``format_float``.  Rows of plain Python numbers, as
+    ``ndarray.tolist()`` gives them, format fastest.
+    """
+    out.write(header + "\n")
+    for row in rows:
+        out.write(",".join(v if isinstance(v, str) else format_float(v) for v in row) + "\n")
+
+
 @dataclass(frozen=True)
 class CheckRow:
+    """One check: worst residual, tolerance and a comma-free params label.
+
+    ``fitted_exponent`` is the measured power of (1 + tau^2/4) on involution
+    rows and None on every other row.
+    """
+
     check: str
     params: str
     residual: float
     tolerance: float
+    fitted_exponent: float | None = None
+
+    def __post_init__(self):
+        # commas would break the fixed CSV schema, keep params comma-free
+        object.__setattr__(self, "params", str(self.params).replace(",", ";"))
+        object.__setattr__(self, "residual", float(self.residual))
+        object.__setattr__(self, "tolerance", float(self.tolerance))
 
     @property
     def passed(self) -> bool:
@@ -38,51 +63,6 @@ class CheckRow:
 class VerificationReport:
     rows: list = field(default_factory=list)
 
-    def add(self, check: str, params: str, residual: float, tolerance: float) -> CheckRow:
-        # commas would break the fixed CSV schema, keep params comma-free
-        row = CheckRow(
-            check=str(check),
-            params=str(params).replace(",", ";"),
-            residual=float(residual),
-            tolerance=float(tolerance),
-        )
-        self.rows.append(row)
-        return row
-
     @property
     def all_passed(self) -> bool:
         return all(row.passed for row in self.rows)
-
-    def to_csv(self) -> str:
-        lines = ["check,params,residual,tolerance,status"]
-        for row in self.rows:
-            lines.append(
-                f"{row.check},{row.params},{format_float(row.residual)},"
-                f"{format_float(row.tolerance)},{row.status}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        payload = {
-            "all_passed": self.all_passed,
-            "checks": [
-                {
-                    "check": row.check,
-                    "params": row.params,
-                    "residual": row.residual,
-                    "tolerance": row.tolerance,
-                    "status": row.status,
-                }
-                for row in self.rows
-            ],
-        }
-        return json.dumps(payload, indent=2)
-
-
-def export_report(report: VerificationReport, format: str = "csv") -> str:
-    """Render a report as text in the requested format ("csv" or "json")."""
-    if format == "csv":
-        return report.to_csv()
-    if format == "json":
-        return report.to_json()
-    raise ValueError(f'format must be "csv" or "json", got {format!r}')

@@ -4,312 +4,149 @@ Each test covers one headline guarantee and prints a single summary line,
 so a full run reads as a ten-line scorecard:
 
     python3 -m pytest tests/test_acceptance.py -v -s
+
+The residuals come from ``latticeqm.checks``, the same functions
+``verify-all`` runs, called here over wider sweeps; each test holds the
+worst residual of every named row strictly under its bound, plus the
+conditions only the acceptance suite states.
 """
 
-import json
 import math
 import time
 
 import numpy as np
-import pytest
 
-from latticeqm import (
-    LatticeState,
-    build_basis,
-    build_oscillator,
-    build_propagator,
-    build_wigner_d,
-    commutator_spectrum,
-    continuum_convergence,
-    energy_spectrum,
-    evolution_operator,
-    evolution_operator_residual,
-    forward_transform,
-    gram_matrix,
-    heisenberg_scheme_residuals,
-    inverse_transform,
-    involution_identities,
-    ladder_limit_check,
-    position_matrix,
-    position_spectrum,
-    recurrence_residual,
-    recurrence_residuals,
-    schrodinger_residual,
-    wigner_d_direct,
-)
+from latticeqm import build_oscillator, checks, commutator_spectrum, position_spectrum
 from latticeqm.cli import main
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-SIGMA_Z = np.diag([1.0, -1.0])
 
-
-def _report(number, title, passed, detail):
+def _accept(number, title, rows, bounds, conditions=()):
+    """Assert worst residual < bound for each (row name, bound) and every
+    (description, passed) condition, after printing one scorecard line."""
+    worst = {}
+    for row in rows:
+        worst[row.check] = max(worst.get(row.check, 0.0), row.residual)
+    results = [(f"{name} {worst[name]:.2e}", worst[name] < bound) for name, bound in bounds.items()]
+    results += list(conditions)
+    passed = all(ok for _, ok in results)
+    detail = ", ".join(text if ok else f"{text} FAILED" for text, ok in results)
     print(f"ACCEPTANCE {number} ({title}): {'PASS' if passed else 'FAIL'} [{detail}]")
     assert passed, f"acceptance criterion {number} ({title}): {detail}"
 
 
-def _random_hermitian(rng, d):
-    M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return 0.5 * (M + M.conj().T)
-
-
 def test_acceptance_01_basis_orthonormality():
     t0 = time.perf_counter()
-    worst_gram = 0.0
-    worst_dft = 0.0
-    for N in range(2, 65):
-        dft = np.exp(2j * np.pi * np.outer(np.arange(N), np.arange(N)) / N) / math.sqrt(N)
-        for eps in (0.1, 1.0, 10.0):
-            basis = build_basis(N, eps)
-            gram = basis.table.conj().T @ basis.table
-            worst_gram = max(worst_gram, np.abs(gram - np.eye(N)).max())
-            worst_dft = max(worst_dft, np.abs(basis.table - dft).max())
+    rows = checks.basis(range(2, 65), (0.1, 1.0, 10.0))
     elapsed = time.perf_counter() - t0
-    ok = worst_gram < 1e-12 and worst_dft < 1e-12 and elapsed < 1.0
-    _report(
-        1,
-        "plane wave basis orthonormality",
-        ok,
-        f"gram {worst_gram:.2e}, dft {worst_dft:.2e}, {elapsed:.2f} s",
-    )
+    _accept(1, "plane wave basis orthonormality", rows,
+            {"basis-orthonormality": 1e-12, "basis-dft-identity": 1e-12},
+            [(f"{elapsed:.2f} s", elapsed < 1.0)])
 
 
 def test_acceptance_02_fourier_round_trip():
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for N in (2, 3, 8, 17, 33, 64):
-        basis = build_basis(N, 0.7)
-        for _ in range(100):
-            f = LatticeState(rng.standard_normal(N) + 1j * rng.standard_normal(N), 0.7)
-            g = inverse_transform(basis, forward_transform(basis, f))
-            worst = max(worst, np.abs(g.amplitudes - f.amplitudes).max())
-    ok = worst < 1e-12
-    _report(2, "Fourier round trip", ok, f"max reconstruction error {worst:.2e}")
+    rows = checks.fourier(np.random.default_rng(7), (2, 3, 8, 17, 33, 64), 100)
+    _accept(2, "Fourier round trip", rows, {"fourier-round-trip": 1e-12, "fourier-parseval": 1e-12})
 
 
 def test_acceptance_03_cayley_unitarity_and_residual():
     rng = np.random.default_rng(11)
-    worst_drift = 0.0
-    worst_residual = 0.0
+    rows = []
     for d in (2, 5, 8):
-        H = _random_hermitian(rng, d)
-        for tau in (1.0, 0.1, 0.01):
-            prop = build_propagator(H, tau)
-            psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            psi /= np.linalg.norm(psi)
-            for _ in range(100):
-                psi = prop.factor @ psi
-            worst_drift = max(worst_drift, abs(np.linalg.norm(psi) - 1.0))
-            for n in (0, 50, 100):
-                worst_residual = max(worst_residual, evolution_operator_residual(prop, n))
-    # halving tau at fixed total time must shrink the error about fourfold
-    H = _random_hermitian(rng, 6)
-    lam, V = np.linalg.eigh(H)
-    exact = (V * np.exp(-1j * lam)) @ V.conj().T
-    errors = [
-        np.abs(evolution_operator(build_propagator(H, tau), n) - exact).max()
-        for tau, n in ((0.1, 10), (0.05, 20), (0.025, 40))
-    ]
-    ratios = [a / b for a, b in zip(errors, errors[1:])]
-    ok = (
-        worst_drift < 1e-10
-        and worst_residual < 1e-10
-        and all(3.5 < r < 4.5 for r in ratios)
-    )
-    _report(
-        3,
-        "Cayley unitarity and residual",
-        ok,
-        f"drift {worst_drift:.2e}, residual {worst_residual:.2e}, "
-        f"halving ratios {', '.join(f'{r:.2f}' for r in ratios)}",
-    )
+        H = checks.random_hermitian(rng, d)
+        rows += checks.propagator(rng, H, (1.0, 0.1, 0.01), 100, (0, 50, 100))
+    # halving tau at fixed total time must shrink the error about fourfold:
+    # the row is the worst |ratio - 4|, so < 0.5 puts every ratio in (3.5, 4.5)
+    rows += checks.propagator_order(checks.random_hermitian(rng, 6), (0.1, 0.05, 0.025))
+    _accept(3, "Cayley unitarity and residual", rows,
+            {"cayley-unitarity": 1e-10, "cayley-residual": 1e-10, "cayley-half-step": 1e-12,
+             "cayley-group-law": 1e-11, "cayley-order": 0.5})
 
 
 def test_acceptance_04_heisenberg_schemes():
     rng = np.random.default_rng(13)
-    worst_scheme = 0.0
+    rows = []
     for d, tau in ((2, 0.2), (4, 0.1), (6, 0.05)):
-        H = _random_hermitian(rng, d)
-        A = _random_hermitian(rng, d)
-        res = heisenberg_scheme_residuals(build_propagator(H, tau), A, n=1)
-        worst_scheme = max(worst_scheme, res.forward, res.symmetric)
-
-    Q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
-    random_involution = Q @ np.diag([1.0, 1.0, -1.0, -1.0]) @ Q.conj().T
-    worst_inv = 0.0
-    worst_exponent_gap = 0.0
+        H = checks.random_hermitian(rng, d)
+        rows += checks.heisenberg(rng, H, tau, 1, ("forward", "symmetric"))
+    pairs = [
+        (H, checks.random_hermitian(rng, H.shape[0]), label)
+        for H, label in (
+            (checks.SIGMA_X, "sigma_x"),
+            (checks.SIGMA_Z, "sigma_z"),
+            (checks.random_involution(rng, 4), "random dim 4"),
+        )
+    ]
+    identities = checks.involution(pairs, (0.2, 0.05), 0)
     expected = {"forward": 1.0, "backward": 1.0, "forward-backward": 2.0,
                 "half-step": 1.0, "central": 2.0}
-    exponents = []
-    for H in (SIGMA_X, SIGMA_Z, random_involution):
-        A = _random_hermitian(rng, H.shape[0])
-        for tau in (0.2, 0.05):
-            for check in involution_identities(H, A, tau):
-                worst_inv = max(worst_inv, check.residual)
-                worst_exponent_gap = max(
-                    worst_exponent_gap, abs(check.fitted_exponent - expected[check.name])
-                )
-                exponents.append(check.fitted_exponent)
-    ok = worst_scheme < 1e-10 and worst_inv < 1e-10 and worst_exponent_gap < 1e-6
-    _report(
-        4,
-        "Heisenberg difference schemes",
-        ok,
-        f"scheme {worst_scheme:.2e}, involution {worst_inv:.2e}, "
-        f"fitted exponents {min(exponents):.6f}..{max(exponents):.6f}",
-    )
+    exponents = [row.fitted_exponent for row in identities]
+    gap = max(abs(row.fitted_exponent - expected[row.check.removeprefix("involution-")])
+              for row in identities)
+    _accept(4, "Heisenberg difference schemes", rows + identities,
+            {"heisenberg-forward": 1e-10, "heisenberg-symmetric": 1e-10}
+            | {f"involution-{name}": 1e-10 for name in expected},
+            [(f"fitted exponents {min(exponents):.6f}..{max(exponents):.6f}", gap < 1e-6)])
 
 
 def test_acceptance_05_wigner_kravchuk_bridge():
-    worst_bridge = 0.0
-    worst_symmetry = 0.0
-    worst_recurrence = 0.0
-    for N in range(1, 41):
-        signs = np.array([(-1.0) ** i for i in range(N + 1)])
-        checker = signs[:, None] * signs[None, :]
-        for beta in (0.3, math.pi / 2, 2.5):
-            D = build_wigner_d(N, beta)
-            worst_bridge = max(worst_bridge, np.abs(D.table - wigner_d_direct(N, beta)).max())
-            worst_symmetry = max(worst_symmetry, np.abs(D.table.T - checker * D.table).max())
-            rec = recurrence_residuals(D)
-            worst_recurrence = max(worst_recurrence, rec.three_term, rec.shift)
-    ok = worst_bridge < 1e-10 and worst_symmetry < 1e-12 and worst_recurrence < 1e-10
-    _report(
-        5,
-        "Wigner/Kravchuk bridge",
-        ok,
-        f"bridge {worst_bridge:.2e}, symmetry {worst_symmetry:.2e}, "
-        f"recurrences {worst_recurrence:.2e}",
-    )
+    sizes, angles = range(1, 41), (0.3, math.pi / 2, 2.5)
+    rows = (checks.wigner_oracle(sizes, angles) + checks.wigner_symmetry(sizes, angles)
+            + checks.wigner_recurrence(sizes, angles))
+    _accept(5, "Wigner/Kravchuk bridge", rows,
+            {"wigner-vs-oracle": 1e-10, "wigner-symmetry": 1e-12,
+             "wigner-recurrence-three-term": 1e-10, "wigner-recurrence-shift": 1e-10})
 
 
 def test_acceptance_06_oscillator_spectra():
-    worst_comm = 0.0
-    worst_energy = 0.0
-    worst_trace = 0.0
-    for N in range(1, 201):
-        model = build_oscillator(N)
-        n = np.arange(N + 1)
-        comm = commutator_spectrum(model)
-        worst_comm = max(worst_comm, np.abs(comm - (1.0 - n / model.j)).max())
-        energy = energy_spectrum(model)
-        worst_energy = max(worst_energy, np.abs(energy - ((2 * n + 1) - n * n / model.j)).max())
-        worst_trace = max(worst_trace, abs(comm.sum()))
-    ok = worst_comm < 1e-10 and worst_energy < 1e-10 and worst_trace < 1e-12
-    _report(
-        6,
-        "oscillator ladder spectra",
-        ok,
-        f"commutator {worst_comm:.2e}, anticommutator {worst_energy:.2e}, "
-        f"trace {worst_trace:.2e}",
-    )
+    sizes = range(1, 201)
+    # the trace once more, as the sum of the commutator spectrum
+    spectral_trace = max(abs(commutator_spectrum(build_oscillator(N)).sum()) for N in sizes)
+    _accept(6, "oscillator ladder spectra", checks.ladder_spectra(sizes),
+            {"oscillator-commutator": 1e-10, "oscillator-energies": 1e-10,
+             "oscillator-commutator-trace": 1e-12},
+            [(f"spectral trace {spectral_trace:.2e}", spectral_trace < 1e-12)])
 
 
 def test_acceptance_07_position_spectrum():
-    worst_grid = 0.0
-    worst_eigvec = 0.0
-    for N in range(1, 61):
-        model = build_oscillator(N)
-        spec = position_spectrum(model)
-        expected = np.sort(spec.m_prime / math.sqrt(model.j))
-        worst_grid = max(worst_grid, np.abs(np.sort(spec.eigenvalues) - expected).max())
-        X = position_matrix(model)
-        D = build_wigner_d(N, math.pi / 2)
-        grid = (model.j - np.arange(N + 1)) / math.sqrt(model.j)
-        residual = np.abs(X @ D.table - D.table * grid[None, :]).max()
-        worst_eigvec = max(worst_eigvec, residual)
     two = np.sort(position_spectrum(build_oscillator(2)).eigenvalues)
     frozen = np.abs(two - np.array([-1.0, 0.0, 1.0])).max()
-    ok = worst_grid < 1e-9 and worst_eigvec < 1e-9 and frozen < 1e-12
-    _report(
-        7,
-        "position operator spectrum",
-        ok,
-        f"grid {worst_grid:.2e}, eigenvector residual {worst_eigvec:.2e}, "
-        f"N=2 defect {frozen:.2e}",
-    )
+    _accept(7, "position operator spectrum", checks.position(range(1, 61)),
+            {"position-grid": 1e-9, "position-eigenvectors": 1e-9},
+            [(f"N=2 defect {frozen:.2e}", frozen < 1e-12)])
 
 
 def test_acceptance_08_continuum_limit():
     t0 = time.perf_counter()
-    sizes = [16, 32, 64, 128, 256]
-    min_order = math.inf
-    monotone = True
-    ladder_monotone = True
-    for n in range(4):
-        table = continuum_convergence(n, sizes)
-        errs = table.max_errors
-        monotone = monotone and all(a > b for a, b in zip(errs, errs[1:]))
-        min_order = min(min_order, table.fitted_order)
-        ladder = ladder_limit_check(n, sizes)
-        raise_errs = ladder.raise_errors
-        ladder_monotone = ladder_monotone and all(
-            a > b for a, b in zip(raise_errs, raise_errs[1:])
-        )
-        if n > 0:
-            lower_errs = ladder.lower_errors
-            ladder_monotone = ladder_monotone and all(
-                a > b for a, b in zip(lower_errs, lower_errs[1:])
-            )
+    sizes, levels = (16, 32, 64, 128, 256), range(4)
+    monotone, order = checks.continuum(levels, sizes)
+    rows = [monotone, order] + checks.ladder(levels, sizes)
     elapsed = time.perf_counter() - t0
-    ok = monotone and ladder_monotone and min_order >= 0.9 and elapsed < 30.0
-    _report(
-        8,
-        "continuum limit of the discrete oscillator",
-        ok,
-        f"min fitted order {min_order:.3f}, errors monotone {monotone}, "
-        f"ladder monotone {ladder_monotone}, {elapsed:.1f} s",
-    )
+    # a worst successive error ratio below 1 is strict monotonicity;
+    # the order row is zero exactly when every fitted order is >= 0.9
+    _accept(8, "continuum limit of the discrete oscillator", rows,
+            {"continuum-monotone": 1.0, "ladder-monotone": 1.0},
+            [(order.params, order.residual <= 0.0), (f"{elapsed:.1f} s", elapsed < 30.0)])
 
 
 def test_acceptance_09_hermite_oracle():
     s = np.linspace(-6.0, 6.0, 241)
-    worst_schrodinger = max(schrodinger_residual(n, s) for n in range(11))
-    worst_algebraic = 0.0
-    worst_derivative = 0.0
-    for n in (1, 3, 7, 10):
-        res = recurrence_residual(n, s, h=1e-5)
-        worst_algebraic = max(worst_algebraic, res.algebraic)
-        worst_derivative = max(worst_derivative, res.derivative)
-    gram_defect = np.abs(gram_matrix(10) - np.eye(11)).max()
-    ok = (
-        worst_schrodinger < 1e-10
-        and worst_algebraic < 1e-12
-        and worst_derivative < 1e-8
-        and gram_defect < 1e-8
-    )
-    _report(
-        9,
-        "Hermite oracle self-consistency",
-        ok,
-        f"schrodinger {worst_schrodinger:.2e}, recurrence {worst_algebraic:.2e}, "
-        f"derivative {worst_derivative:.2e}, gram {gram_defect:.2e}",
-    )
+    _accept(9, "Hermite oracle self-consistency",
+            checks.hermite_oracle(s, range(11), (1, 3, 7, 10), 10, range(11)),
+            {"hermite-schrodinger": 1e-10, "hermite-recurrence-algebraic": 1e-12,
+             "hermite-recurrence-derivative": 1e-8, "hermite-gram": 1e-8, "hermite-ladder": 1e-12})
 
 
-def test_acceptance_10_cli_determinism_and_round_trip(capsys, tmp_path):
+def test_acceptance_10_cli_determinism_and_round_trip(capsys):
     code1 = main(["verify-all", "--seed", "7"])
     out1 = capsys.readouterr().out
     code2 = main(["verify-all", "--seed", "7"])
     out2 = capsys.readouterr().out
-    deterministic = out1 == out2
     statuses = [line.rsplit(",", 1)[1] for line in out1.strip().splitlines()[1:]]
-    all_pass = bool(statuses) and all(s == "pass" for s in statuses)
-
     # JSON-emitted states must re-ingest losslessly
-    rng = np.random.default_rng(3)
-    lossless = True
-    for N in (1, 5, 32):
-        state = LatticeState(rng.standard_normal(N) + 1j * rng.standard_normal(N), 0.37)
-        again = LatticeState.from_json(state.to_json())
-        lossless = lossless and np.array_equal(again.amplitudes, state.amplitudes)
-        lossless = lossless and again.epsilon == state.epsilon
-
-    ok = code1 == 0 and code2 == 0 and deterministic and all_pass and lossless
-    _report(
-        10,
-        "CLI determinism and round trip",
-        ok,
-        f"exit {code1}/{code2}, byte-identical {deterministic}, "
-        f"rows pass {all_pass}, state round-trip lossless {lossless}",
-    )
+    (round_trip,) = checks.state_round_trip(np.random.default_rng(3), (1, 5, 32), 0.37)
+    _accept(10, "CLI determinism and round trip", [], {}, [
+        (f"exit {code1}/{code2}", code1 == 0 and code2 == 0),
+        ("byte-identical", out1 == out2),
+        ("rows pass", bool(statuses) and all(s == "pass" for s in statuses)),
+        ("state round-trip lossless", round_trip.residual == 0.0),
+    ])

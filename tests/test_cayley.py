@@ -15,20 +15,7 @@ from latticeqm import (
     involution_identities,
     state_residual,
 )
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-SIGMA_Z = np.diag([1.0, -1.0])
-
-
-def random_hermitian(rng, d):
-    M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return 0.5 * (M + M.conj().T)
-
-
-def random_involution(rng, d):
-    Q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
-    signs = np.diag([1.0] * (d // 2) + [-1.0] * (d - d // 2))
-    return Q @ signs @ Q.conj().T
+from latticeqm.checks import SIGMA_X, SIGMA_Z, random_hermitian, random_involution
 
 
 def test_frozen_two_level_example():
@@ -43,6 +30,18 @@ def test_zero_hamiltonian_gives_identity():
     assert np.array_equal(prop.factor, np.eye(3))
     psi = evolve_state(prop, [1.0, 2.0, 3.0], 5)
     assert np.allclose(psi, [1.0, 2.0, 3.0])
+
+
+def test_rejects_degenerate_step_and_non_finite_hamiltonian():
+    for H, tau in (
+        (SIGMA_Z, 0.0),
+        (SIGMA_Z, math.nan),
+        (SIGMA_Z, math.inf),
+        (np.diag([math.nan, 1.0]), 0.1),
+        (np.diag([math.inf, 1.0]), 0.1),
+    ):
+        with pytest.raises(ValueError):
+            build_propagator(H, tau)
 
 
 def test_rejects_non_hermitian():
@@ -201,3 +200,8 @@ def test_state_shape_validation():
         evolve_state(prop, [1.0, 0.0, 0.0], 1)
     with pytest.raises(ValueError):
         heisenberg_evolve(prop, np.eye(3), 1)
+    with pytest.raises(ValueError):
+        evolve_trajectory(prop, [1.0, 0.0, 0.0], 1)
+    for evolve in (evolve_state, evolve_trajectory):
+        with pytest.raises(ValueError):
+            evolve(prop, [1.0, 0.0], -1)

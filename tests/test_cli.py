@@ -209,6 +209,25 @@ def test_evolve_dimension_mismatch_fails(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_evolve_rejects_mis_shaped_im_block(tmp_path, capsys):
+    h_path = tmp_path / "H.json"
+    h_path.write_text(json.dumps({"re": [[1.0, 0.0], [0.0, -1.0]], "im": [[0.0, 0.0]]}))
+    s_path = tmp_path / "state.json"
+    s_path.write_text(LatticeState(np.array([1.0, 0.0], dtype=complex), epsilon=1.0).to_json())
+    code, out, err = run_cli(
+        capsys, "evolve", "--hamiltonian", str(h_path), "--state", str(s_path), "--tau", "0.1", "--steps", "1"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "shape" in err
+
+
+@pytest.mark.parametrize("tau", ["0", "nan"])
+def test_heisenberg_check_rejects_degenerate_step(capsys, tau):
+    code, out, err = run_cli(capsys, "heisenberg-check", "--tau", tau)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "tau" in err and err.count("\n") == 1
+
+
 def test_verify_all_passes_and_is_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "verify-all", "--seed", "7")
     code2, out2, _ = run_cli(capsys, "verify-all", "--seed", "7")
@@ -226,6 +245,22 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().splitlines()[0] == "m,k_m"
+
+
+def test_unwritable_output_is_an_error(tmp_path, capsys):
+    target = tmp_path / "absent" / "basis.csv"
+    code, out, err = run_cli(
+        capsys, "basis", "--N", "3", "--epsilon", "1", "--output", str(target)
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_failed_computation_writes_no_output(tmp_path, capsys):
+    target = tmp_path / "checks.csv"
+    code, _, err = run_cli(capsys, "heisenberg-check", "--tau", "0", "--output", str(target))
+    assert code == 1 and err.startswith("error:")
+    assert not target.exists()
 
 
 def test_invalid_parameters_exit_two(capsys):
