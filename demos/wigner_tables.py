@@ -16,7 +16,7 @@ def main():
     print(f"  corner d[0,0] = cos(beta/2)^N = {math.cos(math.pi / 6) ** 4:.6f}")
 
     print()
-    print("Spectral construction vs exact rational summation")
+    print("Spectral construction vs exact integer summation")
     for N, beta in ((10, 0.3), (20, 2.5), (40, 0.3)):
         D = build_wigner_d(N, beta)
         gap = np.abs(D.table - wigner_d_direct(N, beta)).max()

@@ -141,8 +141,6 @@ def parse_args(argv=None) -> RunConfig:
             sizes = [int(v) for v in str(args["N_list"]).split(",") if v.strip()]
         except ValueError:
             fail("N-list", f"must be comma separated integers, got {args['N_list']!r}")
-        if len(sizes) < 2:
-            fail("N-list", "needs at least two sizes")
         args["N_list"] = sizes
     if command == "hermite":
         if args["samples"] < 2:

@@ -16,14 +16,18 @@ Three construction routes are kept deliberately separate:
   depend on beta.  Every eigenvector enters twice, so the signs the
   eigensolver leaves free cancel, and the table stays orthogonal to machine
   precision for every N and every beta in (0, pi).
-* ``wigner_d_direct`` evaluates the classical finite sum for each entry in
-  exact rational arithmetic.  It shares nothing with the other two routes and
-  serves as the oracle they are both tested against.
+* ``wigner_d_direct`` evaluates the classical finite sum for each entry
+  exactly, in Python integers: with tan^2(beta/2) = A/B taken exactly from
+  the floats cos(beta/2) and sin(beta/2), each entry's alternating sum is one
+  integer numerator over one common denominator, reduced once.  The powers of
+  B and the factorials are formed once per table.  It shares nothing with the
+  other two routes and serves as the oracle they are both tested against.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -145,11 +149,22 @@ class WignerDMatrix:
         return math.cos(0.5 * self.beta) ** 2
 
 
-def _validate_angle(beta: float) -> float:
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _validate_table(N: int, beta: float) -> tuple[int, float]:
+    """The order N >= 1 (Python or numpy integer) and angle beta in (0, pi)."""
+    N = _integer(N, "N")
+    if N < 1:
+        raise ValueError(f"N must be a positive integer, got {N}")
     beta = float(beta)
     if not 0.0 < beta < math.pi:
         raise ValueError(f"beta must lie strictly between 0 and pi, got {beta}")
-    return beta
+    return N, beta
 
 
 def build_wigner_d(N: int, beta: float) -> WignerDMatrix:
@@ -167,10 +182,7 @@ def build_wigner_d(N: int, beta: float) -> WignerDMatrix:
     eigenvector appears twice in these products, so the sign the eigensolver
     leaves free on it cancels and no column sign has to be resolved.
     """
-    beta = _validate_angle(beta)
-    N = int(N)
-    if N < 1:
-        raise ValueError(f"N must be a positive integer, got {N}")
+    N, beta = _validate_table(N, beta)
     n = np.arange(N + 1)
     off = 0.5 * np.sqrt((n[:-1] + 1.0) * (N - n[:-1]))
     _, W = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
@@ -182,68 +194,102 @@ def build_wigner_d(N: int, beta: float) -> WignerDMatrix:
     return WignerDMatrix(N=N, beta=beta, table=table)
 
 
-def wigner_d_entry(N: int, beta: float, n: int, x: int) -> float:
-    """One d-table entry from the classical finite sum, cancellation-free.
+class _ExactSum(NamedTuple):
+    """What every entry of the exact sum at one (N, beta) shares."""
 
-    The alternating sum is factored as a polynomial in tan^2(beta/2) and
-    evaluated in exact rational arithmetic, then recombined with the positive
-    prefactor in log space.  Accuracy is limited only by the rounding of the
-    inputs, not by the (often catastrophic) cancellation between terms.
-    """
-    beta = _validate_angle(beta)
-    N, n, x = int(N), int(n), int(x)
-    if not (0 <= n <= N and 0 <= x <= N):
-        raise ValueError(f"indices must lie in 0..{N}, got n={n}, x={x}")
+    N: int
+    A: int            # tan^2(beta/2) = A / B exactly, in lowest terms
+    B_pow: list       # B^i, i = 0..N
+    fact: list        # k!, k = 0..N
+    log_fact: list    # lgamma(k + 1), k = 0..N
+    log_c: float      # log cos(beta/2)
+    log_s: float      # log sin(beta/2)
+
+
+def _exact_sum(N: int, beta: float) -> _ExactSum:
     c = math.cos(0.5 * beta)
     s = math.sin(0.5 * beta)
+    A, B = (Fraction(s) ** 2 / Fraction(c) ** 2).as_integer_ratio()
+    B_pow = [1]
+    for _ in range(N):
+        B_pow.append(B_pow[-1] * B)
+    return _ExactSum(
+        N=N,
+        A=A,
+        B_pow=B_pow,
+        fact=[math.factorial(k) for k in range(N + 1)],
+        log_fact=[math.lgamma(k + 1) for k in range(N + 1)],
+        log_c=math.log(c),
+        log_s=math.log(s),
+    )
 
+
+def _exact_entry(e: _ExactSum, n: int, x: int) -> float:
+    """Entry (n, x) of the classical sum, written with i = idx - s_min as
+
+        sum_i (-1)^i t^i / ((N-x-idx)! idx! (x-n+idx)! (n-idx)!),  t = A/B,
+
+    times cos^a0 sin^b0 (beta/2) and the square-root prefactor.  Since
+    1/((N-x-idx)! idx!) = C(N-x, idx)/(N-x)! and likewise for x, the sum is
+    the integer sum_i (-1)^i C(N-x, idx) C(x, n-idx) A^i B^(M-i), evaluated
+    by Horner's rule in -A, over B^M (N-x)! x!, reduced once.
+    """
+    N = e.N
     s_min = max(0, n - x)
-    s_max = min(N - x, n)
-    t = Fraction(s) ** 2 / Fraction(c) ** 2
-    total = Fraction(0)
-    t_power = Fraction(1)
-    for idx in range(s_min, s_max + 1):
-        den = (
-            math.factorial(N - x - idx)
-            * math.factorial(idx)
-            * math.factorial(x - n + idx)
-            * math.factorial(n - idx)
-        )
-        term = t_power / den
-        if (idx - s_min) % 2 == 1:
-            term = -term
-        total += term
-        t_power *= t
-    if total == 0:
+    M = min(N - x, n) - s_min
+    num = 0
+    for i in range(M, -1, -1):
+        idx = s_min + i
+        num = num * -e.A + math.comb(N - x, idx) * math.comb(x, n - idx) * e.B_pow[M - i]
+    if num == 0:
         return 0.0
+    num, den = Fraction(num, e.B_pow[M] * e.fact[N - x] * e.fact[x]).as_integer_ratio()
 
     lead = -1.0 if (x - n + s_min) % 2 == 1 else 1.0
-    sign = lead * (1.0 if total > 0 else -1.0)
-    log_pref = 0.5 * (
-        math.lgamma(n + 1)
-        + math.lgamma(N - n + 1)
-        + math.lgamma(x + 1)
-        + math.lgamma(N - x + 1)
-    )
+    sign = lead * (1.0 if num > 0 else -1.0)
+    log_pref = 0.5 * (e.log_fact[n] + e.log_fact[N - n] + e.log_fact[x] + e.log_fact[N - x])
     a0 = N - (x - n) - 2 * s_min  # power of cos(beta/2)
     b0 = (x - n) + 2 * s_min      # power of sin(beta/2)
     log_mag = (
         log_pref
-        + a0 * math.log(c)
-        + b0 * math.log(s)
-        + math.log(abs(total.numerator))
-        - math.log(total.denominator)
+        + a0 * e.log_c
+        + b0 * e.log_s
+        + math.log(abs(num))
+        - math.log(den)
     )
     return sign * math.exp(log_mag)
 
 
+def wigner_d_entry(N: int, beta: float, n: int, x: int) -> float:
+    """One d-table entry from the classical finite sum, cancellation-free.
+
+    The alternating sum is factored as a polynomial in t = tan^2(beta/2),
+    taken exactly from the floats cos(beta/2) and sin(beta/2) as A/B.  Over
+    the common denominator B^M (N-x)! x! the whole sum is one integer
+    numerator, so it is exact; the reduced quotient is then recombined with
+    the positive prefactor in log space.  Accuracy is limited only by the
+    rounding of the inputs, not by the (often catastrophic) cancellation
+    between terms.
+    """
+    N, beta = _validate_table(N, beta)
+    n, x = _integer(n, "n"), _integer(x, "x")
+    if not (0 <= n <= N and 0 <= x <= N):
+        raise ValueError(f"indices must lie in 0..{N}, got n={n}, x={x}")
+    return _exact_entry(_exact_sum(N, beta), n, x)
+
+
 def wigner_d_direct(N: int, beta: float) -> np.ndarray:
-    """Full d-table from the entrywise direct summation oracle."""
-    N = int(N)
+    """Full d-table from the exact sum of ``wigner_d_entry``, entry by entry.
+
+    The powers of B and the factorials are formed once for the table; every
+    entry is bitwise the value ``wigner_d_entry`` returns for it.
+    """
+    N, beta = _validate_table(N, beta)
+    e = _exact_sum(N, beta)
     out = np.empty((N + 1, N + 1))
     for n in range(N + 1):
         for x in range(N + 1):
-            out[n, x] = wigner_d_entry(N, beta, n, x)
+            out[n, x] = _exact_entry(e, n, x)
     return out
 
 

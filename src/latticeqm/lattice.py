@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -57,7 +58,7 @@ class LatticeState:
     amplitudes : sequence of complex
         The values f_0 .. f_{N-1}, N >= 1.
     epsilon : float
-        Lattice spacing, strictly positive.
+        Lattice spacing, strictly positive and finite.
     """
 
     amplitudes: np.ndarray
@@ -67,9 +68,11 @@ class LatticeState:
         amp = np.array(self.amplitudes, dtype=complex)
         if amp.ndim != 1 or amp.size < 1:
             raise ValueError("amplitudes must be a non-empty one-dimensional sequence")
+        if not np.isfinite(amp).all():
+            raise ValueError("amplitudes must be finite")
         eps = float(self.epsilon)
-        if not eps > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
+        if not 0.0 < eps < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
         object.__setattr__(self, "epsilon", eps)

@@ -161,6 +161,16 @@ class ConvergenceTable:
     fitted_order: float
 
 
+def _sweep_sizes(N_list, floor: int, floor_name: str) -> np.ndarray:
+    """Sorted sizes of a continuum sweep: two distinct sizes at least, each above ``floor``."""
+    sizes = np.asarray(sorted(int(N) for N in N_list), dtype=int)
+    if sizes.size == 0 or sizes[0] == sizes[-1]:
+        raise ValueError(f"need at least two distinct sizes, got {sizes.tolist()}")
+    if sizes[0] <= floor:
+        raise ValueError(f"all sizes must exceed {floor_name} = {floor}, got N={sizes[0]}")
+    return sizes
+
+
 def continuum_convergence(n: int, N_list, p: float = 0.5) -> ConvergenceTable:
     """Measure how fast level n approaches the continuum eigenfunction.
 
@@ -172,11 +182,7 @@ def continuum_convergence(n: int, N_list, p: float = 0.5) -> ConvergenceTable:
     n = int(n)
     if n < 0:
         raise ValueError("n must be non-negative")
-    sizes = np.asarray(sorted(int(N) for N in N_list), dtype=int)
-    if sizes.size < 2:
-        raise ValueError("need at least two sizes to measure convergence")
-    if sizes[0] <= n:
-        raise ValueError(f"all sizes must exceed the level, got N={sizes[0]} for n={n}")
+    sizes = _sweep_sizes(N_list, n, "the level n")
     errors = np.empty(sizes.size)
     for i, N in enumerate(sizes):
         _, g, psi = _aligned_level_rows(int(N), p, n)
@@ -205,9 +211,7 @@ def ladder_limit_check(n: int, N_list, p: float = 0.5) -> LadderLimitTable:
     n = int(n)
     if n < 0:
         raise ValueError("n must be non-negative")
-    sizes = np.asarray(sorted(int(N) for N in N_list), dtype=int)
-    if sizes[0] <= n + 1:
-        raise ValueError(f"all sizes must exceed n+1, got N={sizes[0]} for n={n}")
+    sizes = _sweep_sizes(N_list, n + 1, "n+1")
     lower_errors = np.empty(sizes.size)
     raise_errors = np.empty(sizes.size)
     for i, N in enumerate(sizes):

@@ -17,6 +17,7 @@ of interest stay well below the point where an FFT would matter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,16 +55,19 @@ def build_basis(N: int, epsilon: float) -> PlaneWaveBasis:
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
     eps = float(epsilon)
-    if not eps > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
 
     m = np.arange(N)
-    k = (2.0 / eps) * np.tan(np.pi * m / N)
-    ratio = (1.0 + 0.5j * eps * k) / (1.0 - 0.5j * eps * k)
-    if N % 2 == 0:
-        # tangent pole: mark the momentum, the step ratio is exactly -1
-        k[N // 2] = np.inf
-        ratio[N // 2] = -1.0
+    pole = 2 * m == N  # the tangent pole, present for even N only
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = (2.0 / eps) * np.tan(np.pi * m / N)
+        ratio = (1.0 + 0.5j * eps * k) / (1.0 - 0.5j * eps * k)
+    if not np.isfinite(k[~pole]).all():
+        raise ValueError(f"epsilon={eps!r} is too small: the momenta (2/epsilon) tan(pi m/N) overflow")
+    # mark the momentum at the pole; the step ratio there is exactly -1
+    k[pole] = np.inf
+    ratio[pole] = -1.0
 
     steps = np.ones((N, N), dtype=complex)
     steps[1:, :] = np.broadcast_to(ratio, (N - 1, N))

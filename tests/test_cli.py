@@ -263,6 +263,12 @@ def test_failed_computation_writes_no_output(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_converge_rejects_repeated_size(capsys):
+    code, out, err = run_cli(capsys, "converge", "--n", "1", "--N-list", "16,16")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "two distinct sizes" in err and err.count("\n") == 1
+
+
 def test_invalid_parameters_exit_two(capsys):
     for argv in (
         ["basis", "--N", "0", "--epsilon", "1.0"],

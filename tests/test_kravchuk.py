@@ -185,3 +185,62 @@ def test_sign_resolution_metadata():
     D = build_wigner_d(33, 2.9)
     gram = D.table @ D.table.T
     assert np.abs(gram - np.eye(34)).max() < 1e-12
+
+
+def test_table_order_validation():
+    # a fractional order was truncated, N = 0 built a 1x1 table in the
+    # oracle only, and a negative order failed inside numpy
+    for N in (3.9, 0, -2):
+        for build in (build_wigner_d, wigner_d_direct):
+            with pytest.raises(ValueError, match="N must be"):
+                build(N, 1.0)
+    with pytest.raises(ValueError, match="N must be"):
+        wigner_d_entry(2.7, 1.0, 0, 0)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        wigner_d_entry(3, 1.0, 0.5, 0)
+    for build in (build_wigner_d, wigner_d_direct):
+        with pytest.raises(ValueError, match="beta"):
+            build(3, math.pi)
+    # numpy integers are orders like any other
+    assert np.array_equal(wigner_d_direct(np.int64(5), 0.7), wigner_d_direct(5, 0.7))
+    assert np.array_equal(build_wigner_d(np.int32(5), 0.7).table, build_wigner_d(5, 0.7).table)
+    assert wigner_d_entry(np.int64(5), 0.7, np.int64(2), 3) == wigner_d_entry(5, 0.7, 2, 3)
+
+
+def test_direct_table_is_the_entrywise_oracle():
+    # the table and the single entry share one route, bit for bit
+    for N, beta in ((12, 2.5), (24, 1.1)):
+        table = wigner_d_direct(N, beta)
+        for n in range(N + 1):
+            for x in range(N + 1):
+                assert table[n, x] == wigner_d_entry(N, beta, n, x)
+
+
+def test_direct_table_matches_textbook_sum_at_sixty_digits():
+    mpmath = pytest.importorskip("mpmath")
+    for N, beta in ((40, 0.3), (32, math.pi - 1e-6), (24, 1.1), (12, 2.5)):
+        table = wigner_d_direct(N, beta)
+        with mpmath.workdps(60):
+            worst = _textbook_gap(mpmath, table, N, beta)
+        assert worst < 1e-12, (N, beta, worst)
+
+
+def _textbook_gap(mpmath, table, N, beta):
+    """Worst |table - d| against the textbook sum for d[n, x], j = N/2,
+    m = j - n, m' = j - x, summed in the working precision of ``mpmath``."""
+    # the same float half-angle cosine and sine the oracle starts from
+    c, s = mpmath.mpf(math.cos(0.5 * beta)), mpmath.mpf(math.sin(0.5 * beta))
+    cpow = [c**k for k in range(N + 1)]
+    spow = [s**k for k in range(N + 1)]
+    f = [math.factorial(k) for k in range(N + 1)]
+    worst = 0.0
+    for n in range(N + 1):
+        for x in range(N + 1):
+            total = mpmath.mpf(0)
+            for k in range(max(0, n - x), min(N - x, n) + 1):
+                term = cpow[N - (x - n) - 2 * k] * spow[(x - n) + 2 * k]
+                term /= f[N - x - k] * f[k] * f[x - n + k] * f[n - k]
+                total += -term if (x - n + k) % 2 else term
+            exact = mpmath.sqrt(f[n] * f[N - n] * f[x] * f[N - x]) * total
+            worst = max(worst, float(abs(float(table[n, x]) - exact)))
+    return worst

@@ -55,6 +55,13 @@ def test_state_validation():
         LatticeState([1.0], 0.0)
     with pytest.raises(ValueError):
         LatticeState([[1.0, 2.0]], 1.0)
+    # non-finite values used to construct, e.g. LatticeState([nan, 1], inf)
+    for eps in (float("inf"), -float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="epsilon"):
+            LatticeState([1.0, 2.0], eps)
+    for amp in ([float("nan"), 1.0], [1.0, complex(0.0, float("inf"))]):
+        with pytest.raises(ValueError, match="amplitudes"):
+            LatticeState(amp, 1.0)
 
 
 def test_forward_difference_annihilates_constants():

@@ -187,3 +187,10 @@ def test_validation():
         continuum_convergence(0, [16])
     with pytest.raises(ValueError):
         ladder_limit_check(3, [4])
+    # a repeated size fitted a degenerate order, an empty list raised an
+    # IndexError and the ladder check took a single size
+    for sizes in ([], [32], [16, 16]):
+        with pytest.raises(ValueError, match="two distinct sizes"):
+            continuum_convergence(1, sizes)
+        with pytest.raises(ValueError, match="two distinct sizes"):
+            ladder_limit_check(1, sizes)

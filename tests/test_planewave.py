@@ -146,6 +146,13 @@ def test_input_validation():
         build_basis(0, 1.0)
     with pytest.raises(ValueError):
         build_basis(4, -1.0)
+    # eps = inf gave momenta [nan, inf, inf, -inf], eps = 1e-310 overflowed
+    # 2/eps and gave [0, 0, inf, -0]; at eps = 1.2e-308, 2/eps is finite but
+    # the momenta next to the pole of the tangent are not
+    for N, eps in ((4, float("inf")), (4, 1e-310), (4, float("nan")), (8, 1.2e-308)):
+        with pytest.raises(ValueError, match="epsilon"):
+            build_basis(N, eps)
+    assert np.isfinite(build_basis(4, 1e-300).momenta[:2]).all()
     basis = build_basis(4, 1.0)
     with pytest.raises(ValueError):
         forward_transform(basis, LatticeState([1.0, 2.0], 1.0))
