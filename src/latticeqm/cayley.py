@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice import _integer
+
 
 def check_hermitian(H, tol: float = 1e-12) -> np.ndarray:
     """Validate and return a Hermitian matrix as a complex ndarray."""
@@ -103,7 +105,7 @@ def _checked_state(prop: CayleyPropagator, psi0, n: int) -> tuple[np.ndarray, in
     psi = np.asarray(psi0, dtype=complex)
     if psi.shape != (prop.dim,):
         raise ValueError(f"state shape {psi.shape} does not match dimension {prop.dim}")
-    n = int(n)
+    n = _integer(n, "n")
     if n < 0:
         raise ValueError("step count must be non-negative")
     return psi, n
@@ -129,7 +131,7 @@ def evolve_trajectory(prop: CayleyPropagator, psi0, n: int) -> np.ndarray:
 
 def evolution_operator(prop: CayleyPropagator, n: int) -> np.ndarray:
     """The n-step unitary C^n (negative n gives the inverse evolution)."""
-    return np.linalg.matrix_power(prop.factor, int(n))
+    return np.linalg.matrix_power(prop.factor, _integer(n, "n"))
 
 
 def state_residual(prop: CayleyPropagator, psi_n, psi_next) -> float:

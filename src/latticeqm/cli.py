@@ -1,6 +1,10 @@
 """Command line front end.
 
-Parsing and dispatch only.  Every subcommand computes one artifact (a
+Parsing and dispatch only.  The argument parser is built once per process,
+on the first ``parse_args`` call, and reused by every later call.  Only code
+that calls ``main`` many times in one process gains from that; the console
+script builds it once per command as before, and importing the package does
+not build it.  Every subcommand computes one artifact (a
 momenta table, a trajectory, a spectrum, a residual table or a full
 verification report) before anything is written, then ``run`` writes it to
 stdout or to --output: JSON in one ``json.dumps``, CSV through
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -41,6 +46,7 @@ class RunConfig:
     seed: int | None = None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latticeqm",
@@ -113,6 +119,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv=None) -> RunConfig:
+    """Parse argv (default sys.argv[1:]) and range-check its values.
+
+    The parser is built on the first call and shared by every later one:
+    parsing returns a fresh namespace and never changes the parser, and a
+    usage error only raises SystemExit.
+    """
     parser = _build_parser()
     args = vars(parser.parse_args(argv))
     command = args.pop("command")
@@ -145,6 +157,9 @@ def parse_args(argv=None) -> RunConfig:
     if command == "hermite":
         if args["samples"] < 2:
             fail("samples", f"must be at least 2, got {args['samples']}")
+        for flag, value in (("s-min", args["s_min"]), ("s-max", args["s_max"])):
+            if not math.isfinite(value):
+                fail(flag, f"must be finite, got {value}")
         if not args["s_max"] > args["s_min"]:
             fail("s-max", "must exceed --s-min")
     if command == "heisenberg-check" and args["dim"] < 2:

@@ -27,12 +27,13 @@ Three construction routes are kept deliberately separate:
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
+
+from .lattice import _integer
 
 
 def binomial_weights(N: int, p: float) -> np.ndarray:
@@ -40,7 +41,7 @@ def binomial_weights(N: int, p: float) -> np.ndarray:
 
     Evaluated in log space so large N stays finite; the weights sum to one.
     """
-    N = int(N)
+    N = _integer(N, "N")
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
     p = float(p)
@@ -89,12 +90,10 @@ def build_kravchuk(N: int, p: float, n_max: int | None = None) -> KravchukFamily
     needing full tables in that regime should use ``build_wigner_d``.
     """
     weights = binomial_weights(N, p)  # validates N and p
-    N = int(N)
+    N = _integer(N, "N")
     p = float(p)
     q = 1.0 - p
-    if n_max is None:
-        n_max = N
-    n_max = int(n_max)
+    n_max = N if n_max is None else _integer(n_max, "n_max")
     if not 0 <= n_max <= N:
         raise ValueError(f"n_max must lie in 0..{N}, got {n_max}")
 
@@ -147,13 +146,6 @@ class WignerDMatrix:
     def q(self) -> float:
         # taken directly: 1 - p keeps no digits of q next to beta = pi
         return math.cos(0.5 * self.beta) ** 2
-
-
-def _integer(value, name: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _validate_table(N: int, beta: float) -> tuple[int, float]:

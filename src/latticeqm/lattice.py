@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,6 +32,14 @@ class DifferenceKind(Enum):
 class BoundaryRule(Enum):
     PERIODIC = "periodic"
     ZERO_PADDED = "zero-padded"
+
+
+def _integer(value, name: str) -> int:
+    """A Python or numpy integer as int; a float is never truncated to one."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def complex_array(data: dict) -> np.ndarray:

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import hermite
 from .kravchuk import build_kravchuk, orthonormal_functions
+from .lattice import _integer
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,7 @@ class OscillatorModel:
 
 
 def build_oscillator(N: int, p: float = 0.5, energy_scale: float = 1.0) -> OscillatorModel:
-    N = int(N)
+    N = _integer(N, "N")
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
     p = float(p)
@@ -123,7 +124,7 @@ def position_spectrum(model: OscillatorModel) -> PositionSpectrum:
 
 def s_grid(N: int, p: float) -> tuple[np.ndarray, float]:
     """Rescaled coordinate s_x = (x - N p)/sqrt(2 N p q) and its spacing."""
-    N = int(N)
+    N = _integer(N, "N")
     p = float(p)
     q = 1.0 - p
     spacing = 1.0 / math.sqrt(2.0 * N * p * q)
@@ -163,7 +164,7 @@ class ConvergenceTable:
 
 def _sweep_sizes(N_list, floor: int, floor_name: str) -> np.ndarray:
     """Sorted sizes of a continuum sweep: two distinct sizes at least, each above ``floor``."""
-    sizes = np.asarray(sorted(int(N) for N in N_list), dtype=int)
+    sizes = np.asarray(sorted(_integer(N, "each size") for N in N_list), dtype=int)
     if sizes.size == 0 or sizes[0] == sizes[-1]:
         raise ValueError(f"need at least two distinct sizes, got {sizes.tolist()}")
     if sizes[0] <= floor:
@@ -179,7 +180,7 @@ def continuum_convergence(n: int, N_list, p: float = 0.5) -> ConvergenceTable:
     least squares slope of log(error) against log(N), negated, so first
     order convergence reports a value near one.
     """
-    n = int(n)
+    n = _integer(n, "n")
     if n < 0:
         raise ValueError("n must be non-negative")
     sizes = _sweep_sizes(N_list, n, "the level n")
@@ -208,7 +209,7 @@ def ladder_limit_check(n: int, N_list, p: float = 0.5) -> LadderLimitTable:
     sqrt(n) psi_{n-1}, and correspondingly for the raising side.  For n = 0
     the lowering error is identically zero because the chain terminates.
     """
-    n = int(n)
+    n = _integer(n, "n")
     if n < 0:
         raise ValueError("n must be non-negative")
     sizes = _sweep_sizes(N_list, n + 1, "n+1")
@@ -254,7 +255,7 @@ def limit_recurrence_check(model: OscillatorModel, n: int) -> LimitRecurrenceRes
     residuals sit at roundoff level for any N; as N grows the coefficients
     visibly flow to the continuum relations for 2 s psi_n and 2 psi_n'.
     """
-    n = int(n)
+    n = _integer(n, "n")
     N = model.N
     p = model.p
     q = 1.0 - p

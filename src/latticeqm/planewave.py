@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import BoundaryRule, DifferenceKind, LatticeState, apply_difference
+from .lattice import BoundaryRule, DifferenceKind, LatticeState, _integer, apply_difference
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def build_basis(N: int, epsilon: float) -> PlaneWaveBasis:
     calling a transcendental power, so each column is a true geometric
     sequence in floating point.
     """
-    N = int(N)
+    N = _integer(N, "N")
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
     eps = float(epsilon)

@@ -205,3 +205,9 @@ def test_state_shape_validation():
     for evolve in (evolve_state, evolve_trajectory):
         with pytest.raises(ValueError):
             evolve(prop, [1.0, 0.0], -1)
+        # a fractional step count is refused, not truncated to 2 steps
+        with pytest.raises(ValueError, match="n must be an integer"):
+            evolve(prop, [1.0, 0.0], 2.5)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        evolution_operator(prop, 2.5)
+    assert evolve_state(prop, [1.0, 0.0], np.int64(2)).shape == (2,)

@@ -1,12 +1,15 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from latticeqm import LatticeState, build_propagator, evolve_trajectory
+import latticeqm
+from latticeqm import LatticeState, build_propagator, cli, evolve_trajectory
 from latticeqm.cli import main
 
 
@@ -276,6 +279,9 @@ def test_invalid_parameters_exit_two(capsys):
         ["wigner", "--N", "3", "--beta", "0.0"],
         ["spectrum", "--N", "5", "--p", "1.5"],
         ["converge", "--n", "-1", "--N-list", "16,32"],
+        # an infinite end printed NaN and Infinity rows and exited 0
+        ["hermite", "--n", "1", "--s-min", "0", "--s-max", "inf", "--samples", "3"],
+        ["hermite", "--n", "1", "--s-min=-inf", "--s-max", "0", "--samples", "3"],
     ):
         with pytest.raises(SystemExit) as info:
             main(argv)
@@ -311,3 +317,45 @@ def test_module_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "n,value"
+
+
+def run_fresh(argv):
+    """Stdout bytes and exit code of argv run alone in a new interpreter."""
+    src = str(Path(latticeqm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "latticeqm", *argv], capture_output=True, env=env, timeout=60
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_parser_is_built_once_and_reused_without_leaks(capsys):
+    assert cli._build_parser() is cli._build_parser()
+
+    def valid(argv, fresh=True):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        if fresh:
+            assert (code, out.encode()) == run_fresh(argv)
+        return out
+
+    def exits(argv, expected):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == expected
+        return capsys.readouterr()
+
+    basis = ["basis", "--N", "4", "--epsilon", "1"]
+    assert "j,m,re,im" in valid(basis + ["--table"])
+    # --table of the previous call must not carry over
+    assert "j,m,re,im" not in valid(basis)
+    assert "--s-max" in exits(["hermite", "--n", "1", "--s-min", "1", "--s-max", "0",
+                               "--samples", "3"], 2).err
+    spectrum = ["spectrum", "--N", "3", "--what", "energy", "--format", "json"]
+    first = valid(spectrum)
+    assert "usage: latticeqm" in exits(["--help"], 0).out
+    # the first run was already compared with a fresh interpreter
+    assert valid(spectrum, fresh=False) == first
+    assert "--table" in exits(["basis", "--help"], 0).out
+    valid(["wigner", "--N", "6", "--beta", "0.4", "--check", "symmetry"])

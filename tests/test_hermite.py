@@ -111,3 +111,15 @@ def test_argument_validation():
         psi_table(-1, 0.0)
     with pytest.raises(ValueError):
         eval_psi(-2, 0.0)
+    # a fractional level was truncated: eval_psi(2.5, s) returned psi_2(s)
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        psi_table(2.5, 0.0)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        eval_psi(2.5, 0.0)
+    assert eval_psi(np.int64(2), 0.0) == eval_psi(2, 0.0)
+    # an infinite or NaN grid point gave NaN rows instead of an error
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            psi_table(3, [0.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            eval_psi(1, bad)

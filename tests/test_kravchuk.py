@@ -36,6 +36,13 @@ def test_weight_validation():
         binomial_weights(5, 0.0)
     with pytest.raises(ValueError):
         binomial_weights(5, 1.0)
+    # a fractional order was truncated: build_kravchuk(3.9, 0.5).N read 3
+    for build in (binomial_weights, build_kravchuk):
+        with pytest.raises(ValueError, match="N must be an integer"):
+            build(3.9, 0.5)
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        build_kravchuk(5, 0.5, n_max=2.5)
+    assert build_kravchuk(np.int64(5), 0.5, n_max=np.int32(2)).values.shape == (3, 6)
 
 
 def test_frozen_single_site_family():

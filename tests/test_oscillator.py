@@ -180,6 +180,10 @@ def test_validation():
         build_oscillator(0)
     with pytest.raises(ValueError):
         build_oscillator(10, p=0.0)
+    # a fractional order was truncated: build_oscillator(3.9).N read 3
+    with pytest.raises(ValueError, match="N must be an integer"):
+        build_oscillator(3.9)
+    assert build_oscillator(np.int64(4)).N == 4
     model = build_oscillator(6)
     with pytest.raises(ValueError):
         limit_recurrence_check(model, 6)

@@ -146,6 +146,10 @@ def test_input_validation():
         build_basis(0, 1.0)
     with pytest.raises(ValueError):
         build_basis(4, -1.0)
+    # a fractional order was truncated: build_basis(3.9, 1.0).n_sites read 3
+    with pytest.raises(ValueError, match="N must be an integer"):
+        build_basis(3.9, 1.0)
+    assert build_basis(np.int64(4), 1.0).n_sites == 4
     # eps = inf gave momenta [nan, inf, inf, -inf], eps = 1e-310 overflowed
     # 2/eps and gave [0, 0, inf, -0]; at eps = 1.2e-308, 2/eps is finite but
     # the momenta next to the pole of the tangent are not
