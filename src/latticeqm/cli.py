@@ -55,6 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="subcommand")
 
     def add_common(p):
+        p.set_defaults(subparser=p)  # range errors print this subcommand's usage
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="output format (default csv)")
         p.add_argument("--output", default=None, metavar="PATH",
@@ -131,10 +132,11 @@ def parse_args(argv=None) -> RunConfig:
     fmt = args.pop("format", "csv")
     output = args.pop("output", None)
     seed = args.pop("seed", None)
+    subparser = args.pop("subparser")
 
     # range checks that argparse types cannot express
     def fail(name, message):
-        parser.error(f"argument --{name}: {message}")
+        subparser.error(f"argument --{name}: {message}")
 
     if command in ("basis", "wigner", "spectrum") and args["N"] < 1:
         fail("N", f"must be a positive integer, got {args['N']}")

@@ -19,11 +19,17 @@ import numpy as np
 from .lattice import _integer
 
 
+def _level(n, name: str = "n") -> int:
+    """A level or level bound as a non-negative int."""
+    n = _integer(n, name)
+    if n < 0:
+        raise ValueError(f"{name} must be non-negative")
+    return n
+
+
 def psi_table(n_max: int, s) -> np.ndarray:
     """Rows psi_0(s) .. psi_{n_max}(s) on the given grid of finite points."""
-    n_max = _integer(n_max, "n_max")
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+    n_max = _level(n_max, "n_max")
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if not np.isfinite(s).all():
         raise ValueError("grid points s must be finite")
@@ -40,9 +46,7 @@ def psi_table(n_max: int, s) -> np.ndarray:
 
 def eval_psi(n: int, s):
     """psi_n evaluated at a scalar or array argument."""
-    n = _integer(n, "n")
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n = _level(n)
     scalar = np.isscalar(s)
     values = psi_table(n, s)[n]
     return float(values[0]) if scalar else values
@@ -50,7 +54,7 @@ def eval_psi(n: int, s):
 
 def psi_derivative(n: int, s):
     """Analytic first derivative sqrt(2n) psi_{n-1} - s psi_n."""
-    n = _integer(n, "n")
+    n = _level(n)
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     table = psi_table(max(n, 1), s_arr)
     lower = table[n - 1] if n >= 1 else np.zeros_like(s_arr)
@@ -64,7 +68,7 @@ def schrodinger_residual(n: int, s) -> float:
     The second derivative is assembled analytically from lower rows, so the
     residual probes the recurrence algebra rather than a finite difference.
     """
-    n = _integer(n, "n")
+    n = _level(n)
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     table = psi_table(max(n, 2), s_arr)
     psi = table[n]
@@ -91,7 +95,7 @@ def recurrence_residual(n: int, s_grid, h: float = 1e-5) -> HermiteRecurrenceRes
     2 psi_n' = sqrt(2n) psi_{n-1} - sqrt(2(n+1)) psi_{n+1} with the derivative
     taken by a central difference of step h, so it carries an O(h^2) floor.
     """
-    n = _integer(n, "n")
+    n = _level(n)
     s = np.atleast_1d(np.asarray(s_grid, dtype=float))
     table = psi_table(n + 1, s)
     below = table[n - 1] if n >= 1 else np.zeros_like(s)
@@ -119,7 +123,7 @@ def ladder_apply(which: str, n: int, s):
     or sqrt(n) psi_{n-1} respectively, and is evaluated from the analytic
     derivative so no step size enters.
     """
-    n = _integer(n, "n")
+    n = _level(n)
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     psi = eval_psi(n, s_arr)
     dpsi = psi_derivative(n, s_arr)
@@ -139,7 +143,7 @@ def gram_matrix(n_max: int, half_width: float | None = None, samples: int = 4001
     of the highest level, where the integrand has long since collapsed, so
     the quadrature error is dominated by the trapezoidal rule itself.
     """
-    n_max = _integer(n_max, "n_max")
+    n_max = _level(n_max, "n_max")
     if half_width is None:
         half_width = math.sqrt(2.0 * n_max + 1.0) + 10.0
     s = np.linspace(-half_width, half_width, _integer(samples, "samples"))

@@ -347,6 +347,10 @@ def differential_relation_residual(
 
     The beta derivative is approximated by a central difference with step
     ``h_beta``, so the returned residual is O(h_beta^2) rather than zero.
+    That floor grows with N: at the default step it reads 7.5e-8 at
+    (N, beta) = (64, 1.5), 4.4e-7 at (128, 1.5) and 4.5e-6 at (256, 0.3),
+    above the 1e-6 tolerance of verify-all's wigner-differential rows, so a
+    correct table fails that tolerance at N in the hundreds.
     """
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")

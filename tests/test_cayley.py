@@ -55,20 +55,27 @@ def test_step_is_unitary_long_run():
     rng = np.random.default_rng(31)
     H = random_hermitian(rng, 7)
     prop = build_propagator(H, 0.3)
-    psi = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-    psi /= np.linalg.norm(psi)
+    psi0 = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    psi0 /= np.linalg.norm(psi0)
+    psi = psi0
     for _ in range(1000):
         psi = prop.factor @ psi
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
+    # the spectral power agrees with the hand-stepped solve-built factor
+    assert np.abs(evolve_state(prop, psi0, 1000) - psi).max() < 1e-11
 
 
 def test_group_law():
+    # spectral C^n against |n| products of the solve-built step, inverted for n < 0
     rng = np.random.default_rng(32)
     prop = build_propagator(random_hermitian(rng, 5), 0.2)
-    for n, m in ((1, 1), (3, 4), (10, 17), (0, 6)):
-        lhs = evolution_operator(prop, n) @ evolution_operator(prop, m)
-        rhs = evolution_operator(prop, n + m)
-        assert np.abs(lhs - rhs).max() < 1e-11
+    for n in (-17, 0, 1, 7, 17):
+        stepped = np.eye(5, dtype=complex)
+        for _ in range(abs(n)):
+            stepped = prop.factor @ stepped
+        if n < 0:
+            stepped = stepped.conj().T
+        assert np.abs(evolution_operator(prop, n) - stepped).max() < 1e-11
 
 
 def test_half_step_squares_to_full_step():
@@ -177,7 +184,7 @@ def test_involution_identities_pass_with_expected_exponents():
             checks = involution_identities(H, A, tau, n=2)
             assert [c.name for c in checks] == list(expected)
             for c in checks:
-                assert c.passed and c.residual < 1e-10
+                assert c.residual < 1e-10
                 assert c.fitted_exponent == pytest.approx(expected[c.name], abs=1e-6)
 
 
@@ -185,7 +192,7 @@ def test_involution_identities_with_commuting_observable():
     # zero commutator: both sides vanish, the exponent fit is undefined
     checks = involution_identities(SIGMA_Z, SIGMA_Z, 0.3)
     for c in checks:
-        assert c.passed and c.residual < 1e-14
+        assert c.residual < 1e-14
         assert math.isnan(c.fitted_exponent)
 
 

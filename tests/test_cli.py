@@ -286,7 +286,8 @@ def test_invalid_parameters_exit_two(capsys):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
-        capsys.readouterr()
+        # the range error prints its subcommand's usage, not the top-level one
+        assert capsys.readouterr().err.startswith(f"usage: latticeqm {argv[0]} ")
 
 
 def test_unknown_subcommand_rejected(capsys):

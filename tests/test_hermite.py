@@ -111,6 +111,13 @@ def test_argument_validation():
         psi_table(-1, 0.0)
     with pytest.raises(ValueError):
         eval_psi(-2, 0.0)
+    # a negative level failed inside math.sqrt with a bare "math domain error"
+    for level_fn in (psi_derivative, schrodinger_residual, recurrence_residual,
+                     lambda n, s: ladder_apply("raise", n, s)):
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            level_fn(-1, 0.0)
+    with pytest.raises(ValueError, match="n_max must be non-negative"):
+        gram_matrix(-1)
     # a fractional level was truncated: eval_psi(2.5, s) returned psi_2(s)
     with pytest.raises(ValueError, match="n_max must be an integer"):
         psi_table(2.5, 0.0)
