@@ -1,18 +1,22 @@
 """Command line front end.
 
-Parsing and dispatch only.  The argument parser is built once per process,
-on the first ``parse_args`` call, and reused by every later call.  Only code
-that calls ``main`` many times in one process gains from that; the console
-script builds it once per command as before, and importing the package does
-not build it.  Every subcommand computes one artifact (a
-momenta table, a trajectory, a spectrum, a residual table or a full
-verification report) before anything is written, then ``run`` writes it to
-stdout or to --output: JSON in one ``json.dumps``, CSV through
-``report.write_csv``, whose floats carry 17 significant digits so a reported
-value reconstructs the exact double.  The residuals come from
-``latticeqm.checks``.  The CLI never asserts: checks are emitted as rows with
-residuals, and only the exit code of ``verify-all`` (0 iff everything
-passed) summarizes them.  Identical parameters and seed produce
+Parsing and dispatch only.  Each subcommand is declared once in
+``_build_parser``, where every flag's argparse type also enforces its range,
+so an out-of-range value exits 2 with the subcommand's usage line before any
+work starts.  The parser is built once per process, on the first
+``parse_args`` call, and reused by every later call.  Only code that calls
+``main`` many times in one process gains from that; the console script builds
+it once per command as before, and importing the package does not build it.
+
+Each subcommand has one builder in ``COMMANDS``, called with the parsed
+parameters and the format.  It computes the whole artifact (a momenta table,
+a trajectory, a spectrum, a residual table or the verification rows) before
+anything is written, then ``run`` writes it to stdout or to --output: JSON in
+one ``json.dumps``, CSV through ``report.write_csv``, whose floats carry 17
+significant digits so a reported value reconstructs the exact double.  The
+residuals come from ``latticeqm.checks``.  The CLI never asserts: checks are
+emitted as rows with residuals, and only the exit code of ``verify-all`` (0
+iff every row passed) summarizes them.  Identical parameters and seed produce
 byte-identical output.
 """
 
@@ -32,7 +36,7 @@ import numpy as np
 from . import cayley, checks, hermite, oscillator, planewave
 from .lattice import LatticeState, complex_array
 # format_float stays bound here, where perfbench reads and traces cli.format_float
-from .report import VerificationReport, format_float, write_csv  # noqa: F401
+from .report import format_float, write_csv  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -43,11 +47,40 @@ class RunConfig:
     params: dict = field(default_factory=dict)
     fmt: str = "csv"
     output: str | None = None
-    seed: int | None = None
+
+
+def _ranged(convert, ok, requirement: str):
+    """An argparse type: ``convert`` the text, then require ``ok`` of the value."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must {requirement}, got {value}")
+        return value
+
+    # argparse names the converter when conversion fails: "invalid int value: 'x'"
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_POSITIVE_INT = _ranged(int, lambda v: v >= 1, "be a positive integer")
+_NON_NEGATIVE_INT = _ranged(int, lambda v: v >= 0, "be non-negative")
+_AT_LEAST_TWO = _ranged(int, lambda v: v >= 2, "be at least 2")
+_POSITIVE = _ranged(float, lambda v: v > 0.0, "be positive")
+_FINITE = _ranged(float, math.isfinite, "be finite")
+_ANGLE = _ranged(float, lambda v: 0.0 < v < math.pi, "lie strictly between 0 and pi")
+_PROBABILITY = _ranged(float, lambda v: 0.0 < v < 1.0, "lie strictly between 0 and 1")
+
+
+def _int_list(text: str) -> list:
+    try:
+        return [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma separated integers, got {text!r}") from None
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="latticeqm",
         description="Quantum mechanics on a discrete lattice: bases, propagators, oscillators.",
@@ -55,15 +88,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="subcommand")
 
     def add_common(p):
-        p.set_defaults(subparser=p)  # range errors print this subcommand's usage
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="output format (default csv)")
         p.add_argument("--output", default=None, metavar="PATH",
                        help="write the artifact here instead of stdout")
 
     p = sub.add_parser("basis", help="tangent-grid momenta and plane-wave table")
-    p.add_argument("--N", type=int, required=True, help="number of lattice sites")
-    p.add_argument("--epsilon", type=float, required=True, help="lattice spacing")
+    p.add_argument("--N", type=_POSITIVE_INT, required=True, help="number of lattice sites")
+    p.add_argument("--epsilon", type=_POSITIVE, required=True, help="lattice spacing")
     p.add_argument("--table", action="store_true", help="include the full basis table")
     add_common(p)
 
@@ -71,108 +103,78 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hamiltonian", required=True, metavar="JSON",
                    help='Hermitian matrix file: {"re": [[..]], "im": [[..]]}')
     p.add_argument("--tau", type=float, required=True, help="time step")
-    p.add_argument("--steps", type=int, required=True, help="number of steps")
+    p.add_argument("--steps", type=_NON_NEGATIVE_INT, required=True, help="number of steps")
     p.add_argument("--state", required=True, metavar="JSON",
                    help='initial state file: {"epsilon": e, "re": [..], "im": [..]}')
     add_common(p)
 
     p = sub.add_parser("heisenberg-check",
                        help="difference-scheme identities for evolved observables")
-    p.add_argument("--dim", type=int, default=4, help="matrix dimension (default 4)")
+    p.add_argument("--dim", type=_AT_LEAST_TWO, default=4, help="matrix dimension (default 4)")
     p.add_argument("--tau", type=float, default=0.1, help="time step (default 0.1)")
     p.add_argument("--n", type=int, default=3, help="step index of the observable")
     p.add_argument("--seed", type=int, default=0, help="seed for the random matrices")
     add_common(p)
 
     p = sub.add_parser("wigner", help="rotation d-table checks")
-    p.add_argument("--N", type=int, required=True, help="table size parameter, N = 2j")
-    p.add_argument("--beta", type=float, required=True, help="rotation angle in (0, pi)")
+    p.add_argument("--N", type=_POSITIVE_INT, required=True, help="table size parameter, N = 2j")
+    p.add_argument("--beta", type=_ANGLE, required=True, help="rotation angle in (0, pi)")
     p.add_argument("--check", choices=("all", "symmetry", "recurrence", "orthogonality"),
                    default="all", help="which residuals to emit (default all)")
     add_common(p)
 
     p = sub.add_parser("spectrum", help="finite oscillator spectra")
-    p.add_argument("--N", type=int, required=True, help="number of levels minus one, N = 2j")
-    p.add_argument("--p", type=float, default=0.5, help="weight parameter (default 0.5)")
+    p.add_argument("--N", type=_POSITIVE_INT, required=True, help="number of levels minus one, N = 2j")
+    p.add_argument("--p", type=_PROBABILITY, default=0.5, help="weight parameter (default 0.5)")
     p.add_argument("--what", choices=("energy", "position", "commutator"), required=True,
                    help="which spectrum to emit")
     add_common(p)
 
     p = sub.add_parser("converge", help="continuum limit error table for one level")
-    p.add_argument("--n", type=int, required=True, help="oscillator level")
-    p.add_argument("--N-list", dest="N_list", required=True, metavar="N1,N2,...",
+    p.add_argument("--n", type=_NON_NEGATIVE_INT, required=True, help="oscillator level")
+    p.add_argument("--N-list", dest="N_list", type=_int_list, required=True, metavar="N1,N2,...",
                    help="comma separated sizes, e.g. 16,32,64,128")
-    p.add_argument("--p", type=float, default=0.5, help="weight parameter (default 0.5)")
+    p.add_argument("--p", type=_PROBABILITY, default=0.5, help="weight parameter (default 0.5)")
     add_common(p)
 
     p = sub.add_parser("hermite", help="sample a continuum oscillator eigenfunction")
-    p.add_argument("--n", type=int, required=True, help="level")
-    p.add_argument("--s-min", dest="s_min", type=float, required=True, help="grid start")
-    p.add_argument("--s-max", dest="s_max", type=float, required=True, help="grid end")
-    p.add_argument("--samples", type=int, required=True, help="number of grid points")
+    p.add_argument("--n", type=_NON_NEGATIVE_INT, required=True, help="level")
+    p.add_argument("--s-min", dest="s_min", type=_FINITE, required=True, help="grid start")
+    p.add_argument("--s-max", dest="s_max", type=_FINITE, required=True, help="grid end")
+    p.add_argument("--samples", type=_AT_LEAST_TWO, required=True, help="number of grid points")
     add_common(p)
 
     p = sub.add_parser("verify-all", help="run the full deterministic check suite")
     p.add_argument("--seed", type=int, default=7, help="seed for the random draws (default 7)")
     add_common(p)
 
-    return parser
+    return parser, sub.choices
 
 
 def parse_args(argv=None) -> RunConfig:
-    """Parse argv (default sys.argv[1:]) and range-check its values.
+    """Parse argv (default sys.argv[1:]) into a RunConfig.
 
+    Each flag's type converts its value and enforces its range, so argparse
+    rejects an out-of-range value with the subcommand's usage line and exit
+    code 2.  Only --s-max > --s-min spans two flags and is checked here.
     The parser is built on the first call and shared by every later one:
     parsing returns a fresh namespace and never changes the parser, and a
     usage error only raises SystemExit.
     """
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     args = vars(parser.parse_args(argv))
     command = args.pop("command")
-    fmt = args.pop("format", "csv")
-    output = args.pop("output", None)
-    seed = args.pop("seed", None)
-    subparser = args.pop("subparser")
-
-    # range checks that argparse types cannot express
-    def fail(name, message):
-        subparser.error(f"argument --{name}: {message}")
-
-    if command in ("basis", "wigner", "spectrum") and args["N"] < 1:
-        fail("N", f"must be a positive integer, got {args['N']}")
-    if command == "basis" and not args["epsilon"] > 0:
-        fail("epsilon", f"must be positive, got {args['epsilon']}")
-    if command == "evolve" and args["steps"] < 0:
-        fail("steps", f"must be non-negative, got {args['steps']}")
-    if command == "wigner" and not 0.0 < args["beta"] < math.pi:
-        fail("beta", f"must lie strictly between 0 and pi, got {args['beta']}")
-    if command == "spectrum" and not 0.0 < args["p"] < 1.0:
-        fail("p", f"must lie strictly between 0 and 1, got {args['p']}")
-    if command in ("converge", "hermite") and args["n"] < 0:
-        fail("n", f"must be non-negative, got {args['n']}")
-    if command == "converge":
-        try:
-            sizes = [int(v) for v in str(args["N_list"]).split(",") if v.strip()]
-        except ValueError:
-            fail("N-list", f"must be comma separated integers, got {args['N_list']!r}")
-        args["N_list"] = sizes
-    if command == "hermite":
-        if args["samples"] < 2:
-            fail("samples", f"must be at least 2, got {args['samples']}")
-        for flag, value in (("s-min", args["s_min"]), ("s-max", args["s_max"])):
-            if not math.isfinite(value):
-                fail(flag, f"must be finite, got {value}")
-        if not args["s_max"] > args["s_min"]:
-            fail("s-max", "must exceed --s-min")
-    if command == "heisenberg-check" and args["dim"] < 2:
-        fail("dim", f"must be at least 2, got {args['dim']}")
-
-    return RunConfig(command=command, params=args, fmt=fmt, output=output, seed=seed)
+    fmt = args.pop("format")
+    output = args.pop("output")
+    if command == "hermite" and not args["s_max"] > args["s_min"]:
+        subparsers[command].error("argument --s-max: must exceed --s-min")
+    return RunConfig(command=command, params=args, fmt=fmt, output=output)
 
 
 # ----------------------------------------------------------------------
-# artifact builders, one per subcommand: a JSON payload for --format json,
-# else a list of (header, rows) CSV tables
+# artifact builders, one per subcommand, each called as builder(params, fmt):
+# (artifact, exit code), the artifact a JSON payload for --format json, else
+# a list of (header, rows) CSV tables
 # ----------------------------------------------------------------------
 
 
@@ -189,7 +191,7 @@ def _cmd_basis(params, fmt):
             j, m = np.divmod(np.arange(N * N), N)
             table = basis.table.ravel()
             tables.append(("j,m,re,im", np.column_stack((j, m, table.real, table.imag)).tolist()))
-        return tables
+        return tables, 0
     payload = {
         "N": N,
         "epsilon": basis.epsilon,
@@ -201,7 +203,7 @@ def _cmd_basis(params, fmt):
             "re": basis.table.real.tolist(),
             "im": basis.table.imag.tolist(),
         }
-    return payload
+    return payload, 0
 
 
 def _cmd_evolve(params, fmt):
@@ -218,7 +220,7 @@ def _cmd_evolve(params, fmt):
         header = "n,norm," + ",".join(f"re_{i},im_{i}" for i in range(traj.shape[1]))
         # a complex row viewed as floats is re_0, im_0, re_1, im_1, ...
         rows = np.column_stack((np.arange(traj.shape[0]), norms, traj.view(float))).tolist()
-        return [(header, rows)]
+        return [(header, rows)], 0
     return {
         "tau": float(params["tau"]),
         "epsilon": state.epsilon,
@@ -232,15 +234,15 @@ def _cmd_evolve(params, fmt):
             }
             for i in range(traj.shape[0])
         ],
-    }
+    }, 0
 
 
 SCHEMES = ("forward", "backward", "symmetric", "central")
 
 
-def _cmd_heisenberg_check(params, fmt, seed):
+def _cmd_heisenberg_check(params, fmt):
+    dim, tau, n, seed = params["dim"], params["tau"], params["n"], params["seed"]
     rng = np.random.default_rng(seed)
-    dim, tau, n = params["dim"], params["tau"], params["n"]
     rows = checks.heisenberg(rng, checks.random_hermitian(rng, dim), tau, n,
                              SCHEMES + ("central_involution_form",))
     pair = (checks.random_involution(rng, dim), checks.random_hermitian(rng, dim), f"random dim {dim}")
@@ -249,7 +251,7 @@ def _cmd_heisenberg_check(params, fmt, seed):
              for row in rows]
     if fmt == "csv":
         return [("check,residual,fitted_exponent",
-                 [(name, residual, "" if e is None else e) for name, residual, e in named])]
+                 [(name, residual, "" if e is None else e) for name, residual, e in named])], 0
     return {
         "dim": dim,
         "tau": tau,
@@ -263,7 +265,7 @@ def _cmd_heisenberg_check(params, fmt, seed):
             }
             for name, residual, e in named
         ],
-    }
+    }, 0
 
 
 WIGNER_CHECKS = {
@@ -281,8 +283,8 @@ def _cmd_wigner(params, fmt):
     rows = [(row.check.removeprefix("wigner-").removeprefix("vs-").replace("-", "_"), row.residual)
             for check in WIGNER_CHECKS[params["check"]] for row in check((N,), (beta,))]
     if fmt == "csv":
-        return [("check,value", rows)]
-    return {"N": N, "beta": beta, "checks": dict(rows)}
+        return [("check,value", rows)], 0
+    return {"N": N, "beta": beta, "checks": dict(rows)}, 0
 
 
 def _cmd_spectrum(params, fmt):
@@ -296,22 +298,22 @@ def _cmd_spectrum(params, fmt):
         header, labels, values = "n,value", list(range(model.N + 1)), spectrum(model)
     values = values.tolist()
     if fmt == "csv":
-        return [(header, list(zip(labels, values)))]
-    return {"N": model.N, "p": model.p, "what": what, "labels": labels, "values": values}
+        return [(header, list(zip(labels, values)))], 0
+    return {"N": model.N, "p": model.p, "what": what, "labels": labels, "values": values}, 0
 
 
 def _cmd_converge(params, fmt):
     table = oscillator.continuum_convergence(params["n"], params["N_list"], params["p"])
     sizes, errors = table.sizes.tolist(), table.max_errors.tolist()
     if fmt == "csv":
-        return [("N,max_error", list(zip(sizes, errors)))]
+        return [("N,max_error", list(zip(sizes, errors)))], 0
     return {
         "n": table.level,
         "p": params["p"],
         "sizes": sizes,
         "max_errors": errors,
         "fitted_order": table.fitted_order,
-    }
+    }, 0
 
 
 def _cmd_hermite(params, fmt):
@@ -319,8 +321,8 @@ def _cmd_hermite(params, fmt):
     psi = hermite.eval_psi(params["n"], s).tolist()
     s = s.tolist()
     if fmt == "csv":
-        return [("s,psi", list(zip(s, psi)))]
-    return {"n": params["n"], "s": s, "psi": psi}
+        return [("s,psi", list(zip(s, psi)))], 0
+    return {"n": params["n"], "s": s, "psi": psi}, 0
 
 
 # ----------------------------------------------------------------------
@@ -328,8 +330,8 @@ def _cmd_hermite(params, fmt):
 # ----------------------------------------------------------------------
 
 
-def build_verification_report(seed: int = 7) -> VerificationReport:
-    """Deterministic check suite spanning every module, seeded random draws."""
+def build_verification_report(seed: int = 7) -> list:
+    """The CheckRows of the deterministic check suite: every module, seeded random draws."""
     rng = np.random.default_rng(seed)
     # integer spacings print as 1 and 10 in the row's "eps in {0.1;1;10}" label
     rows = checks.basis((2, 3, 5, 16, 33, 64), (0.1, 1, 10))
@@ -356,51 +358,37 @@ def build_verification_report(seed: int = 7) -> VerificationReport:
     rows += checks.limit_recurrence((50, 0.5, 3), (200, 0.3, 2))
     rows += checks.hermite_oracle(np.linspace(-6.0, 6.0, 1201), range(11), range(9), 6, range(7))
     rows += checks.state_round_trip(rng, (9,), 0.25)
-    return VerificationReport(rows)
+    return rows
 
 
-def _cmd_verify_all(fmt, seed):
-    rep = build_verification_report(seed)
-    code = 0 if rep.all_passed else 1
+def _cmd_verify_all(params, fmt):
+    checked = build_verification_report(params["seed"])
+    passed = all(r.passed for r in checked)
+    header = "check,params,residual,tolerance,status"
+    rows = [(r.check, r.params, r.residual, r.tolerance, r.status) for r in checked]
+    code = 0 if passed else 1
     if fmt == "csv":
-        rows = [(r.check, r.params, r.residual, r.tolerance, r.status) for r in rep.rows]
-        return [("check,params,residual,tolerance,status", rows)], code
-    rows = [
-        {
-            "check": r.check,
-            "params": r.params,
-            "residual": r.residual,
-            "tolerance": r.tolerance,
-            "status": r.status,
-        }
-        for r in rep.rows
-    ]
-    return {"all_passed": rep.all_passed, "checks": rows}, code
+        return [(header, rows)], code
+    return {"all_passed": passed, "checks": [dict(zip(header.split(","), row)) for row in rows]}, code
+
+
+COMMANDS = {
+    "basis": _cmd_basis,
+    "evolve": _cmd_evolve,
+    "heisenberg-check": _cmd_heisenberg_check,
+    "wigner": _cmd_wigner,
+    "spectrum": _cmd_spectrum,
+    "converge": _cmd_converge,
+    "hermite": _cmd_hermite,
+    "verify-all": _cmd_verify_all,
+}
 
 
 def run(config: RunConfig) -> int:
     """Execute one parsed invocation, write its artifact, return the exit code."""
-    params, fmt, code = config.params, config.fmt, 0
+    build, fmt = COMMANDS[config.command], config.fmt
     try:
-        if config.command == "basis":
-            artifact = _cmd_basis(params, fmt)
-        elif config.command == "evolve":
-            artifact = _cmd_evolve(params, fmt)
-        elif config.command == "heisenberg-check":
-            artifact = _cmd_heisenberg_check(params, fmt, config.seed)
-        elif config.command == "wigner":
-            artifact = _cmd_wigner(params, fmt)
-        elif config.command == "spectrum":
-            artifact = _cmd_spectrum(params, fmt)
-        elif config.command == "converge":
-            artifact = _cmd_converge(params, fmt)
-        elif config.command == "hermite":
-            artifact = _cmd_hermite(params, fmt)
-        elif config.command == "verify-all":
-            artifact, code = _cmd_verify_all(fmt, config.seed)
-        else:  # pragma: no cover - argparse rejects unknown subcommands first
-            print(f"error: unknown subcommand {config.command!r}", file=sys.stderr)
-            return 2
+        artifact, code = build(config.params, fmt)
         # the artifact is complete before the destination opens, so a failed
         # computation leaves no partial file behind
         with contextlib.nullcontext(sys.stdout) if config.output is None else open(config.output, "w") as out:

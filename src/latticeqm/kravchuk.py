@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import _integer
+from .lattice import _integer, _order, _probability
 
 
 def binomial_weights(N: int, p: float) -> np.ndarray:
@@ -41,12 +41,7 @@ def binomial_weights(N: int, p: float) -> np.ndarray:
 
     Evaluated in log space so large N stays finite; the weights sum to one.
     """
-    N = _integer(N, "N")
-    if N < 1:
-        raise ValueError(f"N must be a positive integer, got {N}")
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
+    N, p = _order(N), _probability(p)
     x = np.arange(N + 1)
     log_binom = (
         math.lgamma(N + 1)
@@ -89,9 +84,8 @@ def build_kravchuk(N: int, p: float, n_max: int | None = None) -> KravchukFamily
     cancellation on high degrees at large N when p is far from 1/2; callers
     needing full tables in that regime should use ``build_wigner_d``.
     """
-    weights = binomial_weights(N, p)  # validates N and p
-    N = _integer(N, "N")
-    p = float(p)
+    N, p = _order(N), _probability(p)
+    weights = binomial_weights(N, p)
     q = 1.0 - p
     n_max = N if n_max is None else _integer(n_max, "n_max")
     if not 0 <= n_max <= N:
@@ -150,10 +144,7 @@ class WignerDMatrix:
 
 def _validate_table(N: int, beta: float) -> tuple[int, float]:
     """The order N >= 1 (Python or numpy integer) and angle beta in (0, pi)."""
-    N = _integer(N, "N")
-    if N < 1:
-        raise ValueError(f"N must be a positive integer, got {N}")
-    beta = float(beta)
+    N, beta = _order(N), float(beta)
     if not 0.0 < beta < math.pi:
         raise ValueError(f"beta must lie strictly between 0 and pi, got {beta}")
     return N, beta

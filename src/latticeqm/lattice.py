@@ -42,6 +42,30 @@ def _integer(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _order(N) -> int:
+    """The order N of a basis, table or oscillator as a positive int."""
+    N = _integer(N, "N")
+    if N < 1:
+        raise ValueError(f"N must be a positive integer, got {N}")
+    return N
+
+
+def _probability(p) -> float:
+    """The weight parameter p as a float strictly between 0 and 1."""
+    p = float(p)
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
+    return p
+
+
+def _spacing(epsilon) -> float:
+    """The lattice spacing epsilon as a positive, finite float."""
+    eps = float(epsilon)
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    return eps
+
+
 def complex_array(data: dict) -> np.ndarray:
     """Complex array from the "re" and "im" blocks of a JSON object.
 
@@ -79,9 +103,7 @@ class LatticeState:
             raise ValueError("amplitudes must be a non-empty one-dimensional sequence")
         if not np.isfinite(amp).all():
             raise ValueError("amplitudes must be finite")
-        eps = float(self.epsilon)
-        if not 0.0 < eps < math.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        eps = _spacing(self.epsilon)
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
         object.__setattr__(self, "epsilon", eps)

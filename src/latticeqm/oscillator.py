@@ -23,7 +23,7 @@ import numpy as np
 
 from . import hermite
 from .kravchuk import build_kravchuk, orthonormal_functions
-from .lattice import _integer
+from .lattice import _integer, _order, _probability
 
 
 @dataclass(frozen=True)
@@ -46,12 +46,7 @@ class OscillatorModel:
 
 
 def build_oscillator(N: int, p: float = 0.5, energy_scale: float = 1.0) -> OscillatorModel:
-    N = _integer(N, "N")
-    if N < 1:
-        raise ValueError(f"N must be a positive integer, got {N}")
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
+    N, p = _order(N), _probability(p)
     n = np.arange(N + 1, dtype=float)
     lower = np.sqrt(n * (N - n + 1.0) / N)
     raise_ = np.sqrt((N - n) * (n + 1.0) / N)
@@ -180,9 +175,7 @@ def continuum_convergence(n: int, N_list, p: float = 0.5) -> ConvergenceTable:
     least squares slope of log(error) against log(N), negated, so first
     order convergence reports a value near one.
     """
-    n = _integer(n, "n")
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n = hermite._level(n)
     sizes = _sweep_sizes(N_list, n, "the level n")
     errors = np.empty(sizes.size)
     for i, N in enumerate(sizes):
@@ -209,9 +202,7 @@ def ladder_limit_check(n: int, N_list, p: float = 0.5) -> LadderLimitTable:
     sqrt(n) psi_{n-1}, and correspondingly for the raising side.  For n = 0
     the lowering error is identically zero because the chain terminates.
     """
-    n = _integer(n, "n")
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n = hermite._level(n)
     sizes = _sweep_sizes(N_list, n + 1, "n+1")
     lower_errors = np.empty(sizes.size)
     raise_errors = np.empty(sizes.size)

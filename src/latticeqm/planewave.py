@@ -17,12 +17,11 @@ of interest stay well below the point where an FFT would matter.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import BoundaryRule, DifferenceKind, LatticeState, _integer, apply_difference
+from .lattice import BoundaryRule, DifferenceKind, LatticeState, _order, _spacing, apply_difference
 
 
 @dataclass(frozen=True)
@@ -51,12 +50,7 @@ def build_basis(N: int, epsilon: float) -> PlaneWaveBasis:
     calling a transcendental power, so each column is a true geometric
     sequence in floating point.
     """
-    N = _integer(N, "N")
-    if N < 1:
-        raise ValueError(f"N must be a positive integer, got {N}")
-    eps = float(epsilon)
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    N, eps = _order(N), _spacing(epsilon)
 
     m = np.arange(N)
     pole = 2 * m == N  # the tangent pole, present for even N only
@@ -110,14 +104,11 @@ def momentum_eigenvalues(basis: PlaneWaveBasis) -> np.ndarray:
     The singular column is an eigenvector too, with eigenvalue 2i/epsilon
     (the pole limit), which is what this returns at that slot.
     """
-    eps = basis.epsilon
-    lam = np.empty(basis.n_sites, dtype=complex)
-    sc = basis.singular_column
-    for m, k in enumerate(basis.momenta):
-        if sc is not None and m == sc:
-            lam[m] = 2j / eps
-        else:
-            lam[m] = k / (1.0 - 0.5j * eps * k)
+    eps, k = basis.epsilon, basis.momenta
+    pole = 2 * np.arange(basis.n_sites) == basis.n_sites
+    with np.errstate(invalid="ignore"):
+        lam = k / (1.0 - 0.5j * eps * k)
+    lam[pole] = 2j / eps
     return lam
 
 

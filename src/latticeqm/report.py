@@ -1,8 +1,8 @@
 """Check rows and the one CSV writer every artifact goes through.
 
-A report is an ordered list of named checks, each carrying the measured
+A report is a plain list of ``CheckRow``s, each carrying the measured
 residual and the tolerance it was held to.  Status is derived, never stored:
-a row passes iff residual <= tolerance, and the report passes iff every row
+a row passes iff residual <= tolerance, and a report passes iff every row
 does.  Every CSV table the package emits, the report's fixed
 ``check,params,residual,tolerance,status`` table included, is rendered by
 ``write_csv`` with floats printed to 17 significant digits.
@@ -10,7 +10,7 @@ does.  Every CSV table the package emits, the report's fixed
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def format_float(x: float) -> str:
@@ -57,12 +57,3 @@ class CheckRow:
     @property
     def status(self) -> str:
         return "pass" if self.passed else "fail"
-
-
-@dataclass
-class VerificationReport:
-    rows: list = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(row.passed for row in self.rows)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import latticeqm
-from latticeqm import LatticeState, build_propagator, cli, evolve_trajectory
+from latticeqm import CheckRow, LatticeState, build_propagator, checks, cli, evolve_trajectory
 from latticeqm.cli import main
 
 
@@ -240,6 +240,18 @@ def test_verify_all_passes_and_is_deterministic(capsys):
     assert statuses and all(s == "pass" for s in statuses)
 
 
+def test_verify_all_fails_when_a_row_fails(capsys, monkeypatch):
+    monkeypatch.setattr(checks, "momentum",
+                        lambda sizes: [CheckRow("momentum-eigenvalues", "forced", 1e-6, 1e-12)])
+    code, out, _ = run_cli(capsys, "verify-all")
+    assert code == 1
+    assert "momentum-eigenvalues,forced,9.9999999999999995e-07,9.9999999999999998e-13,fail" in out.splitlines()
+    code, out, _ = run_cli(capsys, "verify-all", "--format", "json")
+    payload = json.loads(out)
+    assert code == 1 and payload["all_passed"] is False
+    assert [r["status"] for r in payload["checks"]].count("fail") == 1
+
+
 def test_output_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "basis.csv"
     code, out, _ = run_cli(
@@ -272,22 +284,41 @@ def test_converge_rejects_repeated_size(capsys):
     assert err.startswith("error:") and "two distinct sizes" in err and err.count("\n") == 1
 
 
-def test_invalid_parameters_exit_two(capsys):
-    for argv in (
-        ["basis", "--N", "0", "--epsilon", "1.0"],
-        ["basis", "--N", "4", "--epsilon", "-1.0"],
-        ["wigner", "--N", "3", "--beta", "0.0"],
-        ["spectrum", "--N", "5", "--p", "1.5"],
-        ["converge", "--n", "-1", "--N-list", "16,32"],
+def test_invalid_parameters_exit_two(capsys, tmp_path):
+    evolve = ["evolve", "--hamiltonian", str(tmp_path / "H.json"), "--state", str(tmp_path / "s.json"),
+              "--tau", "0.1"]
+    hermite = ["hermite", "--samples", "3", "--n"]
+    for argv, error in (
+        (["basis", "--N", "0", "--epsilon", "1.0"], "--N: must be a positive integer, got 0"),
+        (["basis", "--N", "4", "--epsilon", "-1.0"], "--epsilon: must be positive, got -1.0"),
+        (["basis", "--N", "4", "--epsilon", "nan"], "--epsilon: must be positive, got nan"),
+        (evolve + ["--steps", "-1"], "--steps: must be non-negative, got -1"),
+        (["heisenberg-check", "--dim", "1"], "--dim: must be at least 2, got 1"),
+        (["wigner", "--N", "3", "--beta", "0.0"], "--beta: must lie strictly between 0 and pi, got 0.0"),
+        (["wigner", "--N", "3", "--beta", "3.2"], "--beta: must lie strictly between 0 and pi, got 3.2"),
+        (["wigner", "--N", "3", "--beta", "nan"], "--beta: must lie strictly between 0 and pi, got nan"),
+        (["spectrum", "--N", "5", "--what", "energy", "--p", "1.5"], "--p: must lie strictly between 0 and 1, got 1.5"),
+        (["spectrum", "--N", "5", "--what", "energy", "--p", "0"], "--p: must lie strictly between 0 and 1, got 0.0"),
+        (["converge", "--n", "-1", "--N-list", "16,32"], "--n: must be non-negative, got -1"),
+        (["converge", "--n", "1", "--N-list", "16,a"],
+         "--N-list: must be comma separated integers, got '16,a'"),
+        # --p was range-checked only in the library, which exited 1
+        (["converge", "--n", "1", "--N-list", "16,32", "--p", "1.5"],
+         "--p: must lie strictly between 0 and 1, got 1.5"),
+        (hermite + ["1", "--s-min", "0", "--s-max", "1", "--samples", "1"], "--samples: must be at least 2, got 1"),
+        (hermite + ["-1", "--s-min", "0", "--s-max", "1"], "--n: must be non-negative, got -1"),
+        (hermite + ["1", "--s-min", "1", "--s-max", "0"], "--s-max: must exceed --s-min"),
         # an infinite end printed NaN and Infinity rows and exited 0
-        ["hermite", "--n", "1", "--s-min", "0", "--s-max", "inf", "--samples", "3"],
-        ["hermite", "--n", "1", "--s-min=-inf", "--s-max", "0", "--samples", "3"],
+        (hermite + ["1", "--s-min", "0", "--s-max", "inf"], "--s-max: must be finite, got inf"),
+        (hermite + ["1", "--s-min=-inf", "--s-max", "0"], "--s-min: must be finite, got -inf"),
     ):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
+        err = capsys.readouterr().err
         # the range error prints its subcommand's usage, not the top-level one
-        assert capsys.readouterr().err.startswith(f"usage: latticeqm {argv[0]} ")
+        assert err.startswith(f"usage: latticeqm {argv[0]} ")
+        assert err.splitlines()[-1] == f"latticeqm {argv[0]}: error: argument {error}"
 
 
 def test_unknown_subcommand_rejected(capsys):

@@ -77,7 +77,6 @@ def test_truncated_family():
 
 
 def test_wigner_single_site_rotation():
-    c, s = math.cos(0.4 / 2) ** 2 * 0 + math.cos(0.4), math.sin(0.4)
     # N=1 table is the half-angle rotation acting on two sites
     D = build_wigner_d(1, 0.4)
     ch, sh = math.cos(0.2), math.sin(0.2)

@@ -155,7 +155,6 @@ def test_difference_identity_approaches_derivative():
     errors = []
     for N in (32, 128, 512):
         s, g, psi = _aligned_level_rows(N, 0.5, n + 1)
-        ds = s[1] - s[0]
         x = np.arange(N + 1)
         up = np.zeros(N + 1)
         dn = np.zeros(N + 1)
@@ -163,10 +162,7 @@ def test_difference_identity_approaches_derivative():
         dn[1:] = np.sqrt((x[1:] / (N / 2)) * (1 - (x[1:] - 1) / N)) * g[n][:-1]
         lhs = math.sqrt(2 * N * 0.5) * (up - dn)
         window = np.abs(s) < 2.0
-        deriv = math.sqrt(2 * n) * eval_psi(n - 1, s) - s * eval_psi(n, s)
-        target = 2.0 * deriv - s * eval_psi(n, s)
-        # lhs tends to -2 s psi + 2 psi' combination; compare against the
-        # continuum image of the same rearranged recurrence instead
+        # compare against the continuum image of the same rearranged recurrence
         rhs = (
             math.sqrt(2 * n) * eval_psi(n - 1, s)
             - math.sqrt(2 * (n + 1)) * eval_psi(n + 1, s)

@@ -95,6 +95,16 @@ def test_momentum_eigenvalue_frozen_m1():
     assert lam[2] == pytest.approx(2.0j, abs=1e-14)
 
 
+def test_momentum_eigenvalues_match_per_column_formula():
+    # the vectorised form is bitwise the scalar formula, with 2i/eps at the pole
+    for N in range(1, 40):
+        for eps in (1e-3, 0.5, 1.7, 1e3):
+            basis = build_basis(N, eps)
+            loop = [2j / eps if 2 * m == N else k / (1.0 - 0.5j * eps * k)
+                    for m, k in enumerate(basis.momenta)]
+            assert momentum_eigenvalues(basis).tolist() == loop
+
+
 def test_momentum_eigenrelation_all_columns():
     for N in (3, 4, 9, 16):
         basis = build_basis(N, 1.7)

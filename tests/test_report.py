@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from latticeqm import CheckRow, VerificationReport, write_csv
+from latticeqm import CheckRow, cli, write_csv
 from latticeqm.cli import main
 
 HEADER = "check,params,residual,tolerance,status"
@@ -15,14 +15,20 @@ def _csv(header, rows):
     return out.getvalue()
 
 
-def _report_rows(report):
-    return [(r.check, r.params, r.residual, r.tolerance, r.status) for r in report.rows]
+def _report_rows(rows):
+    return [(r.check, r.params, r.residual, r.tolerance, r.status) for r in rows]
 
 
-def test_empty_report_is_header_only():
-    report = VerificationReport()
-    assert _csv(HEADER, _report_rows(report)) == HEADER + "\n"
-    assert report.all_passed
+def _verify_all_code(monkeypatch, capsys, rows):
+    """Exit code and stdout of verify-all when the suite yields ``rows``."""
+    monkeypatch.setattr(cli, "build_verification_report", lambda seed: rows)
+    code = main(["verify-all"])
+    return code, capsys.readouterr().out
+
+
+def test_empty_report_is_header_only(monkeypatch, capsys):
+    assert _csv(HEADER, _report_rows([])) == HEADER + "\n"
+    assert _verify_all_code(monkeypatch, capsys, []) == (0, HEADER + "\n")
 
 
 def test_row_status_tracks_tolerance():
@@ -34,16 +40,16 @@ def test_row_status_tracks_tolerance():
     assert boundary.passed  # equality counts as within tolerance
 
 
-def test_all_passed_is_a_conjunction():
-    report = VerificationReport([CheckRow("a", "", 0.0, 1.0)])
-    assert report.all_passed
-    report.rows.append(CheckRow("b", "", 2.0, 1.0))
-    assert not report.all_passed
+def test_all_passed_is_a_conjunction(monkeypatch, capsys):
+    rows = [CheckRow("a", "", 0.0, 1.0)]
+    assert _verify_all_code(monkeypatch, capsys, rows)[0] == 0
+    rows.append(CheckRow("b", "", 2.0, 1.0))
+    assert _verify_all_code(monkeypatch, capsys, rows)[0] == 1
 
 
 def test_csv_round_trips_seventeen_digits():
-    report = VerificationReport([CheckRow("pi-ish", "N=3", 0.1 + 0.2, 1.0)])
-    line = _csv(HEADER, _report_rows(report)).splitlines()[1]
+    rows = [CheckRow("pi-ish", "N=3", 0.1 + 0.2, 1.0)]
+    line = _csv(HEADER, _report_rows(rows)).splitlines()[1]
     fields = line.split(",")
     assert fields[0] == "pi-ish"
     assert float(fields[2]) == 0.1 + 0.2
@@ -53,8 +59,8 @@ def test_csv_round_trips_seventeen_digits():
 
 
 def test_params_commas_become_semicolons():
-    report = VerificationReport([CheckRow("x", "N=3, beta=0.5", 0.0, 1.0)])
-    line = _csv(HEADER, _report_rows(report)).splitlines()[1]
+    rows = [CheckRow("x", "N=3, beta=0.5", 0.0, 1.0)]
+    line = _csv(HEADER, _report_rows(rows)).splitlines()[1]
     assert line.count(",") == 4
     assert "N=3; beta=0.5" in line
 
