@@ -10,11 +10,7 @@ suite below fits that power from the measured norms.
 import numpy as np
 
 from latticeqm import build_propagator, heisenberg_scheme_residuals, involution_identities
-
-
-def random_hermitian(rng, d):
-    M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return 0.5 * (M + M.conj().T)
+from latticeqm.checks import random_hermitian
 
 
 def main():

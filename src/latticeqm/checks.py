@@ -194,9 +194,9 @@ def wigner_recurrence(sizes, angles) -> list:
 def wigner_differential(sizes, angles) -> list:
     plus = minus = 0.0
     for D in _tables(sizes, angles):
-        plus = max(plus, kravchuk.differential_relation_residual(D, +1))
-        minus = max(minus, kravchuk.differential_relation_residual(D, -1))
-    label = f"N {_values(sizes)} beta {_values(angles)} h 1e-5"
+        res = kravchuk.differential_residuals(D)
+        plus, minus = max(plus, res.plus), max(minus, res.minus)
+    label = f"N {_values(sizes)} beta {_values(angles)} spectral derivative"
     return [
         CheckRow("wigner-differential-plus", label, plus, 1e-6),
         CheckRow("wigner-differential-minus", label, minus, 1e-6),

@@ -65,7 +65,7 @@ def _ranged(convert, ok, requirement: str):
 _POSITIVE_INT = _ranged(int, lambda v: v >= 1, "be a positive integer")
 _NON_NEGATIVE_INT = _ranged(int, lambda v: v >= 0, "be non-negative")
 _AT_LEAST_TWO = _ranged(int, lambda v: v >= 2, "be at least 2")
-_POSITIVE = _ranged(float, lambda v: v > 0.0, "be positive")
+_POSITIVE_FINITE = _ranged(float, lambda v: 0.0 < v < math.inf, "be positive and finite")
 _FINITE = _ranged(float, math.isfinite, "be finite")
 _ANGLE = _ranged(float, lambda v: 0.0 < v < math.pi, "lie strictly between 0 and pi")
 _PROBABILITY = _ranged(float, lambda v: 0.0 < v < 1.0, "lie strictly between 0 and 1")
@@ -95,7 +95,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("basis", help="tangent-grid momenta and plane-wave table")
     p.add_argument("--N", type=_POSITIVE_INT, required=True, help="number of lattice sites")
-    p.add_argument("--epsilon", type=_POSITIVE, required=True, help="lattice spacing")
+    p.add_argument("--epsilon", type=_POSITIVE_FINITE, required=True, help="lattice spacing")
     p.add_argument("--table", action="store_true", help="include the full basis table")
     add_common(p)
 

@@ -15,7 +15,9 @@ Three construction routes are kept deliberately separate:
   eigenvectors of J_x, a real symmetric tridiagonal matrix that does not
   depend on beta.  Every eigenvector enters twice, so the signs the
   eigensolver leaves free cancel, and the table stays orthogonal to machine
-  precision for every N and every beta in (0, pi).
+  precision for every N and every beta in (0, pi).  The same
+  eigendecomposition gives the exact beta-derivative of the table, so the
+  first-order differential relations hold to rounding at every N.
 * ``wigner_d_direct`` evaluates the classical finite sum for each entry
   exactly, in Python integers: with tan^2(beta/2) = A/B taken exactly from
   the floats cos(beta/2) and sin(beta/2), each entry's alternating sum is one
@@ -64,14 +66,6 @@ class KravchukFamily:
     values: np.ndarray
     weights: np.ndarray
     norms: np.ndarray
-
-    @property
-    def q(self) -> float:
-        return 1.0 - self.p
-
-    @property
-    def n_max(self) -> int:
-        return self.values.shape[0] - 1
 
 
 def build_kravchuk(N: int, p: float, n_max: int | None = None) -> KravchukFamily:
@@ -129,10 +123,6 @@ class WignerDMatrix:
     table: np.ndarray
 
     @property
-    def j(self) -> float:
-        return 0.5 * self.N
-
-    @property
     def p(self) -> float:
         return math.sin(0.5 * self.beta) ** 2
 
@@ -148,6 +138,18 @@ def _validate_table(N: int, beta: float) -> tuple[int, float]:
     if not 0.0 < beta < math.pi:
         raise ValueError(f"beta must lie strictly between 0 and pi, got {beta}")
     return N, beta
+
+
+def _rotation(N: int, even, odd) -> np.ndarray:
+    """P^-1 (even + i odd)(J_x) P, assembled as ``build_wigner_d`` describes."""
+    n = np.arange(N + 1)
+    off = 0.5 * np.sqrt((n[:-1] + 1.0) * (N - n[:-1]))
+    _, W = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    mu = n - 0.5 * N
+    E = (W * even(mu)) @ W.T
+    O = (W * odd(mu)) @ W.T
+    k = np.subtract.outer(n, n) % 4
+    return np.where(k % 2 == 0, E, O) * np.where(k < 2, 1.0, -1.0)
 
 
 def build_wigner_d(N: int, beta: float) -> WignerDMatrix:
@@ -166,15 +168,14 @@ def build_wigner_d(N: int, beta: float) -> WignerDMatrix:
     leaves free on it cancels and no column sign has to be resolved.
     """
     N, beta = _validate_table(N, beta)
-    n = np.arange(N + 1)
-    off = 0.5 * np.sqrt((n[:-1] + 1.0) * (N - n[:-1]))
-    _, W = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    angles = beta * (n - 0.5 * N)
-    C = (W * np.cos(angles)) @ W.T
-    S = (W * np.sin(angles)) @ W.T
-    k = np.subtract.outer(n, n) % 4
-    table = np.where(k % 2 == 0, C, S) * np.where(k < 2, 1.0, -1.0)
+    table = _rotation(N, lambda mu: np.cos(beta * mu), lambda mu: np.sin(beta * mu))
     return WignerDMatrix(N=N, beta=beta, table=table)
+
+
+def _derivative(N: int, beta: float) -> np.ndarray:
+    """The exact d/dbeta of ``build_wigner_d(N, beta).table``: its C and S with
+    cos(beta mu) and sin(beta mu) replaced by -mu sin(beta mu) and mu cos(beta mu)."""
+    return _rotation(N, lambda mu: -mu * np.sin(beta * mu), lambda mu: mu * np.cos(beta * mu))
 
 
 class _ExactSum(NamedTuple):
@@ -276,6 +277,16 @@ def wigner_d_direct(N: int, beta: float) -> np.ndarray:
     return out
 
 
+def _couplings(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(n (N-n+1)) d[n-1,x] and sqrt((N-n)(n+1)) d[n+1,x], zero off the table."""
+    N = T.shape[0] - 1
+    n = np.arange(N + 1, dtype=float)
+    zero = np.zeros((1, N + 1))
+    up = np.sqrt(n * (N - n + 1.0))[:, None] * np.vstack([zero, T[:-1]])
+    down = np.sqrt((N - n) * (n + 1.0))[:, None] * np.vstack([T[1:], zero])
+    return up, down
+
+
 class RecurrenceResiduals(NamedTuple):
     three_term: float
     shift: float
@@ -297,75 +308,49 @@ def recurrence_residuals(D: WignerDMatrix) -> RecurrenceResiduals:
     Out-of-range neighbours carry zero coefficients, so both relations are
     checked on the whole table at once.
     """
-    N = D.N
-    p = D.p
-    q = D.q
+    N, p, q = D.N, D.p, D.q
     spq = 0.5 * math.sin(D.beta)
     T = D.table
     n = np.arange(N + 1, dtype=float)
     x = np.arange(N + 1, dtype=float)
-
-    up = np.sqrt(n * (N - n + 1.0))          # couples to row n-1
-    down = np.sqrt((N - n) * (n + 1.0))      # couples to row n+1
-    row_prev = np.vstack([np.zeros(N + 1), T[:-1]])
-    row_next = np.vstack([T[1:], np.zeros(N + 1)])
+    up, down = _couplings(T)
 
     coeff = ((N * p - x)[None, :] + (n * (q - p))[:, None]) / spq
-    three_term = float(
-        np.abs(coeff * T - (up[:, None] * row_prev + down[:, None] * row_next)).max()
-    )
+    three_term = float(np.abs(coeff * T - (up + down)).max())
 
     a = np.sqrt((N - x) * (x + 1.0))         # couples to column x+1
     b = np.sqrt(x * (N - x + 1.0))           # couples to column x-1
     col_next = np.hstack([T[:, 1:], np.zeros((N + 1, 1))])
     col_prev = np.hstack([np.zeros((N + 1, 1)), T[:, :-1]])
     lhs = a[None, :] * col_next - b[None, :] * col_prev
-    rhs = up[:, None] * row_prev - down[:, None] * row_next
-    shift = float(np.abs(lhs - rhs).max())
+    shift = float(np.abs(lhs - (up - down)).max())
     return RecurrenceResiduals(three_term=three_term, shift=shift)
 
 
-def differential_relation_residual(
-    D: WignerDMatrix, sign: int = +1, h_beta: float = 1e-5
-) -> float:
-    """Residual of the first-order angular relation, derivative by central difference.
+class DifferentialResiduals(NamedTuple):
+    plus: float
+    minus: float
+
+
+def differential_residuals(D: WignerDMatrix) -> DifferentialResiduals:
+    """Max-norm residuals of the two first-order angular relations of the table.
 
     With m = j - n and m' = j - x the table satisfies
 
         +- d/dbeta d[n,x] + ((m' - m cos beta)/sin beta) d[n,x]
-            = sqrt(n (N-n+1)) d[n-1,x]          for sign = +1
-            = sqrt((N-n)(n+1)) d[n+1,x]         for sign = -1
+            = sqrt(n (N-n+1)) d[n-1,x]          for ``plus``
+            = sqrt((N-n)(n+1)) d[n+1,x]         for ``minus``
 
-    The beta derivative is approximated by a central difference with step
-    ``h_beta``, so the returned residual is O(h_beta^2) rather than zero.
-    That floor grows with N: at the default step it reads 7.5e-8 at
-    (N, beta) = (64, 1.5), 4.4e-7 at (128, 1.5) and 4.5e-6 at (256, 0.3),
-    above the 1e-6 tolerance of verify-all's wigner-differential rows, so a
-    correct table fails that tolerance at N in the hundreds.
+    The derivative is the exact beta-derivative of the table built at
+    D.beta: exp(i beta J_x) differentiated on the same spectrum of J_x, so
+    the residuals take no step and sit at rounding for every N.
     """
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    h = float(h_beta)
-    if not 0.0 < h < min(D.beta, math.pi - D.beta):
-        raise ValueError(f"h_beta={h} leaves the admissible angle range")
-
-    upper = build_wigner_d(D.N, D.beta + h)
-    lower = build_wigner_d(D.N, D.beta - h)
-    dd = (upper.table - lower.table) / (2.0 * h)
-
-    N = D.N
-    j = 0.5 * N
-    n = np.arange(N + 1, dtype=float)
-    m = j - n
-    mp = j - n  # same index set along columns
-    coeff = (mp[None, :] - m[:, None] * math.cos(D.beta)) / math.sin(D.beta)
-    T = D.table
-    if sign > 0:
-        row_prev = np.vstack([np.zeros(N + 1), T[:-1]])
-        rhs = np.sqrt(n * (N - n + 1.0))[:, None] * row_prev
-        lhs = dd + coeff * T
-    else:
-        row_next = np.vstack([T[1:], np.zeros(N + 1)])
-        rhs = np.sqrt((N - n) * (n + 1.0))[:, None] * row_next
-        lhs = -dd + coeff * T
-    return float(np.abs(lhs - rhs).max())
+    N, beta = D.N, D.beta
+    derivative = _derivative(N, beta)
+    m = 0.5 * N - np.arange(N + 1, dtype=float)
+    rest = (m[None, :] - m[:, None] * math.cos(beta)) / math.sin(beta) * D.table
+    up, down = _couplings(D.table)
+    return DifferentialResiduals(
+        plus=float(np.abs(derivative + rest - up).max()),
+        minus=float(np.abs(-derivative + rest - down).max()),
+    )

@@ -40,10 +40,6 @@ class OscillatorModel:
     def j(self) -> float:
         return 0.5 * self.N
 
-    @property
-    def n_levels(self) -> int:
-        return self.N + 1
-
 
 def build_oscillator(N: int, p: float = 0.5, energy_scale: float = 1.0) -> OscillatorModel:
     N, p = _order(N), _probability(p)

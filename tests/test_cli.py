@@ -290,8 +290,10 @@ def test_invalid_parameters_exit_two(capsys, tmp_path):
     hermite = ["hermite", "--samples", "3", "--n"]
     for argv, error in (
         (["basis", "--N", "0", "--epsilon", "1.0"], "--N: must be a positive integer, got 0"),
-        (["basis", "--N", "4", "--epsilon", "-1.0"], "--epsilon: must be positive, got -1.0"),
-        (["basis", "--N", "4", "--epsilon", "nan"], "--epsilon: must be positive, got nan"),
+        (["basis", "--N", "4", "--epsilon", "-1.0"], "--epsilon: must be positive and finite, got -1.0"),
+        (["basis", "--N", "4", "--epsilon", "nan"], "--epsilon: must be positive and finite, got nan"),
+        # an infinite spacing passed the flag and exited 1 from the library
+        (["basis", "--N", "4", "--epsilon", "inf"], "--epsilon: must be positive and finite, got inf"),
         (evolve + ["--steps", "-1"], "--steps: must be non-negative, got -1"),
         (["heisenberg-check", "--dim", "1"], "--dim: must be at least 2, got 1"),
         (["wigner", "--N", "3", "--beta", "0.0"], "--beta: must lie strictly between 0 and pi, got 0.0"),

@@ -8,12 +8,14 @@ from latticeqm import (
     binomial_weights,
     build_kravchuk,
     build_wigner_d,
-    differential_relation_residual,
+    checks,
+    differential_residuals,
     orthonormal_functions,
     recurrence_residuals,
     wigner_d_direct,
     wigner_d_entry,
 )
+from latticeqm.kravchuk import _derivative
 
 
 def test_weights_sum_to_one_and_stay_positive():
@@ -120,7 +122,7 @@ def test_table_matches_weighted_recurrence_in_stable_regime():
 
 
 def test_symmetry_and_orthogonality():
-    for N, beta in ((5, 0.9), (20, 1.7), (40, 0.3), (8, math.pi - 1e-8)):
+    for N, beta in ((5, 0.9), (20, 1.7), (40, 0.3), (8, math.pi - 1e-8), (33, 2.9)):
         D = build_wigner_d(N, beta)
         signs = np.array([(-1.0) ** i for i in range(N + 1)])
         # transpose picks up the parity of both indices
@@ -164,14 +166,31 @@ def test_recurrence_residuals_mirror_under_angle_reflection():
     assert oracle_three_term(math.pi - 1e-6) <= 10.0 * near_zero
 
 
+def _central_difference(N, beta, h):
+    return (build_wigner_d(N, beta + h).table - build_wigner_d(N, beta - h).table) / (2.0 * h)
+
+
 def test_differential_relation():
-    for sign in (1, -1):
-        r = differential_relation_residual(build_wigner_d(1, 0.8), sign=sign, h_beta=1e-4)
-        assert r < 1e-7
-    # the residual floor is quadratic in the step
-    r1 = differential_relation_residual(build_wigner_d(10, 1.3), sign=1, h_beta=2e-4)
-    r2 = differential_relation_residual(build_wigner_d(10, 1.3), sign=1, h_beta=1e-4)
+    for N, beta in ((1, 0.8), (10, 1.3), (20, 0.7)):
+        res = differential_residuals(build_wigner_d(N, beta))
+        assert res.plus < 1e-12
+        assert res.minus < 1e-12
+    # the spectral derivative is the beta-derivative of the built table:
+    # a central difference of build_wigner_d meets it up to its O(h^2) floor
+    gap = np.abs(_derivative(20, 0.7) - _central_difference(20, 0.7, 1e-5)).max()
+    assert gap < 1e-7
+    # and that floor is quadratic in the step
+    exact = _derivative(10, 1.3)
+    r1 = np.abs(_central_difference(10, 1.3, 2e-4) - exact).max()
+    r2 = np.abs(_central_difference(10, 1.3, 1e-4) - exact).max()
     assert 3.0 < r1 / r2 < 5.0
+
+
+def test_differential_rows_hold_at_large_N():
+    # a central difference in beta left an O(h^2) floor that grew with N:
+    # 4.55e-6 here, above the rows' own 1e-6 tolerance
+    for row in checks.wigner_differential((256,), (0.3,)):
+        assert row.residual <= 1e-6, row
 
 
 def test_angle_and_argument_validation():
@@ -183,14 +202,15 @@ def test_angle_and_argument_validation():
         wigner_d_entry(3, 1.0, 4, 0)
     with pytest.raises(ValueError):
         wigner_d_entry(3, 1.0, 0, -1)
-    with pytest.raises(ValueError):
-        differential_relation_residual(build_wigner_d(3, 1.0), sign=2)
 
 
 def test_sign_resolution_metadata():
+    # no column sign is chosen after the eigendecomposition: each eigenvector
+    # enters the table twice, so the signs already agree with the exact sum
     D = build_wigner_d(33, 2.9)
     gram = D.table @ D.table.T
     assert np.abs(gram - np.eye(34)).max() < 1e-12
+    assert np.abs(D.table - wigner_d_direct(33, 2.9)).max() < 1e-10
 
 
 def test_table_order_validation():

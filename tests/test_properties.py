@@ -51,3 +51,5 @@ def test_spectral_power_matches_stepped_products(H, tau, n):
 def test_wigner_table_symmetry_and_orthogonality(N, beta):
     assert checks.wigner_symmetry((N,), (beta,))[0].residual < 1e-11
     assert checks.wigner_orthogonality((N,), (beta,))[0].residual < 1e-12
+    for row in checks.wigner_differential((N,), (beta,)):
+        assert row.residual <= 1e-6, row
