@@ -240,6 +240,38 @@ def test_verify_all_passes_and_is_deterministic(capsys):
     assert statuses and all(s == "pass" for s in statuses)
 
 
+# every row of verify-all, in order, with its tolerance: a refactor that
+# drops, renames or reorders a row, or moves a tolerance, fails here
+VERIFY_ALL_ROWS = [
+    ("basis-orthonormality", 1e-12), ("basis-dft-identity", 1e-12),
+    ("fourier-round-trip", 1e-12), ("fourier-parseval", 1e-12),
+    ("momentum-eigenrelation", 1e-10),
+    ("cayley-unitarity", 1e-10), ("cayley-residual", 1e-10), ("cayley-half-step", 1e-12),
+    ("cayley-group-law", 1e-11), ("cayley-order", 0.5),
+    ("heisenberg-forward", 1e-10), ("heisenberg-backward", 1e-10),
+    ("heisenberg-symmetric", 1e-10), ("heisenberg-central", 1e-10),
+    *[(f"involution-{name}", 1e-10)
+      for name in ("forward", "backward", "forward-backward", "half-step", "central")] * 3,
+    ("wigner-vs-oracle", 1e-10), ("wigner-symmetry", 1e-12), ("wigner-orthogonality", 1e-12),
+    ("wigner-recurrence-three-term", 1e-10), ("wigner-recurrence-shift", 1e-10),
+    ("wigner-differential-plus", 1e-6), ("wigner-differential-minus", 1e-6),
+    ("oscillator-commutator", 1e-10), ("oscillator-energies", 1e-10),
+    ("oscillator-commutator-trace", 1e-12),
+    ("position-grid", 1e-9), ("position-eigenvectors", 1e-9),
+    ("continuum-monotone", 0.99), ("continuum-order", 0.0), ("ladder-monotone", 0.99),
+    ("limit-recurrence-three-term", 1e-9), ("limit-recurrence-difference", 1e-9),
+    ("limit-recurrence-skewed", 1e-9),
+    ("hermite-schrodinger", 1e-10), ("hermite-recurrence-algebraic", 1e-12),
+    ("hermite-recurrence-derivative", 1e-8), ("hermite-gram", 1e-8), ("hermite-ladder", 1e-12),
+    ("state-json-round-trip", 0.0),
+]
+
+
+def test_verify_all_row_set_is_pinned():
+    rows = cli.build_verification_report(7)
+    assert [(r.check, r.tolerance) for r in rows] == VERIFY_ALL_ROWS
+
+
 def test_verify_all_fails_when_a_row_fails(capsys, monkeypatch):
     monkeypatch.setattr(checks, "momentum",
                         lambda sizes: [CheckRow("momentum-eigenvalues", "forced", 1e-6, 1e-12)])
