@@ -38,8 +38,11 @@ import numpy as np
 from .lattice import _integer
 
 
-def check_hermitian(H, tol: float = 1e-12) -> np.ndarray:
-    """Validate and return a Hermitian matrix as a complex ndarray."""
+def check_hermitian(H) -> np.ndarray:
+    """Validate and return a Hermitian matrix as a complex ndarray.
+
+    The defect max |H - H^dagger| may reach 1e-12 times max(1, max |H|).
+    """
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"Hamiltonian must be a square matrix, got shape {H.shape}")
@@ -47,7 +50,7 @@ def check_hermitian(H, tol: float = 1e-12) -> np.ndarray:
         raise ValueError("Hamiltonian has non-finite entries")
     scale = max(1.0, float(np.abs(H).max()))
     defect = float(np.abs(H - H.conj().T).max())
-    if defect > tol * scale:
+    if defect > 1e-12 * scale:
         raise ValueError(f"matrix is not Hermitian: max |H - H^dagger| = {defect:.3e}")
     return H
 
@@ -115,10 +118,18 @@ def build_propagator(H, tau: float) -> CayleyPropagator:
     )
 
 
-def _checked_state(prop: CayleyPropagator, psi0, n: int) -> tuple[np.ndarray, int]:
-    psi = np.asarray(psi0, dtype=complex)
+def _state(prop: CayleyPropagator, psi) -> np.ndarray:
+    """psi as a finite complex vector of the propagator's dimension."""
+    psi = np.asarray(psi, dtype=complex)
     if psi.shape != (prop.dim,):
         raise ValueError(f"state shape {psi.shape} does not match dimension {prop.dim}")
+    if not np.isfinite(psi).all():
+        raise ValueError("state has non-finite entries")
+    return psi
+
+
+def _checked_state(prop: CayleyPropagator, psi0, n: int) -> tuple[np.ndarray, int]:
+    psi = _state(prop, psi0)
     n = _integer(n, "n")
     if n < 0:
         raise ValueError("step count must be non-negative")
@@ -150,8 +161,7 @@ def evolution_operator(prop: CayleyPropagator, n: int) -> np.ndarray:
 
 def state_residual(prop: CayleyPropagator, psi_n, psi_next) -> float:
     """Norm of the midpoint difference equation residual for one step."""
-    psi_n = np.asarray(psi_n, dtype=complex)
-    psi_next = np.asarray(psi_next, dtype=complex)
+    psi_n, psi_next = _state(prop, psi_n), _state(prop, psi_next)
     lhs = (1j / prop.tau) * (psi_next - psi_n)
     rhs = prop.hamiltonian @ (0.5 * (psi_next + psi_n))
     return float(np.linalg.norm(lhs - rhs))
@@ -175,6 +185,8 @@ def heisenberg_evolve(prop: CayleyPropagator, A0, n: int) -> np.ndarray:
     A = np.asarray(A0, dtype=complex)
     if A.shape != (prop.dim, prop.dim):
         raise ValueError(f"observable shape {A.shape} does not match dimension {prop.dim}")
+    if not np.isfinite(A).all():
+        raise ValueError("observable has non-finite entries")
     U = evolution_operator(prop, n)
     return U.conj().T @ A @ U
 

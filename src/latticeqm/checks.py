@@ -2,7 +2,10 @@
 
 Every function checks one group of identities over the sweep its caller
 passes and returns ``CheckRow``s: the worst residual over the sweep, the
-tolerance it is held to, and a params label built from the sweep.
+tolerance it is held to, and a params label built from the sweep.  The
+d-table relations are one sweep: ``wigner`` builds each table once and
+applies to it the relation groups its caller names from ``WIGNER``
+(symmetry, orthogonality, recurrence, oracle, differential).
 ``verify-all`` calls them with small sweeps, the ``wigner`` and
 ``heisenberg-check`` subcommands at one point, and the acceptance tests with
 wider sweeps.  Functions that draw random input take the caller's
@@ -155,52 +158,40 @@ def involution(pairs, taus, n: int) -> list:
     return rows
 
 
-def _tables(sizes, angles):
+def _symmetry(D) -> tuple:
+    parity = np.where((np.add.outer(np.arange(D.N + 1), np.arange(D.N + 1))) % 2 == 0, 1.0, -1.0)
+    return (_max_abs(D.table - parity * D.table.T),)
+
+
+# each relation group: the residuals of one d-table, then its (row, tolerance)
+# pairs; the lambdas look kravchuk's functions up when called, so a patched
+# module attribute (a tracer, a test double) is the one that runs
+WIGNER = {
+    "symmetry": (_symmetry, (("wigner-symmetry", 1e-12),)),
+    "orthogonality": (lambda D: (_max_abs(D.table.T @ D.table - np.eye(D.N + 1)),),
+                      (("wigner-orthogonality", 1e-12),)),
+    "recurrence": (lambda D: kravchuk.recurrence_residuals(D),
+                   (("wigner-recurrence-three-term", 1e-10), ("wigner-recurrence-shift", 1e-10))),
+    "oracle": (lambda D: (_max_abs(D.table - kravchuk.wigner_d_direct(D.N, D.beta)),),
+               (("wigner-vs-oracle", 1e-10),)),
+    "differential": (lambda D: kravchuk.differential_residuals(D),
+                     (("wigner-differential-plus", 1e-6), ("wigner-differential-minus", 1e-6))),
+}
+
+
+def wigner(sizes, angles, groups) -> list:
+    """The named relation groups of ``WIGNER``, in the order given, over one
+    d-table built per (N, beta) of the sweep."""
+    worst = {name: [0.0] * len(WIGNER[name][1]) for name in groups}
     for N in sizes:
         for beta in angles:
-            yield kravchuk.build_wigner_d(N, beta)
-
-
-def wigner_oracle(sizes, angles) -> list:
-    worst = max(_max_abs(D.table - kravchuk.wigner_d_direct(D.N, D.beta)) for D in _tables(sizes, angles))
-    return [CheckRow("wigner-vs-oracle", f"N<={max(sizes)} beta in {_values(angles)}", worst, 1e-10)]
-
-
-def wigner_symmetry(sizes, angles) -> list:
-    worst = 0.0
-    for D in _tables(sizes, angles):
-        parity = np.where((np.add.outer(np.arange(D.N + 1), np.arange(D.N + 1))) % 2 == 0, 1.0, -1.0)
-        worst = max(worst, _max_abs(D.table - parity * D.table.T))
-    return [CheckRow("wigner-symmetry", f"N<={max(sizes)} beta in {_values(angles)}", worst, 1e-12)]
-
-
-def wigner_orthogonality(sizes, angles) -> list:
-    worst = max(_max_abs(D.table.T @ D.table - np.eye(D.N + 1)) for D in _tables(sizes, angles))
-    return [CheckRow("wigner-orthogonality", f"N<={max(sizes)} beta in {_values(angles)}", worst, 1e-12)]
-
-
-def wigner_recurrence(sizes, angles) -> list:
-    three_term = shift = 0.0
-    for D in _tables(sizes, angles):
-        rec = kravchuk.recurrence_residuals(D)
-        three_term, shift = max(three_term, rec.three_term), max(shift, rec.shift)
+            D = kravchuk.build_wigner_d(N, beta)
+            for name, values in worst.items():
+                values[:] = map(max, values, WIGNER[name][0](D))
     label = f"N {_values(sizes)} beta {_values(angles)}"
-    return [
-        CheckRow("wigner-recurrence-three-term", label, three_term, 1e-10),
-        CheckRow("wigner-recurrence-shift", label, shift, 1e-10),
-    ]
-
-
-def wigner_differential(sizes, angles) -> list:
-    plus = minus = 0.0
-    for D in _tables(sizes, angles):
-        res = kravchuk.differential_residuals(D)
-        plus, minus = max(plus, res.plus), max(minus, res.minus)
-    label = f"N {_values(sizes)} beta {_values(angles)} spectral derivative"
-    return [
-        CheckRow("wigner-differential-plus", label, plus, 1e-6),
-        CheckRow("wigner-differential-minus", label, minus, 1e-6),
-    ]
+    return [CheckRow(check, label, value, tol)
+            for name, values in worst.items()
+            for (check, tol), value in zip(WIGNER[name][1], values)]
 
 
 def ladder_spectra(sizes) -> list:

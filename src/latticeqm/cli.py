@@ -268,20 +268,12 @@ def _cmd_heisenberg_check(params, fmt):
     }, 0
 
 
-WIGNER_CHECKS = {
-    "symmetry": (checks.wigner_symmetry,),
-    "orthogonality": (checks.wigner_orthogonality,),
-    "recurrence": (checks.wigner_recurrence,),
-    "all": (checks.wigner_symmetry, checks.wigner_orthogonality, checks.wigner_recurrence,
-            checks.wigner_oracle, checks.wigner_differential),
-}
-
-
 def _cmd_wigner(params, fmt):
     N, beta = params["N"], params["beta"]
+    groups = checks.WIGNER if params["check"] == "all" else (params["check"],)
     # verify-all's wigner-vs-oracle row is this command's oracle row, and so on
     rows = [(row.check.removeprefix("wigner-").removeprefix("vs-").replace("-", "_"), row.residual)
-            for check in WIGNER_CHECKS[params["check"]] for row in check((N,), (beta,))]
+            for row in checks.wigner((N,), (beta,), groups)]
     if fmt == "csv":
         return [("check,value", rows)], 0
     return {"N": N, "beta": beta, "checks": dict(rows)}, 0
@@ -347,10 +339,9 @@ def build_verification_report(seed: int = 7) -> list:
         (checks.random_involution(rng, 4), checks.random_hermitian(rng, 4), "random dim 4"),
     ]
     rows += checks.involution(pairs, (0.2,), 2)
-    for table_check in (checks.wigner_oracle, checks.wigner_symmetry, checks.wigner_orthogonality):
-        rows += table_check((1, 2, 5, 12), (0.3, 0.5 * math.pi, 2.5))
-    rows += checks.wigner_recurrence((30,), (0.7,))
-    rows += checks.wigner_differential((10,), (1.0,))
+    rows += checks.wigner((1, 2, 5, 12), (0.3, 0.5 * math.pi, 2.5), ("oracle", "symmetry", "orthogonality"))
+    rows += checks.wigner((30,), (0.7,), ("recurrence",))
+    rows += checks.wigner((10,), (1.0,), ("differential",))
     rows += checks.ladder_spectra((2, 7, 50, 200))
     rows += checks.position((2, 20, 60))
     rows += checks.continuum((0, 1, 2), (16, 32, 64))

@@ -136,16 +136,15 @@ def ladder_apply(which: str, n: int, s):
     return float(values[0]) if np.isscalar(s) else values
 
 
-def gram_matrix(n_max: int, half_width: float | None = None, samples: int = 4001) -> np.ndarray:
-    """Trapezoidal Gram matrix of psi_0 .. psi_{n_max}.
+def gram_matrix(n_max: int) -> np.ndarray:
+    """Trapezoidal Gram matrix of psi_0 .. psi_{n_max} on 4001 points.
 
-    The default window extends ten units beyond the classical turning point
-    of the highest level, where the integrand has long since collapsed, so
-    the quadrature error is dominated by the trapezoidal rule itself.
+    The window extends ten units beyond the classical turning point of the
+    highest level, where the integrand has long since collapsed, so the
+    quadrature error is dominated by the trapezoidal rule itself.
     """
     n_max = _level(n_max, "n_max")
-    if half_width is None:
-        half_width = math.sqrt(2.0 * n_max + 1.0) + 10.0
-    s = np.linspace(-half_width, half_width, _integer(samples, "samples"))
+    half_width = math.sqrt(2.0 * n_max + 1.0) + 10.0
+    s = np.linspace(-half_width, half_width, 4001)
     table = psi_table(n_max, s)
     return np.trapezoid(table[:, None, :] * table[None, :, :], s, axis=2)

@@ -335,22 +335,26 @@ class DifferentialResiduals(NamedTuple):
 def differential_residuals(D: WignerDMatrix) -> DifferentialResiduals:
     """Max-norm residuals of the two first-order angular relations of the table.
 
-    With m = j - n and m' = j - x the table satisfies
+    With m = j - n and m' = j - x the table satisfies, multiplied through by
+    sin beta,
 
-        +- d/dbeta d[n,x] + ((m' - m cos beta)/sin beta) d[n,x]
-            = sqrt(n (N-n+1)) d[n-1,x]          for ``plus``
-            = sqrt((N-n)(n+1)) d[n+1,x]         for ``minus``
+        +- sin beta d/dbeta d[n,x] + (m' - m cos beta) d[n,x]
+            = sin beta sqrt(n (N-n+1)) d[n-1,x]          for ``plus``
+            = sin beta sqrt((N-n)(n+1)) d[n+1,x]         for ``minus``
 
-    The derivative is the exact beta-derivative of the table built at
-    D.beta: exp(i beta J_x) differentiated on the same spectrum of J_x, so
-    the residuals take no step and sit at rounding for every N.
+    No division by sin beta amplifies rounding next to beta = 0 or pi; in
+    turn a residual held to tol bounds an error of the derivative by
+    tol / sin beta.  The derivative is the exact beta-derivative of the table
+    built at D.beta: exp(i beta J_x) differentiated on the same spectrum of
+    J_x, so the residuals take no step and sit at rounding for every N.
     """
     N, beta = D.N, D.beta
-    derivative = _derivative(N, beta)
+    sin = math.sin(beta)
+    derivative = sin * _derivative(N, beta)
     m = 0.5 * N - np.arange(N + 1, dtype=float)
-    rest = (m[None, :] - m[:, None] * math.cos(beta)) / math.sin(beta) * D.table
+    rest = (m[None, :] - m[:, None] * math.cos(beta)) * D.table
     up, down = _couplings(D.table)
     return DifferentialResiduals(
-        plus=float(np.abs(derivative + rest - up).max()),
-        minus=float(np.abs(-derivative + rest - down).max()),
+        plus=float(np.abs(derivative + rest - sin * up).max()),
+        minus=float(np.abs(-derivative + rest - sin * down).max()),
     )

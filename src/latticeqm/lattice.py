@@ -194,15 +194,17 @@ def apply_difference(
     boundary: BoundaryRule = BoundaryRule.PERIODIC,
 ) -> LatticeState:
     """Apply a difference operator to a state."""
+    if not isinstance(kind, DifferenceKind):
+        raise ValueError(f"kind must be a DifferenceKind, got {kind!r}")
+    if not isinstance(boundary, BoundaryRule):
+        raise ValueError(f"boundary must be a BoundaryRule, got {boundary!r}")
     v = f.amplitudes
     if kind is DifferenceKind.FORWARD:
         out = _shifted(v, +1, boundary) - v
     elif kind is DifferenceKind.BACKWARD:
         out = v - _shifted(v, -1, boundary)
-    elif kind is DifferenceKind.MEAN:
+    else:
         out = 0.5 * (_shifted(v, +1, boundary) + v)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown difference kind {kind!r}")
     return LatticeState(out, f.epsilon)
 
 

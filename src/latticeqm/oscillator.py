@@ -115,8 +115,7 @@ def position_spectrum(model: OscillatorModel) -> PositionSpectrum:
 
 def s_grid(N: int, p: float) -> tuple[np.ndarray, float]:
     """Rescaled coordinate s_x = (x - N p)/sqrt(2 N p q) and its spacing."""
-    N = _integer(N, "N")
-    p = float(p)
+    N, p = _order(N), _probability(p)
     q = 1.0 - p
     spacing = 1.0 / math.sqrt(2.0 * N * p * q)
     x = np.arange(N + 1, dtype=float)

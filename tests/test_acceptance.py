@@ -90,8 +90,7 @@ def test_acceptance_04_heisenberg_schemes():
 
 def test_acceptance_05_wigner_kravchuk_bridge():
     sizes, angles = range(1, 41), (0.3, math.pi / 2, 2.5)
-    rows = (checks.wigner_oracle(sizes, angles) + checks.wigner_symmetry(sizes, angles)
-            + checks.wigner_recurrence(sizes, angles))
+    rows = checks.wigner(sizes, angles, ("oracle", "symmetry", "recurrence"))
     _accept(5, "Wigner/Kravchuk bridge", rows,
             {"wigner-vs-oracle": 1e-10, "wigner-symmetry": 1e-12,
              "wigner-recurrence-three-term": 1e-10, "wigner-recurrence-shift": 1e-10})

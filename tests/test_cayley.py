@@ -49,6 +49,11 @@ def test_rejects_non_hermitian():
         build_propagator([[0.0, 1.0], [0.0, 0.0]], 0.1)
     with pytest.raises(ValueError):
         check_hermitian([[0.0, 1.0, 2.0]])
+    # the tolerance is fixed: a tol of nan accepted any matrix as Hermitian
+    with pytest.raises(TypeError):
+        check_hermitian([[0.0, 1.0], [2.0, 0.0]], tol=math.nan)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        check_hermitian([[0.0, 1.0], [2.0, 0.0]])
 
 
 def test_step_is_unitary_long_run():
@@ -218,3 +223,19 @@ def test_state_shape_validation():
     with pytest.raises(ValueError, match="n must be an integer"):
         evolution_operator(prop, 2.5)
     assert evolve_state(prop, [1.0, 0.0], np.int64(2)).shape == (2,)
+    # a matrix in place of a state was broadcast to a residual of 1.414
+    with pytest.raises(ValueError, match="state shape"):
+        state_residual(prop, np.eye(2), np.eye(2))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="state has non-finite entries"):
+            state_residual(prop, [bad, 0.0], [1.0, 0.0])
+        with pytest.raises(ValueError, match="state has non-finite entries"):
+            state_residual(prop, [1.0, 0.0], [0.0, bad])
+        for evolve in (evolve_state, evolve_trajectory):
+            with pytest.raises(ValueError, match="state has non-finite entries"):
+                evolve(prop, [bad, 0.0], 1)
+        # the schemes and the involution identities evolve through heisenberg_evolve
+        for evolve in (heisenberg_evolve, heisenberg_scheme_residuals,
+                       lambda prop, A, n: involution_identities(SIGMA_Z, A, 0.1, n)):
+            with pytest.raises(ValueError, match="observable has non-finite entries"):
+                evolve(prop, [[bad, 0.0], [0.0, 1.0]], 1)

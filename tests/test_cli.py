@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import latticeqm
-from latticeqm import CheckRow, LatticeState, build_propagator, checks, cli, evolve_trajectory
+from latticeqm import CheckRow, LatticeState, build_propagator, checks, cli, evolve_trajectory, kravchuk
 from latticeqm.cli import main
 
 
@@ -113,6 +113,19 @@ def test_wigner_single_check(capsys):
     lines = out.splitlines()
     assert lines[0] == "check,value"
     assert len(lines) == 2 and lines[1].startswith("symmetry,")
+
+
+def test_each_d_table_is_built_once_per_sweep_point(capsys, monkeypatch):
+    built = []
+    build = kravchuk.build_wigner_d
+    monkeypatch.setattr(kravchuk, "build_wigner_d", lambda N, beta: built.append((N, beta)) or build(N, beta))
+    run_cli(capsys, "wigner", "--N", "6", "--beta", "0.4", "--check", "all")
+    assert built == [(6, 0.4)]
+    built.clear()
+    run_cli(capsys, "verify-all")
+    # 12 for the oracle, symmetry and orthogonality sweep, one each for the
+    # recurrence and differential rows, 3 for the position eigenvectors
+    assert len(built) == 17
 
 
 def test_heisenberg_check_rows(capsys):

@@ -118,6 +118,11 @@ def test_argument_validation():
             level_fn(-1, 0.0)
     with pytest.raises(ValueError, match="n_max must be non-negative"):
         gram_matrix(-1)
+    # samples=1 gave an all-zero Gram matrix, half_width=-1 a negative diagonal
+    with pytest.raises(TypeError):
+        gram_matrix(3, samples=1)
+    with pytest.raises(TypeError):
+        gram_matrix(3, half_width=-1.0)
     # a fractional level was truncated: eval_psi(2.5, s) returned psi_2(s)
     with pytest.raises(ValueError, match="n_max must be an integer"):
         psi_table(2.5, 0.0)

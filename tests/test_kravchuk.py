@@ -189,7 +189,14 @@ def test_differential_relation():
 def test_differential_rows_hold_at_large_N():
     # a central difference in beta left an O(h^2) floor that grew with N:
     # 4.55e-6 here, above the rows' own 1e-6 tolerance
-    for row in checks.wigner_differential((256,), (0.3,)):
+    for row in checks.wigner((256,), (0.3,), ("differential",)):
+        assert row.residual <= 1e-6, row
+
+
+def test_differential_rows_hold_near_the_poles():
+    # dividing by sin(beta) amplified rounding: 5.9e-6 here, above the
+    # rows' 1e-6 tolerance, on a correct table
+    for row in checks.wigner((32,), (1e-9,), ("differential",)):
         assert row.residual <= 1e-6, row
 
 

@@ -133,6 +133,17 @@ def test_zero_padded_boundary():
     assert np.allclose(mean.amplitudes, [1.5, 3.0, 2.0])
 
 
+def test_difference_rejects_non_members():
+    f = LatticeState([1.0, 2.0, 3.0], 1.0)
+    # a plain string fell through to the zero-padded rule: [1, 1, -3]
+    with pytest.raises(ValueError, match="boundary must be a BoundaryRule"):
+        apply_difference(DifferenceKind.FORWARD, f, "periodic")
+    with pytest.raises(ValueError, match="kind must be a DifferenceKind"):
+        apply_difference("forward", f)
+    periodic = apply_difference(DifferenceKind.FORWARD, f, BoundaryRule.PERIODIC)
+    assert np.array_equal(periodic.amplitudes, [1.0, 1.0, -2.0])
+
+
 def test_position_frozen_examples():
     out = position_apply(LatticeState([1.0, 1.0], 0.5))
     assert np.allclose(out.amplitudes, [0.0, 0.5])

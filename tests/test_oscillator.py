@@ -180,6 +180,13 @@ def test_validation():
     with pytest.raises(ValueError, match="N must be an integer"):
         build_oscillator(3.9)
     assert build_oscillator(np.int64(4)).N == 4
+    # these raised ZeroDivisionError, ZeroDivisionError and "math domain error"
+    with pytest.raises(ValueError, match="p must lie strictly between 0 and 1"):
+        s_grid(4, 0.0)
+    with pytest.raises(ValueError, match="N must be a positive integer"):
+        s_grid(0, 0.5)
+    with pytest.raises(ValueError, match="p must lie strictly between 0 and 1"):
+        s_grid(4, 2.0)
     model = build_oscillator(6)
     with pytest.raises(ValueError):
         limit_recurrence_check(model, 6)

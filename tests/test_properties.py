@@ -49,7 +49,9 @@ def test_spectral_power_matches_stepped_products(H, tau, n):
 @bounded
 @given(N=st.integers(1, 64), beta=st.floats(1e-6, math.pi - 1e-6))
 def test_wigner_table_symmetry_and_orthogonality(N, beta):
-    assert checks.wigner_symmetry((N,), (beta,))[0].residual < 1e-11
-    assert checks.wigner_orthogonality((N,), (beta,))[0].residual < 1e-12
-    for row in checks.wigner_differential((N,), (beta,)):
+    symmetry, orthogonality, *differential = checks.wigner(
+        (N,), (beta,), ("symmetry", "orthogonality", "differential"))
+    assert symmetry.residual < 1e-11
+    assert orthogonality.residual < 1e-12
+    for row in differential:
         assert row.residual <= 1e-6, row
