@@ -2,7 +2,9 @@
 
 Every function checks one group of identities over the sweep its caller
 passes and returns ``CheckRow``s: the worst residual over the sweep, the
-tolerance it is held to, and a params label built from the sweep.  The
+tolerance it is held to, and a params label built from the sweep.  One
+fold, ``_worst``, takes that worst for every sweep, and a NaN residual at
+any sweep point makes its row NaN, so the row fails.  The
 d-table relations are one sweep: ``wigner`` builds each table once and
 applies to it the relation groups its caller names from ``WIGNER``
 (symmetry, orthogonality, recurrence, oracle, differential).
@@ -47,56 +49,62 @@ def _values(xs) -> str:
 
 
 def _max_abs(X) -> float:
-    return float(np.abs(X).max())
+    return float(np.abs(X).max(initial=0.0))
+
+
+def _worst_ratio(errors) -> float:
+    """The largest ratio of successive errors; below 1 means strictly shrinking."""
+    return float((errors[1:] / errors[:-1]).max())
+
+
+def _worst(rows, points) -> list:
+    """One ``CheckRow`` per (check, params, tolerance) of ``rows``, holding
+    the worst of its column over ``points``, which yields one tuple of
+    residuals per sweep point.  ``np.maximum`` from 0 keeps a NaN."""
+    worst = np.zeros(len(rows))
+    for residuals in points:
+        worst = np.maximum(worst, residuals)
+    return [CheckRow(check, params, value, tol) for (check, params, tol), value in zip(rows, worst)]
 
 
 def basis(sizes, spacings) -> list:
     """Plane-wave tables are orthonormal and equal the DFT matrix at every spacing."""
-    worst_gram = worst_dft = 0.0
-    for N in sizes:
-        j = np.arange(N)
-        dft = np.exp(2j * np.pi * np.outer(j, j) / N) / math.sqrt(N)
-        eye = np.eye(N)
-        for eps in spacings:
-            table = planewave.build_basis(N, eps).table
-            worst_gram = max(worst_gram, _max_abs(table.conj().T @ table - eye))
-            worst_dft = max(worst_dft, _max_abs(table - dft))
+    def points():
+        for N in sizes:
+            j = np.arange(N)
+            dft = np.exp(2j * np.pi * np.outer(j, j) / N) / math.sqrt(N)
+            eye = np.eye(N)
+            for eps in spacings:
+                table = planewave.build_basis(N, eps).table
+                yield _max_abs(table.conj().T @ table - eye), _max_abs(table - dft)
     label = f"N<={max(sizes)} eps in {_values(spacings)}"
-    return [
-        CheckRow("basis-orthonormality", label, worst_gram, 1e-12),
-        CheckRow("basis-dft-identity", label, worst_dft, 1e-12),
-    ]
+    return _worst((("basis-orthonormality", label, 1e-12), ("basis-dft-identity", label, 1e-12)), points())
 
 
 def fourier(rng, sizes, states: int) -> list:
     """Forward then inverse transform of random states is the identity and keeps the norm."""
-    worst_rt = worst_parseval = 0.0
-    for N in sizes:
-        b = planewave.build_basis(N, 0.7)
-        for _ in range(states):
-            f = LatticeState(rng.standard_normal(N) + 1j * rng.standard_normal(N), 0.7)
-            a = planewave.forward_transform(b, f)
-            g = planewave.inverse_transform(b, a)
-            worst_rt = max(worst_rt, _max_abs(g.amplitudes - f.amplitudes))
-            worst_parseval = max(worst_parseval, abs(float(np.linalg.norm(a)) - f.norm()))
+    def points():
+        for N in sizes:
+            b = planewave.build_basis(N, 0.7)
+            for _ in range(states):
+                f = LatticeState(rng.standard_normal(N) + 1j * rng.standard_normal(N), 0.7)
+                a = planewave.forward_transform(b, f)
+                g = planewave.inverse_transform(b, a)
+                yield _max_abs(g.amplitudes - f.amplitudes), abs(float(np.linalg.norm(a)) - f.norm())
     label = f"{states} random states per N"
-    return [
-        CheckRow("fourier-round-trip", label, worst_rt, 1e-12),
-        CheckRow("fourier-parseval", label, worst_parseval, 1e-12),
-    ]
+    return _worst((("fourier-round-trip", label, 1e-12), ("fourier-parseval", label, 1e-12)), points())
 
 
 def momentum(sizes) -> list:
     """Every basis column is an eigenvector of the forward-difference momentum."""
-    worst = 0.0
-    for N in sizes:
-        b = planewave.build_basis(N, 1.3)
-        lam = planewave.momentum_eigenvalues(b)
-        for m in range(N):
-            col = LatticeState(b.table[:, m], b.epsilon)
-            out = planewave.momentum_apply(b, col)
-            worst = max(worst, _max_abs(out.amplitudes - lam[m] * col.amplitudes))
-    return [CheckRow("momentum-eigenrelation", f"N in {_values(sizes)} all columns", worst, 1e-10)]
+    def points():
+        for N in sizes:
+            b = planewave.build_basis(N, 1.3)
+            lam = planewave.momentum_eigenvalues(b)
+            for m in range(N):
+                col = LatticeState(b.table[:, m], b.epsilon)
+                yield (_max_abs(planewave.momentum_apply(b, col).amplitudes - lam[m] * col.amplitudes),)
+    return _worst((("momentum-eigenrelation", f"N in {_values(sizes)} all columns", 1e-10),), points())
 
 
 def propagator(rng, H, taus, steps: int, residual_steps) -> list:
@@ -104,36 +112,39 @@ def propagator(rng, H, taus, steps: int, residual_steps) -> list:
     of C^n, the half step, and spectral C^13 against 13 solve-built steps, for
     the Cayley step of H at each tau."""
     d = H.shape[0]
-    drift = residual = half = group = 0.0
-    for tau in taus:
-        prop = cayley.build_propagator(H, tau)
-        psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        psi /= np.linalg.norm(psi)
-        for _ in range(steps):
-            psi = prop.factor @ psi
-            drift = max(drift, abs(float(np.linalg.norm(psi)) - 1.0))
-        for n in residual_steps:
-            residual = max(residual, cayley.evolution_operator_residual(prop, n))
-        half = max(half, _max_abs(prop.half_factor @ prop.half_factor - prop.factor))
-        stepped = np.linalg.multi_dot([prop.factor] * 13)
-        group = max(group, _max_abs(cayley.evolution_operator(prop, 13) - stepped))
-    return [
-        CheckRow("cayley-unitarity", f"dim {d} tau {_values(taus)} {steps} steps", drift, 1e-10),
-        CheckRow("cayley-residual", f"dim {d} tau {_values(taus)} n {_values(residual_steps)}",
-                 residual, 1e-10),
-        CheckRow("cayley-half-step", "half step squares to one step", half, 1e-12),
-        CheckRow("cayley-group-law", "spectral C^13 = 13 solve-built steps", group, 1e-11),
-    ]
+
+    def points():
+        for tau in taus:
+            prop = cayley.build_propagator(H, tau)
+            psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            psi /= np.linalg.norm(psi)
+            norms = []
+            for _ in range(steps):
+                psi = prop.factor @ psi
+                norms.append(np.linalg.norm(psi))
+            stepped = np.linalg.multi_dot([prop.factor] * 13)
+            yield (_max_abs(np.subtract(norms, 1.0)),
+                   _max_abs([cayley.evolution_operator_residual(prop, n) for n in residual_steps]),
+                   _max_abs(prop.half_factor @ prop.half_factor - prop.factor),
+                   _max_abs(cayley.evolution_operator(prop, 13) - stepped))
+    return _worst((
+        ("cayley-unitarity", f"dim {d} tau {_values(taus)} {steps} steps", 1e-10),
+        ("cayley-residual", f"dim {d} tau {_values(taus)} n {_values(residual_steps)}", 1e-10),
+        ("cayley-half-step", "half step squares to one step", 1e-12),
+        ("cayley-group-law", "spectral C^13 = 13 solve-built steps", 1e-11),
+    ), points())
 
 
 def propagator_order(H, taus) -> list:
     """C^n at n tau = 1 against exp(-iH): each halving of tau cuts the error fourfold."""
+    if len(taus) < 2:
+        raise ValueError(f"need at least two step sizes for a halving ratio, got {len(taus)}")
     props = [cayley.build_propagator(H, tau) for tau in taus]
     exact = props[0].spectral_function(lambda lam: np.exp(-1j * lam))
     errors = [_max_abs(cayley.evolution_operator(p, round(1.0 / p.tau)) - exact) for p in props]
     ratios = [a / b for a, b in zip(errors, errors[1:])]
     label = "halving ratio " + " ".join(f"{r:.3f}" for r in ratios)
-    return [CheckRow("cayley-order", label, max(abs(r - 4.0) for r in ratios), 0.5)]
+    return _worst((("cayley-order", label, 0.5),), ((abs(r - 4.0),) for r in ratios))
 
 
 def heisenberg(rng, H, tau: float, n: int, schemes) -> list:
@@ -182,128 +193,103 @@ WIGNER = {
 def wigner(sizes, angles, groups) -> list:
     """The named relation groups of ``WIGNER``, in the order given, over one
     d-table built per (N, beta) of the sweep."""
-    worst = {name: [0.0] * len(WIGNER[name][1]) for name in groups}
-    for N in sizes:
-        for beta in angles:
-            D = kravchuk.build_wigner_d(N, beta)
-            for name, values in worst.items():
-                values[:] = map(max, values, WIGNER[name][0](D))
     label = f"N {_values(sizes)} beta {_values(angles)}"
-    return [CheckRow(check, label, value, tol)
-            for name, values in worst.items()
-            for (check, tol), value in zip(WIGNER[name][1], values)]
+    tables = (kravchuk.build_wigner_d(N, beta) for N in sizes for beta in angles)
+    return _worst([(check, label, tol) for name in groups for check, tol in WIGNER[name][1]],
+                  ([r for name in groups for r in WIGNER[name][0](D)] for D in tables))
 
 
 def ladder_spectra(sizes) -> list:
     """Commutator and anticommutator spectra in closed form; the commutator is traceless."""
-    worst_comm = worst_energy = worst_trace = 0.0
-    for N in sizes:
-        model = oscillator.build_oscillator(N)
-        n = np.arange(N + 1, dtype=float)
-        worst_comm = max(worst_comm, _max_abs(oscillator.commutator_spectrum(model) - (1.0 - n / model.j)))
-        worst_energy = max(worst_energy, _max_abs(
-            oscillator.energy_spectrum(model) - ((2.0 * n + 1.0) - n * n / model.j)))
-        A = oscillator.annihilation_matrix(model)
-        worst_trace = max(worst_trace, abs(float(np.trace(A @ A.T - A.T @ A))))
+    def points():
+        for N in sizes:
+            model = oscillator.build_oscillator(N)
+            n = np.arange(N + 1, dtype=float)
+            A = oscillator.annihilation_matrix(model)
+            yield (_max_abs(oscillator.commutator_spectrum(model) - (1.0 - n / model.j)),
+                   _max_abs(oscillator.energy_spectrum(model) - ((2.0 * n + 1.0) - n * n / model.j)),
+                   abs(float(np.trace(A @ A.T - A.T @ A))))
     label = f"N in {_values(sizes)}"
-    return [
-        CheckRow("oscillator-commutator", label, worst_comm, 1e-10),
-        CheckRow("oscillator-energies", label, worst_energy, 1e-10),
-        CheckRow("oscillator-commutator-trace", label, worst_trace, 1e-12),
-    ]
+    return _worst((("oscillator-commutator", label, 1e-10), ("oscillator-energies", label, 1e-10),
+                   ("oscillator-commutator-trace", label, 1e-12)), points())
 
 
 def position(sizes) -> list:
     """Position eigenvalues sit on the grid m'/sqrt(j); quarter-turn d-table columns are the eigenvectors."""
-    worst_grid = worst_vec = 0.0
-    for N in sizes:
-        model = oscillator.build_oscillator(N)
-        spec = oscillator.position_spectrum(model)
-        worst_grid = max(worst_grid, _max_abs(spec.eigenvalues - spec.m_prime / math.sqrt(model.j)))
-        X = oscillator.position_matrix(model)
-        D = kravchuk.build_wigner_d(N, 0.5 * math.pi)
-        for x in range(N + 1):
-            col = D.table[:, x]
-            lam = (model.j - x) / math.sqrt(model.j)
-            worst_vec = max(worst_vec, _max_abs(X @ col - lam * col))
-    return [
-        CheckRow("position-grid", f"N in {_values(sizes)}", worst_grid, 1e-9),
-        CheckRow("position-eigenvectors", f"d-table columns N in {_values(sizes)}", worst_vec, 1e-9),
-    ]
+    def points():
+        for N in sizes:
+            model = oscillator.build_oscillator(N)
+            spec = oscillator.position_spectrum(model)
+            X = oscillator.position_matrix(model)
+            D = kravchuk.build_wigner_d(N, 0.5 * math.pi)
+            cols = [(D.table[:, x], (model.j - x) / math.sqrt(model.j)) for x in range(N + 1)]
+            yield (_max_abs(spec.eigenvalues - spec.m_prime / math.sqrt(model.j)),
+                   _max_abs([_max_abs(X @ col - lam * col) for col, lam in cols]))
+    return _worst((("position-grid", f"N in {_values(sizes)}", 1e-9),
+                   ("position-eigenvectors", f"d-table columns N in {_values(sizes)}", 1e-9)), points())
 
 
 def continuum(levels, sizes) -> list:
     """Errors against the Hermite levels shrink at each size step, at fitted order >= 0.9."""
-    worst_ratio = 0.0
-    orders = []
-    for n in levels:
-        table = oscillator.continuum_convergence(n, sizes)
-        worst_ratio = max(worst_ratio, float((table.max_errors[1:] / table.max_errors[:-1]).max()))
-        orders.append(table.fitted_order)
-    return [
-        CheckRow("continuum-monotone", f"n<={max(levels)} N in {_values(sizes)}", worst_ratio, 0.99),
-        CheckRow("continuum-order", "orders " + " ".join(f"{o:.2f}" for o in orders),
-                 max(0.0, 0.9 - min(orders)), 0.0),
-    ]
+    tables = [oscillator.continuum_convergence(n, sizes) for n in levels]
+    # folded from 0, the order column reads max(0, 0.9 - lowest order)
+    return _worst((("continuum-monotone", f"n<={max(levels)} N in {_values(sizes)}", 0.99),
+                   ("continuum-order", "orders " + " ".join(f"{t.fitted_order:.2f}" for t in tables), 0.0)),
+                  ((_worst_ratio(t.max_errors), 0.9 - t.fitted_order) for t in tables))
 
 
 def ladder(levels, sizes) -> list:
     """Ladder actions approach sqrt(n) and sqrt(n+1) times the neighbouring levels."""
-    worst = 0.0
-    for n in levels:
-        table = oscillator.ladder_limit_check(n, sizes)
-        worst = max(worst, float((table.raise_errors[1:] / table.raise_errors[:-1]).max()))
-        if n > 0:  # the lowering error of level 0 is identically zero
-            worst = max(worst, float((table.lower_errors[1:] / table.lower_errors[:-1]).max()))
-    return [CheckRow("ladder-monotone", f"n {_values(levels)} N in {_values(sizes)}", worst, 0.99)]
+    def points():
+        for n in levels:
+            table = oscillator.ladder_limit_check(n, sizes)
+            yield (_worst_ratio(table.raise_errors),)
+            if n > 0:  # the lowering error of level 0 is identically zero
+                yield (_worst_ratio(table.lower_errors),)
+    return _worst((("ladder-monotone", f"n {_values(levels)} N in {_values(sizes)}", 0.99),), points())
 
 
 def limit_recurrence(centred, skewed) -> list:
     """The 1/N-corrected recurrences at (N, p, n) = centred, and their worst at skewed."""
-    N, p, n = centred
-    res = oscillator.limit_recurrence_check(oscillator.build_oscillator(N, p), n)
-    rows = [
-        CheckRow("limit-recurrence-three-term", f"N {N} p {p} n {n}", res.three_term, 1e-9),
-        CheckRow("limit-recurrence-difference", f"N {N} p {p} n {n}", res.difference, 1e-9),
+    (label, res), (skewed_label, skewed_res) = (
+        (f"N {N} p {p} n {n}", oscillator.limit_recurrence_check(oscillator.build_oscillator(N, p), n))
+        for N, p, n in (centred, skewed))
+    return [
+        CheckRow("limit-recurrence-three-term", label, res.three_term, 1e-9),
+        CheckRow("limit-recurrence-difference", label, res.difference, 1e-9),
+        *_worst((("limit-recurrence-skewed", skewed_label, 1e-9),), ((r,) for r in skewed_res)),
     ]
-    N, p, n = skewed
-    res = oscillator.limit_recurrence_check(oscillator.build_oscillator(N, p), n)
-    rows.append(CheckRow("limit-recurrence-skewed", f"N {N} p {p} n {n}",
-                         max(res.three_term, res.difference), 1e-9))
-    return rows
 
 
 def hermite_oracle(s, schrodinger_levels, recurrence_levels, gram_max: int, ladder_levels) -> list:
     """Schrodinger residual, recurrences, Gram matrix and ladder of the Hermite functions on grid s."""
     bound = f"|s|<={float(np.abs(s).max()):g}"
-    schrod = max(hermite.schrodinger_residual(n, s) for n in schrodinger_levels)
-    algebraic = derivative = 0.0
-    for n in recurrence_levels:
-        res = hermite.recurrence_residual(n, s)
-        algebraic, derivative = max(algebraic, res.algebraic), max(derivative, res.derivative)
-    gram = _max_abs(hermite.gram_matrix(gram_max) - np.eye(gram_max + 1))
-    worst_ladder = 0.0
-    for n in ladder_levels:
-        up = hermite.ladder_apply("raise", n, s) - math.sqrt(n + 1.0) * hermite.eval_psi(n + 1, s)
-        worst_ladder = max(worst_ladder, _max_abs(up))
-        if n >= 1:
-            dn = hermite.ladder_apply("lower", n, s) - math.sqrt(float(n)) * hermite.eval_psi(n - 1, s)
-            worst_ladder = max(worst_ladder, _max_abs(dn))
+
+    def ladder():
+        for n in ladder_levels:
+            yield (_max_abs(hermite.ladder_apply("raise", n, s)
+                            - math.sqrt(n + 1.0) * hermite.eval_psi(n + 1, s)),)
+            if n >= 1:
+                yield (_max_abs(hermite.ladder_apply("lower", n, s)
+                                - math.sqrt(float(n)) * hermite.eval_psi(n - 1, s)),)
+    top = max(recurrence_levels)
     return [
-        CheckRow("hermite-schrodinger", f"n<={max(schrodinger_levels)} {bound}", schrod, 1e-10),
-        CheckRow("hermite-recurrence-algebraic", f"n<={max(recurrence_levels)} {bound}", algebraic, 1e-12),
-        CheckRow("hermite-recurrence-derivative", f"n<={max(recurrence_levels)} central difference h 1e-5",
-                 derivative, 1e-8),
-        CheckRow("hermite-gram", f"n<={gram_max} trapezoidal", gram, 1e-8),
-        CheckRow("hermite-ladder", f"n<={max(ladder_levels)} analytic derivative", worst_ladder, 1e-12),
+        *_worst((("hermite-schrodinger", f"n<={max(schrodinger_levels)} {bound}", 1e-10),),
+                ((hermite.schrodinger_residual(n, s),) for n in schrodinger_levels)),
+        *_worst((("hermite-recurrence-algebraic", f"n<={top} {bound}", 1e-12),
+                 ("hermite-recurrence-derivative", f"n<={top} central difference h 1e-5", 1e-8)),
+                (hermite.recurrence_residual(n, s) for n in recurrence_levels)),
+        CheckRow("hermite-gram", f"n<={gram_max} trapezoidal",
+                 _max_abs(hermite.gram_matrix(gram_max) - np.eye(gram_max + 1)), 1e-8),
+        *_worst((("hermite-ladder", f"n<={max(ladder_levels)} analytic derivative", 1e-12),), ladder()),
     ]
 
 
 def state_round_trip(rng, sizes, epsilon: float) -> list:
     """JSON write then read of random states is exact, spacing included."""
-    worst = 0.0
-    for N in sizes:
-        f = LatticeState(rng.standard_normal(N) + 1j * rng.standard_normal(N), epsilon)
-        g = LatticeState.from_json(f.to_json())
-        worst = max(worst, _max_abs(g.amplitudes - f.amplitudes) + abs(g.epsilon - f.epsilon))
-    return [CheckRow("state-json-round-trip", f"{_values(sizes)} sites", worst, 0.0)]
+    def points():
+        for N in sizes:
+            f = LatticeState(rng.standard_normal(N) + 1j * rng.standard_normal(N), epsilon)
+            g = LatticeState.from_json(f.to_json())
+            yield (_max_abs(g.amplitudes - f.amplitudes) + abs(g.epsilon - f.epsilon),)
+    return _worst((("state-json-round-trip", f"{_values(sizes)} sites", 0.0),), points())

@@ -113,7 +113,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--dim", type=_AT_LEAST_TWO, default=4, help="matrix dimension (default 4)")
     p.add_argument("--tau", type=float, default=0.1, help="time step (default 0.1)")
     p.add_argument("--n", type=int, default=3, help="step index of the observable")
-    p.add_argument("--seed", type=int, default=0, help="seed for the random matrices")
+    p.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0, help="seed for the random matrices")
     add_common(p)
 
     p = sub.add_parser("wigner", help="rotation d-table checks")
@@ -145,7 +145,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     add_common(p)
 
     p = sub.add_parser("verify-all", help="run the full deterministic check suite")
-    p.add_argument("--seed", type=int, default=7, help="seed for the random draws (default 7)")
+    p.add_argument("--seed", type=_NON_NEGATIVE_INT, default=7, help="seed for the random draws (default 7)")
     add_common(p)
 
     return parser, sub.choices

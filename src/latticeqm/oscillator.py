@@ -32,7 +32,6 @@ class OscillatorModel:
 
     N: int
     p: float
-    energy_scale: float
     lower_coeff: np.ndarray  # lower_coeff[n] multiplies v_{n-1} in A v_n
     raise_coeff: np.ndarray  # raise_coeff[n] multiplies v_{n+1} in A^dagger v_n
 
@@ -41,14 +40,12 @@ class OscillatorModel:
         return 0.5 * self.N
 
 
-def build_oscillator(N: int, p: float = 0.5, energy_scale: float = 1.0) -> OscillatorModel:
+def build_oscillator(N: int, p: float = 0.5) -> OscillatorModel:
     N, p = _order(N), _probability(p)
     n = np.arange(N + 1, dtype=float)
     lower = np.sqrt(n * (N - n + 1.0) / N)
     raise_ = np.sqrt((N - n) * (n + 1.0) / N)
-    return OscillatorModel(
-        N=N, p=p, energy_scale=float(energy_scale), lower_coeff=lower, raise_coeff=raise_
-    )
+    return OscillatorModel(N=N, p=p, lower_coeff=lower, raise_coeff=raise_)
 
 
 def annihilation_matrix(model: OscillatorModel) -> np.ndarray:
@@ -68,10 +65,9 @@ def position_matrix(model: OscillatorModel) -> np.ndarray:
 
 
 def hamiltonian_matrix(model: OscillatorModel) -> np.ndarray:
-    """H = (energy scale) * (A A^dagger + A^dagger A) / 2."""
+    """H = (A A^dagger + A^dagger A) / 2, in units of hbar*omega."""
     A = annihilation_matrix(model)
-    At = A.T
-    return 0.5 * model.energy_scale * (A @ At + At @ A)
+    return 0.5 * (A @ A.T + A.T @ A)
 
 
 def commutator_spectrum(model: OscillatorModel) -> np.ndarray:

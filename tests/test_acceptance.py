@@ -15,23 +15,33 @@ import math
 import time
 
 import numpy as np
+import pytest
 
-from latticeqm import build_oscillator, checks, commutator_spectrum, position_spectrum
+from latticeqm import CheckRow, build_oscillator, checks, commutator_spectrum, position_spectrum
 from latticeqm.cli import main
 
 
 def _accept(number, title, rows, bounds, conditions=()):
     """Assert worst residual < bound for each (row name, bound) and every
-    (description, passed) condition, after printing one scorecard line."""
+    (description, passed) condition, after printing one scorecard line.
+    A NaN residual stays NaN in the fold and fails its bound."""
     worst = {}
     for row in rows:
-        worst[row.check] = max(worst.get(row.check, 0.0), row.residual)
+        worst[row.check] = np.maximum(worst.get(row.check, 0.0), row.residual)
     results = [(f"{name} {worst[name]:.2e}", worst[name] < bound) for name, bound in bounds.items()]
     results += list(conditions)
     passed = all(ok for _, ok in results)
     detail = ", ".join(text if ok else f"{text} FAILED" for text, ok in results)
     print(f"ACCEPTANCE {number} ({title}): {'PASS' if passed else 'FAIL'} [{detail}]")
     assert passed, f"acceptance criterion {number} ({title}): {detail}"
+
+
+def test_accept_fails_a_nan_row(capsys):
+    # a NaN between finite residuals must not fold away and pass
+    rows = [CheckRow("x", "", 0.1, 1.0), CheckRow("x", "", math.nan, 1.0), CheckRow("x", "", 0.2, 1.0)]
+    with pytest.raises(AssertionError, match="x nan FAILED"):
+        _accept(0, "NaN row", rows, {"x": 1.0})
+    assert capsys.readouterr().out.startswith("ACCEPTANCE 0 (NaN row): FAIL")
 
 
 def test_acceptance_01_basis_orthonormality():

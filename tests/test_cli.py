@@ -297,6 +297,14 @@ def test_verify_all_fails_when_a_row_fails(capsys, monkeypatch):
     assert [r["status"] for r in payload["checks"]].count("fail") == 1
 
 
+def test_verify_all_fails_on_a_nan_residual(capsys, monkeypatch):
+    monkeypatch.setattr(kravchuk, "differential_residuals", lambda D: (math.nan, 0.0))
+    code, out, _ = run_cli(capsys, "verify-all")
+    assert code == 1
+    (row,) = [line for line in out.splitlines() if line.startswith("wigner-differential-plus,")]
+    assert row.endswith(",nan,9.9999999999999995e-07,fail")
+
+
 def test_output_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "basis.csv"
     code, out, _ = run_cli(
@@ -358,6 +366,9 @@ def test_invalid_parameters_exit_two(capsys, tmp_path):
         # an infinite end printed NaN and Infinity rows and exited 0
         (hermite + ["1", "--s-min", "0", "--s-max", "inf"], "--s-max: must be finite, got inf"),
         (hermite + ["1", "--s-min=-inf", "--s-max", "0"], "--s-min: must be finite, got -inf"),
+        # a negative seed exited 1 with numpy's message, which names no flag
+        (["verify-all", "--seed", "-1"], "--seed: must be non-negative, got -1"),
+        (["heisenberg-check", "--seed", "-3"], "--seed: must be non-negative, got -3"),
     ):
         with pytest.raises(SystemExit) as info:
             main(argv)

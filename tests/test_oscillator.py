@@ -65,12 +65,15 @@ def test_energy_spectrum_formula():
 
 
 def test_hamiltonian_matrix_is_diagonal_with_spectrum():
-    # the spectrum is quoted in half-quantum units; the matrix carries the scale
-    model = build_oscillator(12, energy_scale=3.0)
+    # the spectrum is quoted in half-quantum units, the matrix in whole quanta
+    model = build_oscillator(12)
     H = hamiltonian_matrix(model)
     off = H - np.diag(np.diag(H))
     assert np.abs(off).max() < 1e-12
-    assert np.abs(np.diag(H) - 1.5 * energy_spectrum(model)).max() < 1e-12
+    assert np.abs(np.diag(H) - 0.5 * energy_spectrum(model)).max() < 1e-12
+    # the energy scale knob is gone: a stray keyword is an error, not a NaN matrix
+    with pytest.raises(TypeError):
+        build_oscillator(12, energy_scale=3.0)
 
 
 def test_position_spectrum_is_uniform_grid():

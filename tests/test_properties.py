@@ -55,3 +55,10 @@ def test_wigner_table_symmetry_and_orthogonality(N, beta):
     assert orthogonality.residual < 1e-12
     for row in differential:
         assert row.residual <= 1e-6, row
+
+
+@bounded
+@given(H=hermitian(), tau=st.floats(0.01, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_cayley_step_is_unitary(H, tau, seed):
+    rows = checks.propagator(np.random.default_rng(seed), H, (tau,), 200, (0, 7))
+    assert all(row.passed for row in rows), rows
