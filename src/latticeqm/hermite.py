@@ -34,13 +34,29 @@ def psi_table(n_max: int, s) -> np.ndarray:
     if not np.isfinite(s).all():
         raise ValueError("grid points s must be finite")
     out = np.empty((n_max + 1, s.size))
-    out[0] = math.pi ** -0.25 * np.exp(-0.5 * s * s)
-    if n_max >= 1:
-        out[1] = math.sqrt(2.0) * s * out[0]
-    for n in range(1, n_max):
-        out[n + 1] = (2.0 * s * out[n] - math.sqrt(2.0 * n) * out[n - 1]) / math.sqrt(
-            2.0 * (n + 1)
-        )
+    # The seed exp(-s^2/2) leaves the normal range at s^2/2 = 708 and is 0
+    # past 745, though higher levels are of order one there.  Points past
+    # s^2/2 = 700 carry it as exp(q log 2 - s^2/2) times 2^-q, and the two
+    # live rows as mantissas times a running exponent 2^scale, renormalized
+    # by an exact power of two at every level; where q = 0 every row keeps
+    # the bits of the plain recurrence.
+    log_seed = -0.5 * s * s
+    scaled = s.size > 0 and log_seed.min() < -700.0
+    if scaled:
+        q = np.where(log_seed > -700.0, 0.0, np.minimum(np.rint(-log_seed / math.log(2.0)), 2.0**30))
+        scale = -q.astype(np.int32)  # ldexp takes a C int exponent
+        log_seed += q * math.log(2.0)
+    prev, cur = None, math.pi ** -0.25 * np.exp(log_seed)
+    for n in range(n_max + 1):
+        if n == 1:
+            prev, cur = cur, math.sqrt(2.0) * s * cur
+        elif n > 1:
+            prev, cur = cur, (2.0 * s * cur - math.sqrt(2.0 * (n - 1)) * prev) / math.sqrt(2.0 * n)
+        if scaled and n:
+            cur, e = np.frexp(cur)
+            prev = np.ldexp(prev, -e)
+            scale += e
+        out[n] = np.ldexp(cur, scale) if scaled else cur
     return out
 
 

@@ -11,13 +11,16 @@ Three construction routes are kept deliberately separate:
 * ``build_kravchuk`` runs the defining three-term recurrence in the degree.
   That route is definitional and accurate for low degrees and for moderate p,
   but loses digits on full tables at large N when p is far from 1/2.
-* ``build_wigner_d`` forms the rotation exp(-i beta J_y) from the
-  eigenvectors of J_x, a real symmetric tridiagonal matrix that does not
-  depend on beta.  Every eigenvector enters twice, so the signs the
-  eigensolver leaves free cancel, and the table stays orthogonal to machine
-  precision for every N and every beta in (0, pi).  The same
-  eigendecomposition gives the exact beta-derivative of the table, so the
-  first-order differential relations hold to rounding at every N.
+* ``build_wigner_d`` forms the rotation exp(-i beta J_y) from J_x, a real
+  symmetric tridiagonal matrix with zero diagonal that does not depend on
+  beta.  J_x only couples even sites to odd ones, so one singular value
+  decomposition of its half-size even-odd block gives its whole spectrum;
+  that decomposition is cached per N (the last 8 orders).  Every singular
+  pair enters the table twice, so the signs the solver leaves free cancel,
+  and the table stays orthogonal to machine precision for every N and every
+  beta in (0, pi).  The same factors give the exact beta-derivative of the
+  table, so the first-order differential relations hold to rounding at
+  every N.
 * ``wigner_d_direct`` evaluates the classical finite sum for each entry
   exactly, in Python integers: with tan^2(beta/2) = A/B taken exactly from
   the floats cos(beta/2) and sin(beta/2), each entry's alternating sum is one
@@ -28,6 +31,7 @@ Three construction routes are kept deliberately separate:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -140,42 +144,77 @@ def _validate_table(N: int, beta: float) -> tuple[int, float]:
     return N, beta
 
 
+@functools.lru_cache(maxsize=8)
+def _chiral(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, V, sigma) of J_x's even-odd block B = U diag(sigma) V^T, phase folded in.
+
+    B[i, k] couples site 2i to site 2k+1: B[i, i] = c_2i and B[i+1, i] =
+    c_(2i+1), with c_n = sqrt((n+1)(N-n))/2.  U is square; when N is even its
+    last column is the zero mode and sigma ends in 0.  sigma is the exact grid
+    N/2 - k.  Rows of U and V carry the sign (-1)^i of P = diag(i^n).  The
+    arrays are shared by every table of order N and are read-only.
+    """
+    n = np.arange(N)  # c_n couples sites n and n + 1
+    B = np.zeros((N // 2 + 1, (N + 1) // 2))
+    B[(n + 1) // 2, n // 2] = 0.5 * np.sqrt((n + 1.0) * (N - n))
+    U, _, Vt = np.linalg.svd(B)
+    sign = np.where(np.arange(B.shape[0]) % 2 == 0, 1.0, -1.0)[:, None]
+    U *= sign
+    V = Vt.T * sign[: B.shape[1]]
+    sigma = 0.5 * N - np.arange(B.shape[0], dtype=float)
+    for a in (U, V, sigma):
+        a.flags.writeable = False
+    return U, V, sigma
+
+
 def _rotation(N: int, even, odd) -> np.ndarray:
-    """P^-1 (even + i odd)(J_x) P, assembled as ``build_wigner_d`` describes."""
-    n = np.arange(N + 1)
-    off = 0.5 * np.sqrt((n[:-1] + 1.0) * (N - n[:-1]))
-    _, W = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    mu = n - 0.5 * N
-    E = (W * even(mu)) @ W.T
-    O = (W * odd(mu)) @ W.T
-    k = np.subtract.outer(n, n) % 4
-    return np.where(k % 2 == 0, E, O) * np.where(k < 2, 1.0, -1.0)
+    """P^-1 (even + i odd)(J_x) P, assembled block by block as
+    ``build_wigner_d`` describes; ``even(0)`` weights the zero mode."""
+    U, V, sigma = _chiral(N)
+    r = V.shape[0]
+    out = np.empty((N + 1, N + 1))
+    out[0::2, 0::2] = (U * even(sigma)) @ U.T
+    out[1::2, 1::2] = (V * even(sigma[:r])) @ V.T
+    S = (U[:, :r] * odd(sigma[:r])) @ V.T
+    out[0::2, 1::2] = -S
+    out[1::2, 0::2] = S.T
+    return out
 
 
 def build_wigner_d(N: int, beta: float) -> WignerDMatrix:
-    """Assemble the full d-table as exp(-i beta J_y) from the eigenvectors of J_x.
+    """Assemble the full d-table as exp(-i beta J_y) from the even-odd block of J_x.
 
     In the basis m = j - n, J_x is real, symmetric and tridiagonal with
-    off-diagonal sqrt((n+1)(N-n))/2, and it does not depend on beta.  Its
-    eigenvalues are the exact grid mu_k = k - N/2; write J_x = W diag(mu) W^T.
+    off-diagonal c_n = sqrt((n+1)(N-n))/2, and it does not depend on beta.
     The phase P = diag(i^n) carries J_y to -J_x, so that
-    d(beta) = P^-1 exp(i beta J_x) P.  With
+    d(beta) = P^-1 exp(i beta J_x) P.  J_x couples only even sites to odd
+    ones: sorted by parity it is [[0, B], [B^T, 0]], and with the singular
+    value decomposition B = U diag(sigma) V^T (Golub & Kahan 1965) its
+    eigenvalues are +-sigma, on the exact grid N/2 - k, plus one zero mode z
+    when N is even.  Hence the cosine part of exp(i beta J_x) lives on the
+    same-parity blocks and the sine part on the mixed ones:
 
-        C = W diag(cos beta mu) W^T,   S = W diag(sin beta mu) W^T,
+        d[even, even] = U cos(beta sigma) U^T + z z^T,
+        d[odd, odd]   = V cos(beta sigma) V^T,
+        d[even, odd]  = -U sin(beta sigma) V^T,   d[odd, even] = its negative transpose,
 
-    entry (n, x) is C, S, -C or -S as (n - x) mod 4 is 0, 1, 2 or 3.  Each
-    eigenvector appears twice in these products, so the sign the eigensolver
-    leaves free on it cancels and no column sign has to be resolved.
+    with the signs of P folded into the rows of U and V.  Each singular pair
+    enters these products twice, so the sign the solver leaves free on it
+    cancels and no column sign has to be resolved.  The factors are computed
+    once per N and kept for the last 8 orders, so a sweep over angles at one
+    N decomposes once.
     """
     N, beta = _validate_table(N, beta)
-    table = _rotation(N, lambda mu: np.cos(beta * mu), lambda mu: np.sin(beta * mu))
+    table = _rotation(N, lambda sigma: np.cos(beta * sigma), lambda sigma: np.sin(beta * sigma))
     return WignerDMatrix(N=N, beta=beta, table=table)
 
 
 def _derivative(N: int, beta: float) -> np.ndarray:
-    """The exact d/dbeta of ``build_wigner_d(N, beta).table``: its C and S with
-    cos(beta mu) and sin(beta mu) replaced by -mu sin(beta mu) and mu cos(beta mu)."""
-    return _rotation(N, lambda mu: -mu * np.sin(beta * mu), lambda mu: mu * np.cos(beta * mu))
+    """The exact d/dbeta of ``build_wigner_d(N, beta).table``: its blocks with
+    cos(beta sigma) and sin(beta sigma) replaced by -sigma sin(beta sigma) and
+    sigma cos(beta sigma), on the same cached factors; the zero mode drops out."""
+    return _rotation(N, lambda sigma: -sigma * np.sin(beta * sigma),
+                     lambda sigma: sigma * np.cos(beta * sigma))
 
 
 class _ExactSum(NamedTuple):
@@ -244,29 +283,17 @@ def _exact_entry(e: _ExactSum, n: int, x: int) -> float:
     return sign * math.exp(log_mag)
 
 
-def wigner_d_entry(N: int, beta: float, n: int, x: int) -> float:
-    """One d-table entry from the classical finite sum, cancellation-free.
+def wigner_d_direct(N: int, beta: float) -> np.ndarray:
+    """Full d-table from the classical finite sum, cancellation-free, entry by entry.
 
     The alternating sum is factored as a polynomial in t = tan^2(beta/2),
     taken exactly from the floats cos(beta/2) and sin(beta/2) as A/B.  Over
-    the common denominator B^M (N-x)! x! the whole sum is one integer
+    the common denominator B^M (N-x)! x! each entry's sum is one integer
     numerator, so it is exact; the reduced quotient is then recombined with
-    the positive prefactor in log space.  Accuracy is limited only by the
-    rounding of the inputs, not by the (often catastrophic) cancellation
-    between terms.
-    """
-    N, beta = _validate_table(N, beta)
-    n, x = _integer(n, "n"), _integer(x, "x")
-    if not (0 <= n <= N and 0 <= x <= N):
-        raise ValueError(f"indices must lie in 0..{N}, got n={n}, x={x}")
-    return _exact_entry(_exact_sum(N, beta), n, x)
-
-
-def wigner_d_direct(N: int, beta: float) -> np.ndarray:
-    """Full d-table from the exact sum of ``wigner_d_entry``, entry by entry.
-
-    The powers of B and the factorials are formed once for the table; every
-    entry is bitwise the value ``wigner_d_entry`` returns for it.
+    the positive prefactor in log space.  The powers of B and the factorials
+    are formed once for the table.  Accuracy is limited by the rounding of the
+    inputs and of that recombination, not by the (often catastrophic)
+    cancellation between terms.
     """
     N, beta = _validate_table(N, beta)
     e = _exact_sum(N, beta)

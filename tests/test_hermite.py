@@ -135,3 +135,21 @@ def test_argument_validation():
             psi_table(3, [0.0, bad])
         with pytest.raises(ValueError, match="finite"):
             eval_psi(1, bad)
+
+
+def test_high_level_keeps_its_norm_beyond_the_seed_underflow():
+    # the pi^(-1/4) exp(-s^2/2) seed underflowed beyond s = 38.6, inside the
+    # allowed region of psi_1100 (turning point 46.9): psi_1100(40) and
+    # psi_1100(45) read exactly 0 and the trapezoid norm below read 0.617
+    s = np.linspace(-60.0, 60.0, 24001)
+    psi = np.concatenate([psi_table(1100, part)[-1] for part in np.array_split(s, 12)])
+    assert abs(np.trapezoid(psi * psi, s) - 1.0) < 1e-6
+
+
+def test_high_level_matches_the_textbook_sum_past_the_seed_underflow():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        for s in (40.0, 45.0, 47.5):
+            exact = (mpmath.hermite(1100, s) * mpmath.exp(-mpmath.mpf(s) ** 2 / 2)
+                     / mpmath.sqrt(2 ** 1100 * mpmath.factorial(1100) * mpmath.sqrt(mpmath.pi)))
+            assert eval_psi(1100, s) == pytest.approx(float(exact), rel=1e-10), s

@@ -9,13 +9,13 @@ from latticeqm import (
     build_kravchuk,
     build_wigner_d,
     checks,
+    cli,
     differential_residuals,
     orthonormal_functions,
     recurrence_residuals,
     wigner_d_direct,
-    wigner_d_entry,
 )
-from latticeqm.kravchuk import _derivative
+from latticeqm.kravchuk import _chiral, _derivative
 
 
 def test_weights_sum_to_one_and_stay_positive():
@@ -94,9 +94,9 @@ def test_wigner_corner_is_positive_cosine_power():
 
 def test_exact_entry_matches_half_angle_formulas():
     for beta in (0.3, 1.2, 2.8):
-        assert wigner_d_entry(2, beta, 1, 1) == pytest.approx(math.cos(beta), abs=1e-13)
-        assert wigner_d_entry(1, beta, 0, 1) == pytest.approx(-math.sin(beta / 2), abs=1e-14)
-        assert wigner_d_entry(1, beta, 1, 0) == pytest.approx(math.sin(beta / 2), abs=1e-14)
+        assert wigner_d_direct(2, beta)[1, 1] == pytest.approx(math.cos(beta), abs=1e-13)
+        assert wigner_d_direct(1, beta)[0, 1] == pytest.approx(-math.sin(beta / 2), abs=1e-14)
+        assert wigner_d_direct(1, beta)[1, 0] == pytest.approx(math.sin(beta / 2), abs=1e-14)
 
 
 def test_table_matches_exact_summation():
@@ -107,6 +107,29 @@ def test_table_matches_exact_summation():
     # next to pi the weight piles onto the far corner
     beta = math.pi - 1e-6
     assert np.abs(build_wigner_d(32, beta).table - wigner_d_direct(32, beta)).max() < 1e-10
+
+
+def test_smallest_orders_of_both_parities_match_exact_summation():
+    # odd N has a square even-odd block; even N adds the zero mode
+    for N in (1, 2, 3, 4):
+        for beta in (1e-6, 0.7, 2.9, math.pi - 1e-6):
+            assert np.abs(build_wigner_d(N, beta).table - wigner_d_direct(N, beta)).max() < 1e-13
+
+
+def test_one_decomposition_per_order(capsys):
+    _chiral.cache_clear()
+    assert cli.main(["wigner", "--N", "12", "--beta", "0.7", "--check", "all"]) == 0
+    capsys.readouterr()
+    assert _chiral.cache_info().misses == 1
+    _chiral.cache_clear()
+    checks.wigner((12,), (0.3, 0.7, 2.9), tuple(checks.WIGNER))
+    assert _chiral.cache_info().misses == 1
+
+
+def test_cached_factors_are_read_only():
+    for factor in _chiral(5):
+        with pytest.raises(ValueError):
+            factor[0] = 1.0
 
 
 def test_table_matches_weighted_recurrence_in_stable_regime():
@@ -205,10 +228,6 @@ def test_angle_and_argument_validation():
         build_wigner_d(4, 0.0)
     with pytest.raises(ValueError):
         build_wigner_d(4, math.pi)
-    with pytest.raises(ValueError):
-        wigner_d_entry(3, 1.0, 4, 0)
-    with pytest.raises(ValueError):
-        wigner_d_entry(3, 1.0, 0, -1)
 
 
 def test_sign_resolution_metadata():
@@ -223,30 +242,16 @@ def test_sign_resolution_metadata():
 def test_table_order_validation():
     # a fractional order was truncated, N = 0 built a 1x1 table in the
     # oracle only, and a negative order failed inside numpy
-    for N in (3.9, 0, -2):
+    for N in (3.9, 2.7, 0, -2):
         for build in (build_wigner_d, wigner_d_direct):
             with pytest.raises(ValueError, match="N must be"):
                 build(N, 1.0)
-    with pytest.raises(ValueError, match="N must be"):
-        wigner_d_entry(2.7, 1.0, 0, 0)
-    with pytest.raises(ValueError, match="n must be an integer"):
-        wigner_d_entry(3, 1.0, 0.5, 0)
     for build in (build_wigner_d, wigner_d_direct):
         with pytest.raises(ValueError, match="beta"):
             build(3, math.pi)
     # numpy integers are orders like any other
     assert np.array_equal(wigner_d_direct(np.int64(5), 0.7), wigner_d_direct(5, 0.7))
     assert np.array_equal(build_wigner_d(np.int32(5), 0.7).table, build_wigner_d(5, 0.7).table)
-    assert wigner_d_entry(np.int64(5), 0.7, np.int64(2), 3) == wigner_d_entry(5, 0.7, 2, 3)
-
-
-def test_direct_table_is_the_entrywise_oracle():
-    # the table and the single entry share one route, bit for bit
-    for N, beta in ((12, 2.5), (24, 1.1)):
-        table = wigner_d_direct(N, beta)
-        for n in range(N + 1):
-            for x in range(N + 1):
-                assert table[n, x] == wigner_d_entry(N, beta, n, x)
 
 
 def test_direct_table_matches_textbook_sum_at_sixty_digits():
