@@ -9,9 +9,10 @@ d-table relations are one sweep: ``wigner`` builds each table once and
 applies to it the relation groups its caller names from ``WIGNER``
 (symmetry, orthogonality, recurrence, oracle, differential).
 ``verify-all`` calls them with small sweeps, the ``wigner`` and
-``heisenberg-check`` subcommands at one point, and the acceptance tests with
-wider sweeps.  Functions that draw random input take the caller's
-generator, so one seed fixes every draw in call order.
+``heisenberg-check`` subcommands at one point, the acceptance tests with
+wider sweeps, and the unit tests at their own sweeps, holding each row's
+residual to the test's own bound.  Functions that draw random input take
+the caller's generator, so one seed fixes every draw in call order.
 """
 
 from __future__ import annotations

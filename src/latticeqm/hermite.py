@@ -39,8 +39,10 @@ def psi_table(n_max: int, s) -> np.ndarray:
     # s^2/2 = 700 carry it as exp(q log 2 - s^2/2) times 2^-q, and the two
     # live rows as mantissas times a running exponent 2^scale, renormalized
     # by an exact power of two at every level; where q = 0 every row keeps
-    # the bits of the plain recurrence.
-    log_seed = -0.5 * s * s
+    # the bits of the plain recurrence.  Past |s| = 1.3e154, s^2 overflows
+    # to inf, the seed exp(-inf) is 0, and so are the rows.
+    with np.errstate(over="ignore"):
+        log_seed = -0.5 * s * s
     scaled = s.size > 0 and log_seed.min() < -700.0
     if scaled:
         q = np.where(log_seed > -700.0, 0.0, np.minimum(np.rint(-log_seed / math.log(2.0)), 2.0**30))
@@ -112,6 +114,8 @@ def recurrence_residual(n: int, s_grid, h: float = 1e-5) -> HermiteRecurrenceRes
     taken by a central difference of step h, so it carries an O(h^2) floor.
     """
     n = _level(n)
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
     s = np.atleast_1d(np.asarray(s_grid, dtype=float))
     table = psi_table(n + 1, s)
     below = table[n - 1] if n >= 1 else np.zeros_like(s)

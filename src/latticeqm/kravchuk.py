@@ -217,90 +217,53 @@ def _derivative(N: int, beta: float) -> np.ndarray:
                      lambda sigma: sigma * np.cos(beta * sigma))
 
 
-class _ExactSum(NamedTuple):
-    """What every entry of the exact sum at one (N, beta) shares."""
+def wigner_d_direct(N: int, beta: float) -> np.ndarray:
+    """Full d-table from the classical finite sum, cancellation-free, entry by entry.
 
-    N: int
-    A: int            # tan^2(beta/2) = A / B exactly, in lowest terms
-    B_pow: list       # B^i, i = 0..N
-    fact: list        # k!, k = 0..N
-    log_fact: list    # lgamma(k + 1), k = 0..N
-    log_c: float      # log cos(beta/2)
-    log_s: float      # log sin(beta/2)
+    Entry (n, x), written with i = idx - s_min, is
 
+        sum_i (-1)^i t^i / ((N-x-idx)! idx! (x-n+idx)! (n-idx)!),  t = tan^2(beta/2),
 
-def _exact_sum(N: int, beta: float) -> _ExactSum:
+    times cos^a0 sin^b0 (beta/2) and the square-root prefactor.  t = A/B is
+    taken exactly from the floats cos(beta/2) and sin(beta/2).  Since
+    1/((N-x-idx)! idx!) = C(N-x, idx)/(N-x)! and likewise for x, the sum is
+    the integer sum_i (-1)^i C(N-x, idx) C(x, n-idx) A^i B^(M-i), evaluated
+    by Horner's rule in -A, over B^M (N-x)! x!, reduced once, so it is exact;
+    the reduced quotient is then recombined with the positive prefactor in
+    log space.  The powers of B and the factorials are formed once for the
+    table.  Accuracy is limited by the rounding of the inputs and of that
+    recombination, not by the (often catastrophic) cancellation between terms.
+    """
+    N, beta = _validate_table(N, beta)
     c = math.cos(0.5 * beta)
     s = math.sin(0.5 * beta)
     A, B = (Fraction(s) ** 2 / Fraction(c) ** 2).as_integer_ratio()
     B_pow = [1]
     for _ in range(N):
         B_pow.append(B_pow[-1] * B)
-    return _ExactSum(
-        N=N,
-        A=A,
-        B_pow=B_pow,
-        fact=[math.factorial(k) for k in range(N + 1)],
-        log_fact=[math.lgamma(k + 1) for k in range(N + 1)],
-        log_c=math.log(c),
-        log_s=math.log(s),
-    )
-
-
-def _exact_entry(e: _ExactSum, n: int, x: int) -> float:
-    """Entry (n, x) of the classical sum, written with i = idx - s_min as
-
-        sum_i (-1)^i t^i / ((N-x-idx)! idx! (x-n+idx)! (n-idx)!),  t = A/B,
-
-    times cos^a0 sin^b0 (beta/2) and the square-root prefactor.  Since
-    1/((N-x-idx)! idx!) = C(N-x, idx)/(N-x)! and likewise for x, the sum is
-    the integer sum_i (-1)^i C(N-x, idx) C(x, n-idx) A^i B^(M-i), evaluated
-    by Horner's rule in -A, over B^M (N-x)! x!, reduced once.
-    """
-    N = e.N
-    s_min = max(0, n - x)
-    M = min(N - x, n) - s_min
-    num = 0
-    for i in range(M, -1, -1):
-        idx = s_min + i
-        num = num * -e.A + math.comb(N - x, idx) * math.comb(x, n - idx) * e.B_pow[M - i]
-    if num == 0:
-        return 0.0
-    num, den = Fraction(num, e.B_pow[M] * e.fact[N - x] * e.fact[x]).as_integer_ratio()
-
-    lead = -1.0 if (x - n + s_min) % 2 == 1 else 1.0
-    sign = lead * (1.0 if num > 0 else -1.0)
-    log_pref = 0.5 * (e.log_fact[n] + e.log_fact[N - n] + e.log_fact[x] + e.log_fact[N - x])
-    a0 = N - (x - n) - 2 * s_min  # power of cos(beta/2)
-    b0 = (x - n) + 2 * s_min      # power of sin(beta/2)
-    log_mag = (
-        log_pref
-        + a0 * e.log_c
-        + b0 * e.log_s
-        + math.log(abs(num))
-        - math.log(den)
-    )
-    return sign * math.exp(log_mag)
-
-
-def wigner_d_direct(N: int, beta: float) -> np.ndarray:
-    """Full d-table from the classical finite sum, cancellation-free, entry by entry.
-
-    The alternating sum is factored as a polynomial in t = tan^2(beta/2),
-    taken exactly from the floats cos(beta/2) and sin(beta/2) as A/B.  Over
-    the common denominator B^M (N-x)! x! each entry's sum is one integer
-    numerator, so it is exact; the reduced quotient is then recombined with
-    the positive prefactor in log space.  The powers of B and the factorials
-    are formed once for the table.  Accuracy is limited by the rounding of the
-    inputs and of that recombination, not by the (often catastrophic)
-    cancellation between terms.
-    """
-    N, beta = _validate_table(N, beta)
-    e = _exact_sum(N, beta)
-    out = np.empty((N + 1, N + 1))
+    fact = [math.factorial(k) for k in range(N + 1)]
+    log_fact = [math.lgamma(k + 1) for k in range(N + 1)]
+    log_c = math.log(c)
+    log_s = math.log(s)
+    out = np.zeros((N + 1, N + 1))
     for n in range(N + 1):
         for x in range(N + 1):
-            out[n, x] = _exact_entry(e, n, x)
+            s_min = max(0, n - x)
+            M = min(N - x, n) - s_min
+            num = 0
+            for i in range(M, -1, -1):
+                idx = s_min + i
+                num = num * -A + math.comb(N - x, idx) * math.comb(x, n - idx) * B_pow[M - i]
+            if num == 0:
+                continue
+            num, den = Fraction(num, B_pow[M] * fact[N - x] * fact[x]).as_integer_ratio()
+            lead = -1.0 if (x - n + s_min) % 2 == 1 else 1.0
+            sign = lead * (1.0 if num > 0 else -1.0)
+            log_pref = 0.5 * (log_fact[n] + log_fact[N - n] + log_fact[x] + log_fact[N - x])
+            a0 = N - (x - n) - 2 * s_min  # power of cos(beta/2)
+            b0 = (x - n) + 2 * s_min      # power of sin(beta/2)
+            log_mag = log_pref + a0 * log_c + b0 * log_s + math.log(abs(num)) - math.log(den)
+            out[n, x] = sign * math.exp(log_mag)
     return out
 
 

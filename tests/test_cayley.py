@@ -6,6 +6,7 @@ import pytest
 from latticeqm import (
     build_propagator,
     check_hermitian,
+    checks,
     evolution_operator,
     evolution_operator_residual,
     evolve_state,
@@ -112,16 +113,10 @@ def test_difference_equation_residuals():
 
 
 def test_second_order_continuum_convergence():
+    # C^n at n tau = 1 for tau = 0.1, 0.05, 0.025; each halving quarters the error
     rng = np.random.default_rng(36)
-    H = random_hermitian(rng, 5)
-    lam, V = np.linalg.eigh(H)
-    exact = (V * np.exp(-1j * lam)) @ V.conj().T
-    err = []
-    for tau, n in ((0.1, 10), (0.05, 20), (0.025, 40)):
-        U = evolution_operator(build_propagator(H, tau), n)
-        err.append(np.abs(U - exact).max())
-    for a, b in zip(err, err[1:]):
-        assert 3.5 < a / b < 4.5
+    (order,) = checks.propagator_order(random_hermitian(rng, 5), (0.1, 0.05, 0.025))
+    assert order.residual < 0.5  # every ratio within 3.5..4.5
 
 
 def test_heisenberg_evolution_matches_stepwise_conjugation():
@@ -141,12 +136,8 @@ def test_scheme_residuals_vanish_for_exact_identities():
     rng = np.random.default_rng(38)
     for d, tau, n in ((2, 0.5, 0), (6, 0.1, 3), (8, 1.0, 7)):
         H = random_hermitian(rng, d)
-        A = random_hermitian(rng, d)
-        res = heisenberg_scheme_residuals(build_propagator(H, tau), A, n)
-        assert res.forward < 1e-10
-        assert res.backward < 1e-10
-        assert res.symmetric < 1e-10
-        assert res.central < 1e-10
+        for row in checks.heisenberg(rng, H, tau, n, ("forward", "backward", "symmetric", "central")):
+            assert row.residual < 1e-10, row
 
 
 def test_commuting_observable_is_static():
@@ -172,31 +163,28 @@ def test_scalar_central_form_fails_for_generic_hamiltonian():
 
 def test_involution_identities_pass_with_expected_exponents():
     rng = np.random.default_rng(41)
-    cases = [
-        (SIGMA_Z, SIGMA_X),
-        (SIGMA_X, SIGMA_Z),
-        (random_involution(rng, 4), random_hermitian(rng, 4)),
+    pairs = [
+        (SIGMA_Z, SIGMA_X, "z x"),
+        (SIGMA_X, SIGMA_Z, "x z"),
+        (random_involution(rng, 4), random_hermitian(rng, 4), "random"),
     ]
     expected = {
-        "forward": 1.0,
-        "backward": 1.0,
-        "forward-backward": 2.0,
-        "half-step": 1.0,
-        "central": 2.0,
+        "involution-forward": 1.0,
+        "involution-backward": 1.0,
+        "involution-forward-backward": 2.0,
+        "involution-half-step": 1.0,
+        "involution-central": 2.0,
     }
-    for H, A in cases:
-        for tau in (0.2, 0.05):
-            checks = involution_identities(H, A, tau, n=2)
-            assert [c.name for c in checks] == list(expected)
-            for c in checks:
-                assert c.residual < 1e-10
-                assert c.fitted_exponent == pytest.approx(expected[c.name], abs=1e-6)
+    rows = checks.involution(pairs, (0.2, 0.05), 2)
+    assert [row.check for row in rows] == list(expected) * 6
+    for row in rows:
+        assert row.residual < 1e-10, row
+        assert row.fitted_exponent == pytest.approx(expected[row.check], abs=1e-6)
 
 
 def test_involution_identities_with_commuting_observable():
     # zero commutator: both sides vanish, the exponent fit is undefined
-    checks = involution_identities(SIGMA_Z, SIGMA_Z, 0.3)
-    for c in checks:
+    for c in involution_identities(SIGMA_Z, SIGMA_Z, 0.3):
         assert c.residual < 1e-14
         assert math.isnan(c.fitted_exponent)
 

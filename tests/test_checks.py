@@ -1,13 +1,15 @@
 """The fold rule of ``latticeqm.checks``: a NaN residual anywhere in a sweep
 makes its row read NaN and fail, never pass as the worst of the rest, and a
-row with nothing to fold is an error, not a pass."""
+row with nothing to fold is an error, not a pass.  A check the unit tests
+share is not vacuous: a result off by ten times the tolerance fails its row."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from latticeqm import checks, hermite, kravchuk, oscillator
+from latticeqm import checks, hermite, kravchuk, oscillator, planewave
 
 
 def _row(rows, name):
@@ -51,3 +53,23 @@ def test_order_row_needs_a_halving_ratio():
     # with one step size there is no ratio, and an empty fold would read 0
     with pytest.raises(ValueError, match="at least two step sizes"):
         checks.propagator_order(np.eye(2), (0.1,))
+
+
+@pytest.mark.parametrize("module, name, shift, run, check", [
+    (planewave, "build_basis", lambda b, e: dataclasses.replace(b, table=b.table + e),
+     lambda: checks.basis((2, 7), (0.7,)), "basis-dft-identity"),
+    (oscillator, "commutator_spectrum", lambda spec, e: spec + e,
+     lambda: checks.ladder_spectra((2, 9)), "oscillator-commutator"),
+    (oscillator, "position_spectrum",
+     lambda spec, e: dataclasses.replace(spec, eigenvalues=spec.eigenvalues + e),
+     lambda: checks.position((2, 9)), "position-grid"),
+    (kravchuk, "wigner_d_direct", lambda table, e: table + e,
+     lambda: checks.wigner((3, 8), (0.7,), ("oracle",)), "wigner-vs-oracle"),
+])
+def test_a_result_off_by_ten_tolerances_fails_its_row(monkeypatch, module, name, shift, run, check):
+    row = _row(run(), check)
+    assert row.passed, row
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: shift(original(*args), 10.0 * row.tolerance))
+    row = _row(run(), check)
+    assert not row.passed, row

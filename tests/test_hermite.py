@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,13 @@ def test_derivative_recurrence_floor_scales_quadratically():
     r2 = recurrence_residual(3, s, h=1e-5).derivative
     assert r1 < 1e-8
     assert 3.0 < r1 / r2 < 5.0
+
+
+def test_recurrence_residual_rejects_a_bad_step():
+    # h = 0 returned derivative = nan; nan and inf failed on "grid points s"
+    for h in (0.0, -1e-5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            recurrence_residual(2, [0.0, 1.0], h=h)
 
 
 def test_schrodinger_equation():
@@ -153,3 +161,12 @@ def test_high_level_matches_the_textbook_sum_past_the_seed_underflow():
             exact = (mpmath.hermite(1100, s) * mpmath.exp(-mpmath.mpf(s) ** 2 / 2)
                      / mpmath.sqrt(2 ** 1100 * mpmath.factorial(1100) * mpmath.sqrt(mpmath.pi)))
             assert eval_psi(1100, s) == pytest.approx(float(exact), rel=1e-10), s
+
+
+def test_far_tail_is_zero_without_an_overflow_warning():
+    # -s^2/2 overflowed with a RuntimeWarning for |s| > 1.3e154, rows still 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(psi_table(4, [-1e200, 1e200]), np.zeros((5, 2)))
+        assert eval_psi(3, 1e200) == 0.0
+        assert eval_psi(2, -1e200) == 0.0

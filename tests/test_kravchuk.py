@@ -10,7 +10,6 @@ from latticeqm import (
     build_wigner_d,
     checks,
     cli,
-    differential_residuals,
     orthonormal_functions,
     recurrence_residuals,
     wigner_d_direct,
@@ -100,20 +99,17 @@ def test_exact_entry_matches_half_angle_formulas():
 
 
 def test_table_matches_exact_summation():
-    for N in (1, 2, 5, 10, 24):
-        for beta in (0.3, math.pi / 2, 2.5):
-            D = build_wigner_d(N, beta)
-            assert np.abs(D.table - wigner_d_direct(N, beta)).max() < 1e-10
+    (oracle,) = checks.wigner((1, 2, 5, 10, 24), (0.3, math.pi / 2, 2.5), ("oracle",))
+    assert oracle.residual < 1e-10
     # next to pi the weight piles onto the far corner
-    beta = math.pi - 1e-6
-    assert np.abs(build_wigner_d(32, beta).table - wigner_d_direct(32, beta)).max() < 1e-10
+    (oracle,) = checks.wigner((32,), (math.pi - 1e-6,), ("oracle",))
+    assert oracle.residual < 1e-10
 
 
 def test_smallest_orders_of_both_parities_match_exact_summation():
     # odd N has a square even-odd block; even N adds the zero mode
-    for N in (1, 2, 3, 4):
-        for beta in (1e-6, 0.7, 2.9, math.pi - 1e-6):
-            assert np.abs(build_wigner_d(N, beta).table - wigner_d_direct(N, beta)).max() < 1e-13
+    (oracle,) = checks.wigner((1, 2, 3, 4), (1e-6, 0.7, 2.9, math.pi - 1e-6), ("oracle",))
+    assert oracle.residual < 1e-13
 
 
 def test_one_decomposition_per_order(capsys):
@@ -171,12 +167,9 @@ def test_orthogonality_where_naive_recurrence_fails():
 
 
 def test_recurrence_residuals():
-    res = recurrence_residuals(build_wigner_d(1, 1.1))
-    assert res.three_term < 1e-12
-    assert res.shift < 1e-12
-    res = recurrence_residuals(build_wigner_d(30, 0.7))
-    assert res.three_term < 1e-10
-    assert res.shift < 1e-10
+    for N, beta, bound in ((1, 1.1, 1e-12), (30, 0.7, 1e-10)):
+        for row in checks.wigner((N,), (beta,), ("recurrence",)):
+            assert row.residual < bound, row
 
 
 def test_recurrence_residuals_mirror_under_angle_reflection():
@@ -195,9 +188,8 @@ def _central_difference(N, beta, h):
 
 def test_differential_relation():
     for N, beta in ((1, 0.8), (10, 1.3), (20, 0.7)):
-        res = differential_residuals(build_wigner_d(N, beta))
-        assert res.plus < 1e-12
-        assert res.minus < 1e-12
+        for row in checks.wigner((N,), (beta,), ("differential",)):
+            assert row.residual < 1e-12, row
     # the spectral derivative is the beta-derivative of the built table:
     # a central difference of build_wigner_d meets it up to its O(h^2) floor
     gap = np.abs(_derivative(20, 0.7) - _central_difference(20, 0.7, 1e-5)).max()

@@ -6,7 +6,7 @@ import pytest
 from latticeqm import (
     annihilation_matrix,
     build_oscillator,
-    build_wigner_d,
+    checks,
     commutator_spectrum,
     continuum_convergence,
     creation_matrix,
@@ -41,26 +41,21 @@ def test_ladder_matrices_annihilate_the_ends():
 
 
 def test_commutator_spectrum_formula_and_trace():
+    commutator, _, trace = checks.ladder_spectra((2, 5, 50, 200))
+    assert commutator.residual < 1e-12
+    assert trace.residual < 1e-12
     for N in (2, 5, 50, 200):
-        model = build_oscillator(N)
-        spec = commutator_spectrum(model)
-        n = np.arange(N + 1)
-        assert np.abs(spec - (1.0 - n / model.j)).max() < 1e-12
         # matrix route agrees
+        model = build_oscillator(N)
         A = annihilation_matrix(model)
         comm = A @ A.T - A.T @ A
-        assert np.abs(np.diag(comm) - spec).max() < 1e-12
-        assert abs(spec.sum()) < 1e-12
+        assert np.abs(np.diag(comm) - commutator_spectrum(model)).max() < 1e-12
     assert np.abs(commutator_spectrum(build_oscillator(2)) - [1.0, 0.0, -1.0]).max() < 1e-14
 
 
 def test_energy_spectrum_formula():
-    for N in (2, 5, 50, 200):
-        model = build_oscillator(N)
-        spec = energy_spectrum(model)
-        n = np.arange(N + 1)
-        expected = (2 * n + 1) - n * n / model.j
-        assert np.abs(spec - expected).max() < 1e-10
+    _, energies, _ = checks.ladder_spectra((2, 5, 50, 200))
+    assert energies.residual < 1e-10
     assert np.abs(energy_spectrum(build_oscillator(2)) - [1.0, 2.0, 1.0]).max() < 1e-14
 
 
@@ -77,24 +72,15 @@ def test_hamiltonian_matrix_is_diagonal_with_spectrum():
 
 
 def test_position_spectrum_is_uniform_grid():
-    for N in (2, 20, 60):
-        model = build_oscillator(N)
-        spec = position_spectrum(model)
-        expected = spec.m_prime / math.sqrt(model.j)
-        assert np.abs(np.sort(spec.eigenvalues) - np.sort(expected)).max() < 1e-9
+    grid, _ = checks.position((2, 20, 60))
+    assert grid.residual < 1e-9
     two = position_spectrum(build_oscillator(2))
     assert np.abs(np.sort(two.eigenvalues) - [-1.0, 0.0, 1.0]).max() < 1e-12
 
 
 def test_rotation_columns_diagonalize_position():
-    for N in (6, 24, 60):
-        model = build_oscillator(N)
-        X = position_matrix(model)
-        D = build_wigner_d(N, math.pi / 2)
-        grid = (model.j - np.arange(N + 1)) / math.sqrt(model.j)
-        for x in range(N + 1):
-            v = D.table[:, x]
-            assert np.abs(X @ v - grid[x] * v).max() < 1e-9
+    _, eigenvectors = checks.position((6, 24, 60))
+    assert eigenvectors.residual < 1e-9
 
 
 def test_position_matrix_is_p_independent():
@@ -133,10 +119,9 @@ def test_ground_level_shape():
 
 
 def test_ladder_limit_errors_decrease():
-    for n in (1, 2):
-        table = ladder_limit_check(n, [16, 32, 64, 128])
-        assert all(a > b for a, b in zip(table.lower_errors, table.lower_errors[1:]))
-        assert all(a > b for a, b in zip(table.raise_errors, table.raise_errors[1:]))
+    # the worst ratio of successive raise and lower errors stays below 1
+    (monotone,) = checks.ladder((1, 2), (16, 32, 64, 128))
+    assert monotone.residual < 1.0
     zero = ladder_limit_check(0, [8, 16])
     assert all(e == 0.0 for e in zero.lower_errors)
 
