@@ -49,7 +49,9 @@ def test_commutator_spectrum_formula_and_trace():
         model = build_oscillator(N)
         A = annihilation_matrix(model)
         comm = A @ A.T - A.T @ A
-        assert np.abs(np.diag(comm) - commutator_spectrum(model)).max() < 1e-12
+        spec = commutator_spectrum(model)
+        assert np.abs(np.diag(comm) - spec).max() < 1e-12
+        assert abs(spec.sum()) < 1e-12
     assert np.abs(commutator_spectrum(build_oscillator(2)) - [1.0, 0.0, -1.0]).max() < 1e-14
 
 
