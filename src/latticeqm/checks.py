@@ -201,15 +201,14 @@ def wigner(sizes, angles, groups) -> list:
 
 
 def ladder_spectra(sizes) -> list:
-    """Commutator and anticommutator spectra in closed form; the commutator is traceless."""
+    """Commutator and anticommutator spectra in closed form; traceless, sum raise_n^2 = sum lower_n^2."""
     def points():
         for N in sizes:
             model = oscillator.build_oscillator(N)
             n = np.arange(N + 1, dtype=float)
-            A = oscillator.annihilation_matrix(model)
             yield (_max_abs(oscillator.commutator_spectrum(model) - (1.0 - n / model.j)),
                    _max_abs(oscillator.energy_spectrum(model) - ((2.0 * n + 1.0) - n * n / model.j)),
-                   abs(float(np.trace(A @ A.T - A.T @ A))))
+                   abs(float((model.raise_coeff ** 2 - model.lower_coeff ** 2).sum())))
     label = f"N in {_values(sizes)}"
     return _worst((("oscillator-commutator", label, 1e-10), ("oscillator-energies", label, 1e-10),
                    ("oscillator-commutator-trace", label, 1e-12)), points())
@@ -262,27 +261,24 @@ def limit_recurrence(centred, skewed) -> list:
     ]
 
 
-def hermite_oracle(s, schrodinger_levels, recurrence_levels, gram_max: int, ladder_levels) -> list:
-    """Schrodinger residual, recurrences, Gram matrix and ladder of the Hermite functions on grid s."""
+def hermite_oracle(s, schrodinger_max: int, recurrence_max: int, gram_max: int, ladder_max: int) -> list:
+    """Schrodinger, recurrence, Gram and ladder relations of the Hermite levels up to each bound on grid s."""
     bound = f"|s|<={float(np.abs(s).max()):g}"
-
-    def ladder():
-        for n in ladder_levels:
-            yield (_max_abs(hermite.ladder_apply("raise", n, s)
-                            - math.sqrt(n + 1.0) * hermite.eval_psi(n + 1, s)),)
-            if n >= 1:
-                yield (_max_abs(hermite.ladder_apply("lower", n, s)
-                                - math.sqrt(float(n)) * hermite.eval_psi(n - 1, s)),)
-    top = max(recurrence_levels)
+    raised, lowered = hermite.ladder_apply(ladder_max, s)
+    psi = hermite.psi_table(ladder_max + 1, s)
+    n = np.arange(1.0, ladder_max + 2.0)[:, None]
+    # the lowering of level 0 is not compared: its target sqrt(0) psi_{-1} is 0
+    ladder = np.concatenate([raised - np.sqrt(n) * psi[1:], lowered[1:] - np.sqrt(n[:-1]) * psi[:-2]])
     return [
-        *_worst((("hermite-schrodinger", f"n<={max(schrodinger_levels)} {bound}", 1e-10),),
-                ((hermite.schrodinger_residual(n, s),) for n in schrodinger_levels)),
-        *_worst((("hermite-recurrence-algebraic", f"n<={top} {bound}", 1e-12),
-                 ("hermite-recurrence-derivative", f"n<={top} central difference h 1e-5", 1e-8)),
-                (hermite.recurrence_residual(n, s) for n in recurrence_levels)),
+        *_worst((("hermite-schrodinger", f"n<={schrodinger_max} {bound}", 1e-10),),
+                zip(hermite.schrodinger_residual(schrodinger_max, s))),
+        *_worst((("hermite-recurrence-algebraic", f"n<={recurrence_max} {bound}", 1e-12),
+                 ("hermite-recurrence-derivative", f"n<={recurrence_max} central difference h 1e-5", 1e-8)),
+                zip(*hermite.recurrence_residual(recurrence_max, s))),
         CheckRow("hermite-gram", f"n<={gram_max} trapezoidal",
                  _max_abs(hermite.gram_matrix(gram_max) - np.eye(gram_max + 1)), 1e-8),
-        *_worst((("hermite-ladder", f"n<={max(ladder_levels)} analytic derivative", 1e-12),), ladder()),
+        *_worst((("hermite-ladder", f"n<={ladder_max} analytic derivative", 1e-12),),
+                zip(np.abs(ladder).max(axis=1))),
     ]
 
 

@@ -347,7 +347,7 @@ def build_verification_report(seed: int = 7) -> list:
     rows += checks.continuum((0, 1, 2), (16, 32, 64))
     rows += checks.ladder((1,), (16, 32, 64))
     rows += checks.limit_recurrence((50, 0.5, 3), (200, 0.3, 2))
-    rows += checks.hermite_oracle(np.linspace(-6.0, 6.0, 1201), range(11), range(9), 6, range(7))
+    rows += checks.hermite_oracle(np.linspace(-6.0, 6.0, 1201), 10, 8, 6, 6)
     rows += checks.state_round_trip(rng, (9,), 0.25)
     return rows
 

@@ -7,6 +7,11 @@ normalized form:
 
 so every intermediate stays of order one and no factorial ever appears.
 Derivatives are taken analytically through psi_n' = sqrt(2n) psi_{n-1} - s psi_n.
+
+Every relation returns rows or residuals for levels 0 .. n_max from one
+table.  The Schrodinger, algebraic recurrence and ladder relations are that
+recurrence rearranged, so rows from a wrong seed still satisfy them; the
+central-difference derivative and the Gram matrix tie a table to psi_n.
 """
 
 from __future__ import annotations
@@ -27,12 +32,20 @@ def _level(n, name: str = "n") -> int:
     return n
 
 
+def _grid(s) -> np.ndarray:
+    """The grid s as a non-empty one-dimensional array of finite points."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    if s.ndim != 1 or s.size == 0:
+        raise ValueError(f"s must be a non-empty one-dimensional grid, got shape {s.shape}")
+    if not np.isfinite(s).all():
+        raise ValueError("grid points s must be finite")
+    return s
+
+
 def psi_table(n_max: int, s) -> np.ndarray:
     """Rows psi_0(s) .. psi_{n_max}(s) on the given grid of finite points."""
     n_max = _level(n_max, "n_max")
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    if not np.isfinite(s).all():
-        raise ValueError("grid points s must be finite")
+    s = _grid(s)
     out = np.empty((n_max + 1, s.size))
     # The seed exp(-s^2/2) leaves the normal range at s^2/2 = 708 and is 0
     # past 745, though higher levels are of order one there.  Points past
@@ -43,7 +56,7 @@ def psi_table(n_max: int, s) -> np.ndarray:
     # to inf, the seed exp(-inf) is 0, and so are the rows.
     with np.errstate(over="ignore"):
         log_seed = -0.5 * s * s
-    scaled = s.size > 0 and log_seed.min() < -700.0
+    scaled = log_seed.min() < -700.0
     if scaled:
         q = np.where(log_seed > -700.0, 0.0, np.minimum(np.rint(-log_seed / math.log(2.0)), 2.0**30))
         scale = -q.astype(np.int32)  # ldexp takes a C int exponent
@@ -70,90 +83,77 @@ def eval_psi(n: int, s):
     return float(values[0]) if scalar else values
 
 
-def psi_derivative(n: int, s):
-    """Analytic first derivative sqrt(2n) psi_{n-1} - s psi_n."""
-    n = _level(n)
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    table = psi_table(max(n, 1), s_arr)
-    lower = table[n - 1] if n >= 1 else np.zeros_like(s_arr)
-    values = math.sqrt(2.0 * n) * lower - s_arr * table[n]
-    return float(values[0]) if np.isscalar(s) else values
+def _below(table: np.ndarray) -> np.ndarray:
+    """Rows psi_{n-1} aligned with the rows psi_n of a table, psi_{-1} = 0."""
+    return np.concatenate([np.zeros_like(table[:1]), table[:-1]])
 
 
-def schrodinger_residual(n: int, s) -> float:
-    """Max residual of -psi'' + s^2 psi - (2n+1) psi on the grid.
+def _levels(table: np.ndarray) -> np.ndarray:
+    """The level n of each row of a table, as a column."""
+    return np.arange(len(table), dtype=float)[:, None]
+
+
+def _derivative(table: np.ndarray, s: np.ndarray) -> np.ndarray:
+    return np.sqrt(2.0 * _levels(table)) * _below(table) - s * table
+
+
+def psi_derivative(n_max: int, s) -> np.ndarray:
+    """Analytic first derivatives sqrt(2n) psi_{n-1} - s psi_n, rows n = 0 .. n_max."""
+    s = _grid(s)
+    return _derivative(psi_table(n_max, s), s)
+
+
+def schrodinger_residual(n_max: int, s) -> np.ndarray:
+    """Max residual of -psi_n'' + s^2 psi_n - (2n+1) psi_n on the grid, per level n <= n_max.
 
     The second derivative is assembled analytically from lower rows, so the
     residual probes the recurrence algebra rather than a finite difference.
     """
-    n = _level(n)
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    table = psi_table(max(n, 2), s_arr)
-    psi = table[n]
-    below1 = table[n - 1] if n >= 1 else np.zeros_like(s_arr)
-    below2 = table[n - 2] if n >= 2 else np.zeros_like(s_arr)
-    second = (
-        math.sqrt(4.0 * n * (n - 1)) * below2
-        - 2.0 * s_arr * math.sqrt(2.0 * n) * below1
-        + (s_arr * s_arr - 1.0) * psi
-    )
-    return float(np.abs(-second + s_arr * s_arr * psi - (2 * n + 1) * psi).max())
+    s = _grid(s)
+    psi = psi_table(n_max, s)
+    n, below = _levels(psi), _below(psi)
+    second = (np.sqrt(4.0 * n * (n - 1.0)) * _below(below) - 2.0 * s * np.sqrt(2.0 * n) * below
+              + (s * s - 1.0) * psi)
+    return np.abs(-second + s * s * psi - (2.0 * n + 1.0) * psi).max(axis=1)
 
 
 class HermiteRecurrenceResiduals(NamedTuple):
-    algebraic: float
-    derivative: float
+    algebraic: np.ndarray
+    derivative: np.ndarray
 
 
-def recurrence_residual(n: int, s_grid, h: float = 1e-5) -> HermiteRecurrenceResiduals:
-    """Residuals of the two defining relations on a grid.
+def recurrence_residual(n_max: int, s, h: float = 1e-5) -> HermiteRecurrenceResiduals:
+    """Residuals of the two defining relations on a grid, per level n <= n_max.
 
     ``algebraic`` checks 2 s psi_n = sqrt(2(n+1)) psi_{n+1} + sqrt(2n) psi_{n-1}
     exactly (up to roundoff).  ``derivative`` checks
     2 psi_n' = sqrt(2n) psi_{n-1} - sqrt(2(n+1)) psi_{n+1} with the derivative
     taken by a central difference of step h, so it carries an O(h^2) floor.
+    One table holds the rows on s, s + h and s - h side by side.
     """
-    n = _level(n)
+    n_max = _level(n_max, "n_max")
     if not 0.0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got {h}")
-    s = np.atleast_1d(np.asarray(s_grid, dtype=float))
-    table = psi_table(n + 1, s)
-    below = table[n - 1] if n >= 1 else np.zeros_like(s)
-    above = table[n + 1]
-    algebraic = float(
-        np.abs(
-            2.0 * s * table[n]
-            - math.sqrt(2.0 * (n + 1)) * above
-            - math.sqrt(2.0 * n) * below
-        ).max()
-    )
-    centered = (eval_psi(n, s + h) - eval_psi(n, s - h)) / (2.0 * h)
-    derivative = float(
-        np.abs(
-            2.0 * centered - (math.sqrt(2.0 * n) * below - math.sqrt(2.0 * (n + 1)) * above)
-        ).max()
-    )
-    return HermiteRecurrenceResiduals(algebraic=algebraic, derivative=derivative)
+    s = _grid(s)
+    table, plus, minus = np.split(psi_table(n_max + 1, np.concatenate([s, s + h, s - h])), 3, axis=1)
+    below, here, above = _below(table)[:-1], table[:-1], table[1:]
+    n = _levels(here)
+    algebraic = 2.0 * s * here - np.sqrt(2.0 * (n + 1.0)) * above - np.sqrt(2.0 * n) * below
+    centered = (plus - minus)[:-1] / (2.0 * h)
+    derivative = 2.0 * centered - (np.sqrt(2.0 * n) * below - np.sqrt(2.0 * (n + 1.0)) * above)
+    return HermiteRecurrenceResiduals(np.abs(algebraic).max(axis=1), np.abs(derivative).max(axis=1))
 
 
-def ladder_apply(which: str, n: int, s):
-    """Apply the continuum ladder operator (s -+ d/ds)/sqrt(2) to psi_n.
+def ladder_apply(n_max: int, s) -> tuple[np.ndarray, np.ndarray]:
+    """The continuum ladder operators (s -+ d/ds)/sqrt(2) applied to psi_0 .. psi_{n_max}.
 
-    ``which`` is "raise" or "lower"; the result equals sqrt(n+1) psi_{n+1}
-    or sqrt(n) psi_{n-1} respectively, and is evaluated from the analytic
-    derivative so no step size enters.
+    Returns (raised, lowered), whose rows n equal sqrt(n+1) psi_{n+1} and
+    sqrt(n) psi_{n-1}; both use the analytic derivative, so no step size enters.
     """
-    n = _level(n)
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    psi = eval_psi(n, s_arr)
-    dpsi = psi_derivative(n, s_arr)
-    if which == "raise":
-        values = (s_arr * psi - dpsi) / math.sqrt(2.0)
-    elif which == "lower":
-        values = (s_arr * psi + dpsi) / math.sqrt(2.0)
-    else:
-        raise ValueError(f'which must be "raise" or "lower", got {which!r}')
-    return float(values[0]) if np.isscalar(s) else values
+    s = _grid(s)
+    psi = psi_table(n_max, s)
+    dpsi = _derivative(psi, s)
+    return (s * psi - dpsi) / math.sqrt(2.0), (s * psi + dpsi) / math.sqrt(2.0)
 
 
 def gram_matrix(n_max: int) -> np.ndarray:
@@ -167,4 +167,4 @@ def gram_matrix(n_max: int) -> np.ndarray:
     half_width = math.sqrt(2.0 * n_max + 1.0) + 10.0
     s = np.linspace(-half_width, half_width, 4001)
     table = psi_table(n_max, s)
-    return np.trapezoid(table[:, None, :] * table[None, :, :], s, axis=2)
+    return np.array([np.trapezoid(row * table, s, axis=1) for row in table])

@@ -1,7 +1,9 @@
 """The fold rule of ``latticeqm.checks``: a NaN residual anywhere in a sweep
 makes its row read NaN and fail, never pass as the worst of the rest, and a
 row with nothing to fold is an error, not a pass.  A check the unit tests
-share is not vacuous: a result off by ten times the tolerance fails its row."""
+share is not vacuous: a result off by ten times the tolerance fails its row,
+and a Hermite table that is not the oscillator's fails the rows that tie it
+to the oscillator."""
 
 import dataclasses
 import math
@@ -27,9 +29,14 @@ def test_nan_differential_residual_fails_its_row(monkeypatch):
 
 def test_nan_at_one_sweep_point_fails_the_row(monkeypatch):
     residual = hermite.schrodinger_residual
-    monkeypatch.setattr(hermite, "schrodinger_residual",
-                        lambda n, s: math.nan if n == 3 else residual(n, s))
-    rows = checks.hermite_oracle(np.linspace(-6.0, 6.0, 241), range(11), range(9), 6, range(7))
+
+    def patched(n_max, s):
+        levels = residual(n_max, s)
+        levels[3] = math.nan
+        return levels
+
+    monkeypatch.setattr(hermite, "schrodinger_residual", patched)
+    rows = checks.hermite_oracle(np.linspace(-6.0, 6.0, 241), 10, 8, 6, 6)
     row = _row(rows, "hermite-schrodinger")
     assert math.isnan(row.residual) and not row.passed
     assert all(r.passed for r in rows if r is not row)
@@ -60,6 +67,9 @@ def test_order_row_needs_a_halving_ratio():
      lambda: checks.basis((2, 7), (0.7,)), "basis-dft-identity"),
     (oscillator, "commutator_spectrum", lambda spec, e: spec + e,
      lambda: checks.ladder_spectra((2, 9)), "oscillator-commutator"),
+    (oscillator, "build_oscillator",
+     lambda model, e: dataclasses.replace(model, raise_coeff=model.raise_coeff + e),
+     lambda: checks.ladder_spectra((2, 9)), "oscillator-commutator-trace"),
     (oscillator, "position_spectrum",
      lambda spec, e: dataclasses.replace(spec, eigenvalues=spec.eigenvalues + e),
      lambda: checks.position((2, 9)), "position-grid"),
@@ -73,3 +83,14 @@ def test_a_result_off_by_ten_tolerances_fails_its_row(monkeypatch, module, name,
     monkeypatch.setattr(module, name, lambda *args: shift(original(*args), 10.0 * row.tolerance))
     row = _row(run(), check)
     assert not row.passed, row
+
+
+def test_a_table_off_the_oscillator_fails_the_derivative_and_gram_rows(monkeypatch):
+    # rows times exp(0.2 s^2) keep the generating recurrence, so the
+    # Schrodinger, algebraic and ladder rows, which rearrange it, cannot
+    # see them; only the derivative and Gram rows tie a table to psi_n
+    table = hermite.psi_table
+    monkeypatch.setattr(hermite, "psi_table", lambda n_max, s: table(n_max, s) * np.exp(0.2 * np.square(s)))
+    rows = checks.hermite_oracle(np.linspace(-6.0, 6.0, 241), 10, 8, 6, 6)
+    for name in ("hermite-recurrence-derivative", "hermite-gram"):
+        assert not _row(rows, name).passed, _row(rows, name)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import latticeqm
-from latticeqm import CheckRow, LatticeState, build_propagator, checks, cli, evolve_trajectory, kravchuk
+from latticeqm import CheckRow, LatticeState, build_propagator, checks, cli, evolve_trajectory, hermite, kravchuk
 from latticeqm.cli import main
 
 
@@ -125,6 +125,20 @@ def test_each_d_table_is_built_once_per_sweep_point(capsys, monkeypatch):
     run_cli(capsys, "verify-all")
     # 12 for the oracle, symmetry and orthogonality sweep, one each for the
     # recurrence and differential rows, 3 for the position eigenvectors
+    assert len(built) == 17
+
+
+def test_each_hermite_table_is_built_once_per_relation(capsys, monkeypatch):
+    built = []
+    table = hermite.psi_table
+    monkeypatch.setattr(hermite, "psi_table", lambda n_max, s: built.append(n_max) or table(n_max, s))
+    checks.hermite_oracle(np.linspace(-6.0, 6.0, 1201), 10, 8, 6, 6)
+    # the ladder rows and their targets, then one each for the Schrodinger,
+    # recurrence (s, s + h and s - h side by side) and Gram relations
+    assert built == [6, 7, 10, 9, 6]
+    built.clear()
+    run_cli(capsys, "verify-all")
+    # plus one per size and level of the continuum and ladder limit rows
     assert len(built) == 17
 
 

@@ -63,15 +63,13 @@ def test_gram_matrix_is_identity():
 
 def test_algebraic_recurrence_is_tight():
     s = np.linspace(-5.0, 5.0, 101)
-    for n in (1, 4, 9):
-        res = recurrence_residual(n, s)
-        assert res.algebraic < 1e-12
+    assert recurrence_residual(9, s).algebraic.max() < 1e-12
 
 
 def test_derivative_recurrence_floor_scales_quadratically():
     s = np.linspace(-3.0, 3.0, 61)
-    r1 = recurrence_residual(3, s, h=2e-5).derivative
-    r2 = recurrence_residual(3, s, h=1e-5).derivative
+    r1 = recurrence_residual(3, s, h=2e-5).derivative[3]
+    r2 = recurrence_residual(3, s, h=1e-5).derivative[3]
     assert r1 < 1e-8
     assert 3.0 < r1 / r2 < 5.0
 
@@ -85,32 +83,24 @@ def test_recurrence_residual_rejects_a_bad_step():
 
 def test_schrodinger_equation():
     s = np.linspace(-6.0, 6.0, 121)
-    for n in range(11):
-        assert schrodinger_residual(n, s) < 1e-10
+    assert schrodinger_residual(10, s).max() < 1e-10
 
 
 def test_analytic_derivative_matches_central_difference():
     s = np.linspace(-4.0, 4.0, 41)
     h = 1e-6
-    for n in (0, 2, 5):
-        numeric = (eval_psi(n, s + h) - eval_psi(n, s - h)) / (2 * h)
-        assert np.abs(psi_derivative(n, s) - numeric).max() < 1e-8
+    numeric = (psi_table(5, s + h) - psi_table(5, s - h)) / (2 * h)
+    assert np.abs(psi_derivative(5, s) - numeric).max() < 1e-8
 
 
 def test_ladder_actions():
     s = np.linspace(-4.0, 4.0, 41)
-    for n in (0, 1, 3, 6):
-        raised = ladder_apply("raise", n, s)
-        assert np.abs(raised - math.sqrt(n + 1) * eval_psi(n + 1, s)).max() < 1e-12
-    for n in (1, 2, 5):
-        lowered = ladder_apply("lower", n, s)
-        assert np.abs(lowered - math.sqrt(n) * eval_psi(n - 1, s)).max() < 1e-12
-    assert np.abs(ladder_apply("lower", 0, s)).max() < 1e-12
-
-
-def test_ladder_rejects_unknown_direction():
-    with pytest.raises(ValueError):
-        ladder_apply("shift", 1, 0.0)
+    raised, lowered = ladder_apply(6, s)
+    psi = psi_table(7, s)
+    n = np.arange(7.0)[:, None]
+    assert np.abs(raised - np.sqrt(n + 1.0) * psi[1:]).max() < 1e-12
+    assert np.abs(lowered[1:] - np.sqrt(n[1:]) * psi[:-2]).max() < 1e-12
+    assert np.abs(lowered[0]).max() < 1e-12
 
 
 def test_argument_validation():
@@ -119,10 +109,10 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         eval_psi(-2, 0.0)
     # a negative level failed inside math.sqrt with a bare "math domain error"
-    for level_fn in (psi_derivative, schrodinger_residual, recurrence_residual,
-                     lambda n, s: ladder_apply("raise", n, s)):
-        with pytest.raises(ValueError, match="n must be non-negative"):
-            level_fn(-1, 0.0)
+    table_fns = (psi_derivative, schrodinger_residual, recurrence_residual, ladder_apply)
+    for table_fn in table_fns:
+        with pytest.raises(ValueError, match="n_max must be non-negative"):
+            table_fn(-1, 0.0)
     with pytest.raises(ValueError, match="n_max must be non-negative"):
         gram_matrix(-1)
     # samples=1 gave an all-zero Gram matrix, half_width=-1 a negative diagonal
@@ -142,6 +132,12 @@ def test_argument_validation():
             psi_table(3, [0.0, bad])
         with pytest.raises(ValueError, match="finite"):
             eval_psi(1, bad)
+    # a (2, 3) grid failed on numpy's "could not broadcast"; an empty one gave
+    # empty rows, or "zero-size array to reduction operation" in the residuals
+    for bad in ([], np.zeros((2, 3))):
+        for fn in (psi_table, eval_psi) + table_fns:
+            with pytest.raises(ValueError, match="s must be a non-empty one-dimensional grid"):
+                fn(2, bad)
 
 
 def test_high_level_keeps_its_norm_beyond_the_seed_underflow():
