@@ -229,24 +229,23 @@ def position(sizes) -> list:
                    ("position-eigenvectors", f"d-table columns N in {_values(sizes)}", 1e-9)), points())
 
 
-def continuum(levels, sizes) -> list:
-    """Errors against the Hermite levels shrink at each size step, at fitted order >= 0.9."""
-    tables = [oscillator.continuum_convergence(n, sizes) for n in levels]
+def continuum(levels, ladder_levels, sizes) -> list:
+    """Profile errors against the Hermite levels shrink at each size step, at
+    fitted order >= 0.9, and so do the ladder actions' errors against sqrt(n)
+    and sqrt(n+1) times the neighbouring levels; one table holds every level."""
+    table = oscillator.continuum_convergence(max((*levels, *ladder_levels)), sizes)
+    orders = [table.fitted_orders[n] for n in levels]
+    # the lowering error of level 0 is identically zero
+    ladder = [table.raise_errors[:, n] for n in ladder_levels] + [
+        table.lower_errors[:, n] for n in ladder_levels if n > 0]
     # folded from 0, the order column reads max(0, 0.9 - lowest order)
-    return _worst((("continuum-monotone", f"n<={max(levels)} N in {_values(sizes)}", 0.99),
-                   ("continuum-order", "orders " + " ".join(f"{t.fitted_order:.2f}" for t in tables), 0.0)),
-                  ((_worst_ratio(t.max_errors), 0.9 - t.fitted_order) for t in tables))
-
-
-def ladder(levels, sizes) -> list:
-    """Ladder actions approach sqrt(n) and sqrt(n+1) times the neighbouring levels."""
-    def points():
-        for n in levels:
-            table = oscillator.ladder_limit_check(n, sizes)
-            yield (_worst_ratio(table.raise_errors),)
-            if n > 0:  # the lowering error of level 0 is identically zero
-                yield (_worst_ratio(table.lower_errors),)
-    return _worst((("ladder-monotone", f"n {_values(levels)} N in {_values(sizes)}", 0.99),), points())
+    return [
+        *_worst((("continuum-monotone", f"n<={max(levels)} N in {_values(sizes)}", 0.99),
+                 ("continuum-order", "orders " + " ".join(f"{order:.2f}" for order in orders), 0.0)),
+                ((_worst_ratio(table.max_errors[:, n]), 0.9 - order) for n, order in zip(levels, orders))),
+        *_worst((("ladder-monotone", f"n {_values(ladder_levels)} N in {_values(sizes)}", 0.99),),
+                ((_worst_ratio(errors),) for errors in ladder)),
+    ]
 
 
 def limit_recurrence(centred, skewed) -> list:

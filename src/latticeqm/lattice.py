@@ -66,14 +66,30 @@ def _spacing(epsilon) -> float:
     return eps
 
 
+def _field(data: dict, key: str, convert):
+    """``convert(data[key])``; a missing or non-numeric field is a ValueError naming it."""
+    if key not in data:
+        raise ValueError(f'missing "{key}" field')
+    try:
+        return convert(data[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f'"{key}" field: {exc}') from None
+
+
 def complex_array(data: dict) -> np.ndarray:
     """Complex array from the "re" and "im" blocks of a JSON object.
 
     "im" may be omitted for a real array; when present it must have the
     shape of "re", so that a short block is never broadcast.
     """
-    re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float)
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+
+    def floats(block):
+        return np.asarray(block, dtype=float)
+
+    re = _field(data, "re", floats)
+    im = _field(data, "im", floats) if "im" in data else np.zeros_like(re)
     if re.shape != im.shape:
         raise ValueError(f"re and im blocks differ in shape: {re.shape} vs {im.shape}")
     return re + 1j * im
@@ -137,7 +153,7 @@ class LatticeState:
     @classmethod
     def from_json(cls, text: str) -> "LatticeState":
         data = json.loads(text)
-        return cls(complex_array(data), float(data["epsilon"]))
+        return cls(complex_array(data), _field(data, "epsilon", float))
 
     def to_csv(self) -> str:
         """CSV table with header ``j,re,im``, one row per site."""

@@ -131,87 +131,57 @@ def _aligned_level_rows(N: int, p: float, n_max: int) -> tuple[np.ndarray, np.nd
     s, spacing = s_grid(N, p)
     psi = hermite.psi_table(n_max, s)
     g = phi / math.sqrt(spacing)
-    for n in range(n_max + 1):
-        anchor = int(np.argmax(np.abs(psi[n])))
-        if g[n, anchor] * psi[n, anchor] < 0:
-            g[n] = -g[n]
+    levels, anchor = np.arange(n_max + 1), np.argmax(np.abs(psi), axis=1)
+    flip = g[levels, anchor] * psi[levels, anchor] < 0
+    g[flip] = -g[flip]
     return s, g, psi
 
 
 @dataclass(frozen=True)
 class ConvergenceTable:
-    """Max deviation of the rescaled level profile from psi_n, per size."""
+    """Continuum-limit errors of levels 0..n_max: row i is sizes[i], column n is level n.
 
-    level: int
+    ``max_errors`` is the max deviation of the rescaled level profile from
+    psi_n; ``lower_errors`` and ``raise_errors`` compare the rescaled A v_n
+    and A^dagger v_n with sqrt(n) psi_{n-1} and sqrt(n+1) psi_{n+1}.  The
+    lowering error of level 0 is exactly 0 because the chain terminates.
+    """
+
     sizes: np.ndarray
     max_errors: np.ndarray
-    fitted_order: float
+    lower_errors: np.ndarray
+    raise_errors: np.ndarray
+    fitted_orders: np.ndarray  # per level, from max_errors
 
 
-def _sweep_sizes(N_list, floor: int, floor_name: str) -> np.ndarray:
-    """Sorted sizes of a continuum sweep: two distinct sizes at least, each above ``floor``."""
+def continuum_convergence(n_max: int, N_list, p: float = 0.5) -> ConvergenceTable:
+    """Measure how fast levels 0..n_max and their ladder actions approach the continuum.
+
+    For each N one aligned table of levels 0..n_max+1 is rescaled by
+    1/sqrt(spacing) onto the s grid and compared pointwise with psi_n; A v_n
+    is lower_n times the level n-1 profile, A^dagger v_n raise_n times the
+    level n+1 profile.  The fitted order of a level is the least squares
+    slope of log(error) against log(N), negated, so first order convergence
+    reports a value near one.
+    """
+    n_max = hermite._level(n_max, "n_max")
     sizes = np.asarray(sorted(_integer(N, "each size") for N in N_list), dtype=int)
     if sizes.size == 0 or sizes[0] == sizes[-1]:
         raise ValueError(f"need at least two distinct sizes, got {sizes.tolist()}")
-    if sizes[0] <= floor:
-        raise ValueError(f"all sizes must exceed {floor_name} = {floor}, got N={sizes[0]}")
-    return sizes
-
-
-def continuum_convergence(n: int, N_list, p: float = 0.5) -> ConvergenceTable:
-    """Measure how fast level n approaches the continuum eigenfunction.
-
-    For each N the orthonormal profile is rescaled by 1/sqrt(spacing) onto
-    the s grid and compared pointwise with psi_n.  The fitted order is the
-    least squares slope of log(error) against log(N), negated, so first
-    order convergence reports a value near one.
-    """
-    n = hermite._level(n)
-    sizes = _sweep_sizes(N_list, n, "the level n")
-    errors = np.empty(sizes.size)
-    for i, N in enumerate(sizes):
-        _, g, psi = _aligned_level_rows(int(N), p, n)
-        errors[i] = float(np.abs(g[n] - psi[n]).max())
-    slope = np.polyfit(np.log(sizes.astype(float)), np.log(errors), 1)[0]
-    return ConvergenceTable(level=n, sizes=sizes, max_errors=errors, fitted_order=float(-slope))
-
-
-@dataclass(frozen=True)
-class LadderLimitTable:
-    """Errors of the rescaled ladder action against its continuum target."""
-
-    level: int
-    sizes: np.ndarray
-    lower_errors: np.ndarray  # A v_n vs sqrt(n) psi_{n-1}
-    raise_errors: np.ndarray  # A^dagger v_n vs sqrt(n+1) psi_{n+1}
-
-
-def ladder_limit_check(n: int, N_list, p: float = 0.5) -> LadderLimitTable:
-    """Compare A v_n and A^dagger v_n on the s grid with the continuum ladder.
-
-    A v_n is lower_n times the level n-1 profile; rescaled it must approach
-    sqrt(n) psi_{n-1}, and correspondingly for the raising side.  For n = 0
-    the lowering error is identically zero because the chain terminates.
-    """
-    n = hermite._level(n)
-    sizes = _sweep_sizes(N_list, n + 1, "n+1")
-    lower_errors = np.empty(sizes.size)
-    raise_errors = np.empty(sizes.size)
+    if sizes[0] <= n_max:
+        raise ValueError(f"all sizes must exceed n_max = {n_max}, got N={sizes[0]}")
+    errors, lower, raise_ = (np.zeros((sizes.size, n_max + 1)) for _ in range(3))
+    root = np.sqrt(np.arange(1.0, n_max + 2.0))[:, None]  # root[n] = sqrt(n + 1)
     for i, N in enumerate(sizes):
         model = build_oscillator(int(N), p)
-        _, g, psi = _aligned_level_rows(int(N), p, n + 1)
-        if n == 0:
-            lower_errors[i] = 0.0
-        else:
-            lower_errors[i] = float(
-                np.abs(model.lower_coeff[n] * g[n - 1] - math.sqrt(n) * psi[n - 1]).max()
-            )
-        raise_errors[i] = float(
-            np.abs(model.raise_coeff[n] * g[n + 1] - math.sqrt(n + 1.0) * psi[n + 1]).max()
-        )
-    return LadderLimitTable(
-        level=n, sizes=sizes, lower_errors=lower_errors, raise_errors=raise_errors
-    )
+        _, g, psi = _aligned_level_rows(int(N), p, n_max + 1)
+        errors[i] = np.abs(g[:-1] - psi[:-1]).max(axis=1)
+        lower[i, 1:] = np.abs(model.lower_coeff[1:n_max + 1, None] * g[:-2] - root[:-1] * psi[:-2]).max(axis=1)
+        raise_[i] = np.abs(model.raise_coeff[:n_max + 1, None] * g[1:] - root * psi[1:]).max(axis=1)
+    log_sizes = np.log(sizes.astype(float))
+    orders = np.array([-np.polyfit(log_sizes, np.log(errors[:, n]), 1)[0] for n in range(n_max + 1)])
+    return ConvergenceTable(sizes=sizes, max_errors=errors, lower_errors=lower,
+                            raise_errors=raise_, fitted_orders=orders)
 
 
 class LimitRecurrenceResiduals(NamedTuple):

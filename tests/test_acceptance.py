@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from latticeqm import CheckRow, build_oscillator, checks, commutator_spectrum, position_spectrum
+from latticeqm import CheckRow, build_oscillator, checks, commutator_spectrum, oscillator, position_spectrum
 from latticeqm.cli import main
 
 
@@ -124,17 +124,22 @@ def test_acceptance_07_position_spectrum():
             [(f"N=2 defect {frozen:.2e}", frozen < 1e-12)])
 
 
-def test_acceptance_08_continuum_limit():
+def test_acceptance_08_continuum_limit(monkeypatch):
+    built = []
+    build = oscillator.build_kravchuk
+    monkeypatch.setattr(oscillator, "build_kravchuk",
+                        lambda N, p, n_max: built.append(N) or build(N, p, n_max=n_max))
     t0 = time.perf_counter()
     sizes, levels = (16, 32, 64, 128, 256), range(4)
-    monotone, order = checks.continuum(levels, sizes)
-    rows = [monotone, order] + checks.ladder(levels, sizes)
+    rows = checks.continuum(levels, levels, sizes)
+    _, order, _ = rows
     elapsed = time.perf_counter() - t0
     # a worst successive error ratio below 1 is strict monotonicity;
     # the order row is zero exactly when every fitted order is >= 0.9
     _accept(8, "continuum limit of the discrete oscillator", rows,
             {"continuum-monotone": 1.0, "ladder-monotone": 1.0},
-            [(order.params, order.residual <= 0.0), (f"{elapsed:.1f} s", elapsed < 30.0)])
+            [(order.params, order.residual <= 0.0), (f"{len(built)} tables", built == list(sizes)),
+             (f"{elapsed:.1f} s", elapsed < 30.0)])
 
 
 def test_acceptance_09_hermite_oracle():

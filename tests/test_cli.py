@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import latticeqm
-from latticeqm import CheckRow, LatticeState, build_propagator, checks, cli, evolve_trajectory, hermite, kravchuk
+from latticeqm import CheckRow, LatticeState, build_propagator, checks, cli, evolve_trajectory, hermite, kravchuk, report
 from latticeqm.cli import main
 
 
@@ -138,8 +138,8 @@ def test_each_hermite_table_is_built_once_per_relation(capsys, monkeypatch):
     assert built == [6, 7, 10, 9, 6]
     built.clear()
     run_cli(capsys, "verify-all")
-    # plus one per size and level of the continuum and ladder limit rows
-    assert len(built) == 17
+    # plus one per size of the continuum table, rows 0..3 for every level
+    assert len(built) == 8
 
 
 def test_heisenberg_check_rows(capsys):
@@ -251,6 +251,33 @@ def test_evolve_rejects_mis_shaped_im_block(tmp_path, capsys):
     assert err.startswith("error:") and "shape" in err
 
 
+_STATE = '{"epsilon": 1.0, "re": [1.0, 0.0], "im": [0.0, 0.0]}'
+_HAMILTONIAN = '{"re": [[1.0, 0.0], [0.0, -1.0]]}'
+
+
+# a top-level array and a null epsilon raised TypeError tracebacks, a
+# missing epsilon printed only "error: 'epsilon'"
+@pytest.mark.parametrize("hamiltonian, state, named", [
+    ("[[1, 0], [0, 1]]", _STATE, "JSON object"),
+    (_HAMILTONIAN, "[1.0, 0.0]", "JSON object"),
+    (_HAMILTONIAN, '{"re": [1.0, 0.0]}', '"epsilon"'),
+    (_HAMILTONIAN, '{"epsilon": null, "re": [1.0, 0.0]}', '"epsilon"'),
+    (_HAMILTONIAN, '{"epsilon": "wide", "re": [1.0, 0.0]}', '"epsilon"'),
+    (_HAMILTONIAN, '{"epsilon": 1.0, "im": [0.0, 0.0]}', '"re"'),
+    ('{"im": [[0.0]]}', _STATE, '"re"'),
+], ids=["hamiltonian-array", "state-array", "epsilon-missing", "epsilon-null", "epsilon-text",
+        "state-re-missing", "hamiltonian-re-missing"])
+def test_evolve_malformed_json_exits_with_one_line(tmp_path, capsys, hamiltonian, state, named):
+    h_path, s_path = tmp_path / "H.json", tmp_path / "state.json"
+    h_path.write_text(hamiltonian)
+    s_path.write_text(state)
+    code, out, err = run_cli(
+        capsys, "evolve", "--hamiltonian", str(h_path), "--state", str(s_path), "--tau", "0.1", "--steps", "1"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and named in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("tau", ["0", "nan"])
 def test_heisenberg_check_rejects_degenerate_step(capsys, tau):
     code, out, err = run_cli(capsys, "heisenberg-check", "--tau", tau)
@@ -349,6 +376,18 @@ def test_converge_rejects_repeated_size(capsys):
     code, out, err = run_cli(capsys, "converge", "--n", "1", "--N-list", "16,16")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "two distinct sizes" in err and err.count("\n") == 1
+
+
+def test_converge_size_floor_is_n(capsys):
+    # the smallest admissible size is n + 1: its top ladder row is level N
+    code, out, err = run_cli(capsys, "converge", "--n", "3", "--N-list", "4,8,16")
+    assert code == 0 and err == ""
+    table = latticeqm.continuum_convergence(3, [4, 8, 16])
+    assert out.splitlines() == ["N,max_error"] + [f"{N},{report.format_float(e)}"
+                                                  for N, e in zip((4, 8, 16), table.max_errors[:, 3])]
+    code, out, err = run_cli(capsys, "converge", "--n", "3", "--N-list", "3,8,16")
+    assert code == 1 and out == ""
+    assert err == "error: all sizes must exceed n_max = 3, got N=3\n"
 
 
 def test_invalid_parameters_exit_two(capsys, tmp_path):

@@ -13,7 +13,6 @@ from latticeqm import (
     energy_spectrum,
     eval_psi,
     hamiltonian_matrix,
-    ladder_limit_check,
     limit_recurrence_check,
     position_matrix,
     position_spectrum,
@@ -102,11 +101,33 @@ def test_dimensionless_grid_spacing():
 
 def test_continuum_convergence_orders():
     # scaled-down sweep; the acceptance run uses the full ladder
+    table = continuum_convergence(2, [16, 32, 64, 128])
     for n in (0, 1, 2):
-        table = continuum_convergence(n, [16, 32, 64, 128])
-        errs = table.max_errors
+        errs = table.max_errors[:, n]
         assert all(a > b for a, b in zip(errs, errs[1:]))
-        assert table.fitted_order > 0.9
+        assert table.fitted_orders[n] > 0.9
+
+
+@pytest.mark.parametrize("p", [0.5, 0.2])
+def test_continuum_columns_do_not_depend_on_n_max(p):
+    sizes = [8, 16, 32]
+    low, high = continuum_convergence(1, sizes, p), continuum_convergence(4, sizes, p)
+    assert np.array_equal(low.sizes, high.sizes)
+    for name in ("max_errors", "lower_errors", "raise_errors"):
+        assert np.array_equal(getattr(low, name), getattr(high, name)[:, :2])
+    assert np.array_equal(low.fitted_orders, high.fitted_orders[:2])
+
+
+def test_continuum_builds_one_kravchuk_table_per_size(monkeypatch):
+    from latticeqm import oscillator
+
+    built = []
+    build = oscillator.build_kravchuk
+    monkeypatch.setattr(oscillator, "build_kravchuk",
+                        lambda N, p, n_max: built.append((N, n_max)) or build(N, p, n_max=n_max))
+    # verify-all's sweep: levels 0..2 and ladder level 1 share rows 0..3
+    checks.continuum((0, 1, 2), (1,), (16, 32, 64))
+    assert built == [(16, 3), (32, 3), (64, 3)]
 
 
 def test_ground_level_shape():
@@ -122,10 +143,10 @@ def test_ground_level_shape():
 
 def test_ladder_limit_errors_decrease():
     # the worst ratio of successive raise and lower errors stays below 1
-    (monotone,) = checks.ladder((1, 2), (16, 32, 64, 128))
+    _, _, monotone = checks.continuum((1, 2), (1, 2), (16, 32, 64, 128))
     assert monotone.residual < 1.0
-    zero = ladder_limit_check(0, [8, 16])
-    assert all(e == 0.0 for e in zero.lower_errors)
+    zero = continuum_convergence(0, [8, 16])
+    assert all(e == 0.0 for e in zero.lower_errors[:, 0])
 
 
 def test_limit_recurrences_are_exact_rearrangements():
@@ -182,12 +203,13 @@ def test_validation():
         limit_recurrence_check(model, 6)
     with pytest.raises(ValueError):
         continuum_convergence(0, [16])
-    with pytest.raises(ValueError):
-        ladder_limit_check(3, [4])
+    # every size must exceed n_max, so the ladder's row n_max + 1 exists
+    with pytest.raises(ValueError, match="exceed n_max = 3"):
+        continuum_convergence(3, [3, 8])
+    with pytest.raises(ValueError, match="n_max must be non-negative"):
+        continuum_convergence(-1, [8, 16])
     # a repeated size fitted a degenerate order, an empty list raised an
     # IndexError and the ladder check took a single size
     for sizes in ([], [32], [16, 16]):
         with pytest.raises(ValueError, match="two distinct sizes"):
             continuum_convergence(1, sizes)
-        with pytest.raises(ValueError, match="two distinct sizes"):
-            ladder_limit_check(1, sizes)
