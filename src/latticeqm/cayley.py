@@ -118,18 +118,13 @@ def build_propagator(H, tau: float) -> CayleyPropagator:
     )
 
 
-def _state(prop: CayleyPropagator, psi) -> np.ndarray:
-    """psi as a finite complex vector of the propagator's dimension."""
-    psi = np.asarray(psi, dtype=complex)
+def _checked_state(prop: CayleyPropagator, psi0, n: int) -> tuple[np.ndarray, int]:
+    """psi0 as a finite complex vector of the propagator's dimension, n as a step count."""
+    psi = np.asarray(psi0, dtype=complex)
     if psi.shape != (prop.dim,):
         raise ValueError(f"state shape {psi.shape} does not match dimension {prop.dim}")
     if not np.isfinite(psi).all():
         raise ValueError("state has non-finite entries")
-    return psi
-
-
-def _checked_state(prop: CayleyPropagator, psi0, n: int) -> tuple[np.ndarray, int]:
-    psi = _state(prop, psi0)
     n = _integer(n, "n")
     if n < 0:
         raise ValueError("step count must be non-negative")
@@ -157,14 +152,6 @@ def evolution_operator(prop: CayleyPropagator, n: int) -> np.ndarray:
     """The n-step unitary C^n (negative n gives the inverse evolution)."""
     n = _integer(n, "n")
     return prop.spectral_function(lambda lam: _cayley_phase(prop.tau, lam, n))
-
-
-def state_residual(prop: CayleyPropagator, psi_n, psi_next) -> float:
-    """Norm of the midpoint difference equation residual for one step."""
-    psi_n, psi_next = _state(prop, psi_n), _state(prop, psi_next)
-    lhs = (1j / prop.tau) * (psi_next - psi_n)
-    rhs = prop.hamiltonian @ (0.5 * (psi_next + psi_n))
-    return float(np.linalg.norm(lhs - rhs))
 
 
 def evolution_operator_residual(prop: CayleyPropagator, n: int) -> float:

@@ -3,15 +3,15 @@
 Parsing and dispatch only.  Each subcommand is declared once in
 ``_build_parser``, where every flag's argparse type also enforces its range,
 so an out-of-range value exits 2 with the subcommand's usage line before any
-work starts.  The parser is built once per process, on the first
-``parse_args`` call, and reused by every later call.  Only code that calls
-``main`` many times in one process gains from that; the console script builds
-it once per command as before, and importing the package does not build it.
+work starts.  The parser is built once per process, on the first ``main``
+call, and reused by every later call.  Only code that calls ``main`` many
+times in one process gains from that; the console script builds it once per
+command as before, and importing the package does not build it.
 
 Each subcommand has one builder in ``COMMANDS``, called with the parsed
 parameters and the format.  It computes the whole artifact (a momenta table,
 a trajectory, a spectrum, a residual table or the verification rows) before
-anything is written, then ``run`` writes it to stdout or to --output: JSON in
+anything is written, then ``main`` writes it to stdout or to --output: JSON in
 one ``json.dumps``, CSV through ``report.write_csv``, whose floats carry 17
 significant digits so a reported value reconstructs the exact double.  The
 residuals come from ``latticeqm.checks``.  The CLI never asserts: checks are
@@ -28,7 +28,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,16 +36,6 @@ from . import cayley, checks, hermite, oscillator, planewave
 from .lattice import LatticeState, complex_array
 # format_float stays bound here, where perfbench reads and traces cli.format_float
 from .report import format_float, write_csv  # noqa: F401
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: subcommand name, its parameters, output routing."""
-
-    command: str
-    params: dict = field(default_factory=dict)
-    fmt: str = "csv"
-    output: str | None = None
 
 
 def _ranged(convert, ok, requirement: str):
@@ -149,26 +138,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     add_common(p)
 
     return parser, sub.choices
-
-
-def parse_args(argv=None) -> RunConfig:
-    """Parse argv (default sys.argv[1:]) into a RunConfig.
-
-    Each flag's type converts its value and enforces its range, so argparse
-    rejects an out-of-range value with the subcommand's usage line and exit
-    code 2.  Only --s-max > --s-min spans two flags and is checked here.
-    The parser is built on the first call and shared by every later one:
-    parsing returns a fresh namespace and never changes the parser, and a
-    usage error only raises SystemExit.
-    """
-    parser, subparsers = _build_parser()
-    args = vars(parser.parse_args(argv))
-    command = args.pop("command")
-    fmt = args.pop("format")
-    output = args.pop("output")
-    if command == "hermite" and not args["s_max"] > args["s_min"]:
-        subparsers[command].error("argument --s-max: must exceed --s-min")
-    return RunConfig(command=command, params=args, fmt=fmt, output=output)
 
 
 # ----------------------------------------------------------------------
@@ -375,14 +344,26 @@ COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one parsed invocation, write its artifact, return the exit code."""
-    build, fmt = COMMANDS[config.command], config.fmt
+def main(argv=None) -> int:
+    """Parse argv (default sys.argv[1:]), build the artifact, write it, return the exit code.
+
+    Each flag's type converts its value and enforces its range, so argparse
+    rejects an out-of-range value with the subcommand's usage line and exit
+    code 2.  Only --s-max > --s-min spans two flags and is checked here.
+    The parser is built on the first call and shared by every later one:
+    parsing returns a fresh namespace and never changes the parser, and a
+    usage error only raises SystemExit.
+    """
+    parser, subparsers = _build_parser()
+    params = vars(parser.parse_args(argv))
+    command, fmt, output = params.pop("command"), params.pop("format"), params.pop("output")
+    if command == "hermite" and not params["s_max"] > params["s_min"]:
+        subparsers[command].error("argument --s-max: must exceed --s-min")
     try:
-        artifact, code = build(config.params, fmt)
+        artifact, code = COMMANDS[command](params, fmt)
         # the artifact is complete before the destination opens, so a failed
         # computation leaves no partial file behind
-        with contextlib.nullcontext(sys.stdout) if config.output is None else open(config.output, "w") as out:
+        with contextlib.nullcontext(sys.stdout) if output is None else open(output, "w") as out:
             if fmt == "json":
                 out.write(json.dumps(artifact, indent=2) + "\n")
             else:
@@ -394,10 +375,6 @@ def run(config: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code
-
-
-def main(argv=None) -> int:
-    return run(parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover

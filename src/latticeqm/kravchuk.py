@@ -308,12 +308,9 @@ def recurrence_residuals(D: WignerDMatrix) -> RecurrenceResiduals:
     coeff = ((N * p - x)[None, :] + (n * (q - p))[:, None]) / spq
     three_term = float(np.abs(coeff * T - (up + down)).max())
 
-    a = np.sqrt((N - x) * (x + 1.0))         # couples to column x+1
-    b = np.sqrt(x * (N - x + 1.0))           # couples to column x-1
-    col_next = np.hstack([T[:, 1:], np.zeros((N + 1, 1))])
-    col_prev = np.hstack([np.zeros((N + 1, 1)), T[:, :-1]])
-    lhs = a[None, :] * col_next - b[None, :] * col_prev
-    shift = float(np.abs(lhs - (up - down)).max())
+    # the column couplings are the row couplings of the transposed table
+    prev_col, next_col = _couplings(T.T)
+    shift = float(np.abs((next_col - prev_col).T - (up - down)).max())
     return RecurrenceResiduals(three_term=three_term, shift=shift)
 
 

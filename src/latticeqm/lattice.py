@@ -9,7 +9,6 @@ backward and mean difference operators defined below.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import operator
@@ -17,8 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .report import write_csv
 
 
 class DifferenceKind(Enum):
@@ -67,7 +64,7 @@ def _spacing(epsilon) -> float:
 
 
 def _field(data: dict, key: str, convert):
-    """``convert(data[key])``; a missing or non-numeric field is a ValueError naming it."""
+    """``convert(data[key])``; a missing or malformed field is a ValueError naming it."""
     if key not in data:
         raise ValueError(f'missing "{key}" field')
     try:
@@ -76,16 +73,26 @@ def _field(data: dict, key: str, convert):
         raise ValueError(f'"{key}" field: {exc}') from None
 
 
+def _number(value) -> float:
+    """A JSON number as float; true and false are not numbers."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value}")
+    return float(value)
+
+
 def complex_array(data: dict) -> np.ndarray:
     """Complex array from the "re" and "im" blocks of a JSON object.
 
-    "im" may be omitted for a real array; when present it must have the
-    shape of "re", so that a short block is never broadcast.
+    Each block is a JSON array.  "im" may be omitted for a real array; when
+    present it must have the shape of "re", so that a short block is never
+    broadcast.
     """
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object, got {type(data).__name__}")
 
     def floats(block):
+        if not isinstance(block, list):
+            raise ValueError(f"expected a JSON array, got {type(block).__name__}")
         return np.asarray(block, dtype=float)
 
     re = _field(data, "re", floats)
@@ -153,30 +160,7 @@ class LatticeState:
     @classmethod
     def from_json(cls, text: str) -> "LatticeState":
         data = json.loads(text)
-        return cls(complex_array(data), _field(data, "epsilon", float))
-
-    def to_csv(self) -> str:
-        """CSV table with header ``j,re,im``, one row per site."""
-        amp = self.amplitudes
-        out = io.StringIO()
-        write_csv(out, "j,re,im", np.column_stack((np.arange(amp.size), amp.real, amp.imag)).tolist())
-        return out.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, epsilon: float) -> "LatticeState":
-        """Parse the ``j,re,im`` table; the spacing is not stored in CSV."""
-        rows = []
-        for line in text.strip().splitlines():
-            line = line.strip()
-            if not line or line.startswith("j,"):
-                continue
-            j, re, im = line.split(",")
-            rows.append((int(j), float(re), float(im)))
-        rows.sort()
-        if [j for j, _, _ in rows] != list(range(len(rows))):
-            raise ValueError("CSV rows must cover j = 0..N-1 exactly once")
-        values = np.array([re + 1j * im for _, re, im in rows])
-        return cls(values, epsilon)
+        return cls(complex_array(data), _field(data, "epsilon", _number))
 
 
 def inner_product(a: LatticeState, b: LatticeState) -> complex:

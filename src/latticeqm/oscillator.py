@@ -145,6 +145,10 @@ class ConvergenceTable:
     psi_n; ``lower_errors`` and ``raise_errors`` compare the rescaled A v_n
     and A^dagger v_n with sqrt(n) psi_{n-1} and sqrt(n+1) psi_{n+1}.  The
     lowering error of level 0 is exactly 0 because the chain terminates.
+    ``raise_coeff[0]`` and ``lower_coeff[1]`` are exactly 1.0 for every N,
+    so ``raise_errors[:, 0]`` equals ``max_errors[:, 1]`` and
+    ``lower_errors[:, 1]`` equals ``max_errors[:, 0]`` bitwise: a profile
+    row and a ladder row over those levels read the same residual.
     """
 
     sizes: np.ndarray

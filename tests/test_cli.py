@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -256,7 +257,8 @@ _HAMILTONIAN = '{"re": [[1.0, 0.0], [0.0, -1.0]]}'
 
 
 # a top-level array and a null epsilon raised TypeError tracebacks, a
-# missing epsilon printed only "error: 'epsilon'"
+# missing epsilon printed only "error: 'epsilon'"; a null or boolean block
+# was reported as a shape mismatch, and a boolean epsilon was read as 1.0
 @pytest.mark.parametrize("hamiltonian, state, named", [
     ("[[1, 0], [0, 1]]", _STATE, "JSON object"),
     (_HAMILTONIAN, "[1.0, 0.0]", "JSON object"),
@@ -265,8 +267,14 @@ _HAMILTONIAN = '{"re": [[1.0, 0.0], [0.0, -1.0]]}'
     (_HAMILTONIAN, '{"epsilon": "wide", "re": [1.0, 0.0]}', '"epsilon"'),
     (_HAMILTONIAN, '{"epsilon": 1.0, "im": [0.0, 0.0]}', '"re"'),
     ('{"im": [[0.0]]}', _STATE, '"re"'),
+    ('{"re": [[1.0, 0.0], [0.0, -1.0]], "im": null}', _STATE, '"im"'),
+    ('{"re": [[1.0, 0.0], [0.0, -1.0]], "im": true}', _STATE, '"im"'),
+    ('{"re": null}', _STATE, '"re"'),
+    (_HAMILTONIAN, '{"epsilon": 1.0, "re": [1.0, 0.0], "im": null}', '"im"'),
+    (_HAMILTONIAN, '{"epsilon": true, "re": [1.0, 0.0]}', '"epsilon"'),
 ], ids=["hamiltonian-array", "state-array", "epsilon-missing", "epsilon-null", "epsilon-text",
-        "state-re-missing", "hamiltonian-re-missing"])
+        "state-re-missing", "hamiltonian-re-missing", "hamiltonian-im-null", "hamiltonian-im-true",
+        "hamiltonian-re-null", "state-im-null", "epsilon-true"])
 def test_evolve_malformed_json_exits_with_one_line(tmp_path, capsys, hamiltonian, state, named):
     h_path, s_path = tmp_path / "H.json", tmp_path / "state.json"
     h_path.write_text(hamiltonian)
@@ -502,3 +510,12 @@ def test_parser_is_built_once_and_reused_without_leaks(capsys):
     assert valid(spectrum, fresh=False) == first
     assert "--table" in exits(["basis", "--help"], 0).out
     valid(["wigner", "--N", "6", "--beta", "0.4", "--check", "symmetry"])
+
+
+def test_public_names_match_all():
+    # the import block and __all__ of the package list the same names once each
+    assert len(set(latticeqm.__all__)) == len(latticeqm.__all__)
+    assert all(hasattr(latticeqm, name) for name in latticeqm.__all__)
+    public = {name for name, value in vars(latticeqm).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == set(latticeqm.__all__)

@@ -172,15 +172,6 @@ def test_json_round_trip_is_exact():
     assert g.epsilon == f.epsilon
 
 
-def test_csv_round_trip_is_exact():
-    rng = np.random.default_rng(12)
-    f = random_state(rng, 6, 2.5)
-    text = f.to_csv()
-    assert text.splitlines()[0] == "j,re,im"
-    g = LatticeState.from_csv(text, f.epsilon)
-    assert np.array_equal(g.amplitudes, f.amplitudes)
-
-
 def test_state_is_immutable():
     f = LatticeState([1.0, 2.0], 1.0)
     with pytest.raises(ValueError):

@@ -147,6 +147,12 @@ def test_ladder_limit_errors_decrease():
     assert monotone.residual < 1.0
     zero = continuum_convergence(0, [8, 16])
     assert all(e == 0.0 for e in zero.lower_errors[:, 0])
+    # the unit end coefficients raise_coeff[0] = lower_coeff[1] = 1 make two
+    # ladder columns copies of profile columns, at every p
+    for p in (0.5, 0.2, 0.35, 0.8):
+        table = continuum_convergence(1, [16, 32, 64], p)
+        assert np.array_equal(table.raise_errors[:, 0], table.max_errors[:, 1])
+        assert np.array_equal(table.lower_errors[:, 1], table.max_errors[:, 0])
 
 
 def test_limit_recurrences_are_exact_rearrangements():
