@@ -6,13 +6,14 @@ oscillators built on Kravchuk polynomials and rotation d-tables, and the
 continuum oscillator eigenfunctions used as the limit oracle.
 """
 
+from types import ModuleType as _ModuleType
+
 from .lattice import (
     BoundaryRule,
     DifferenceKind,
     LatticeState,
     apply_difference,
     inner_product,
-    position_apply,
 )
 from .planewave import (
     PlaneWaveBasis,
@@ -20,9 +21,7 @@ from .planewave import (
     forward_transform,
     inverse_transform,
     momentum_apply,
-    momentum_apply_symmetric,
     momentum_eigenvalues,
-    momentum_eigenvalues_symmetric,
 )
 from .cayley import (
     CayleyPropagator,
@@ -60,7 +59,6 @@ from .oscillator import (
     build_oscillator,
     commutator_spectrum,
     continuum_convergence,
-    creation_matrix,
     energy_spectrum,
     hamiltonian_matrix,
     limit_recurrence_check,
@@ -73,7 +71,6 @@ from .hermite import (
     eval_psi,
     gram_matrix,
     ladder_apply,
-    psi_derivative,
     psi_table,
     recurrence_residual,
     schrodinger_residual,
@@ -83,68 +80,6 @@ from .cli import build_verification_report
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundaryRule",
-    "DifferenceKind",
-    "LatticeState",
-    "apply_difference",
-    "inner_product",
-    "position_apply",
-    "PlaneWaveBasis",
-    "build_basis",
-    "forward_transform",
-    "inverse_transform",
-    "momentum_apply",
-    "momentum_apply_symmetric",
-    "momentum_eigenvalues",
-    "momentum_eigenvalues_symmetric",
-    "CayleyPropagator",
-    "IdentityCheck",
-    "SchemeResiduals",
-    "build_propagator",
-    "check_hermitian",
-    "evolution_operator",
-    "evolution_operator_residual",
-    "evolve_state",
-    "evolve_trajectory",
-    "heisenberg_evolve",
-    "heisenberg_scheme_residuals",
-    "involution_identities",
-    "DifferentialResiduals",
-    "KravchukFamily",
-    "RecurrenceResiduals",
-    "WignerDMatrix",
-    "binomial_weights",
-    "build_kravchuk",
-    "build_wigner_d",
-    "differential_residuals",
-    "orthonormal_functions",
-    "recurrence_residuals",
-    "wigner_d_direct",
-    "ConvergenceTable",
-    "LimitRecurrenceResiduals",
-    "OscillatorModel",
-    "PositionSpectrum",
-    "annihilation_matrix",
-    "build_oscillator",
-    "commutator_spectrum",
-    "continuum_convergence",
-    "creation_matrix",
-    "energy_spectrum",
-    "hamiltonian_matrix",
-    "limit_recurrence_check",
-    "position_matrix",
-    "position_spectrum",
-    "s_grid",
-    "HermiteRecurrenceResiduals",
-    "eval_psi",
-    "gram_matrix",
-    "ladder_apply",
-    "psi_derivative",
-    "psi_table",
-    "recurrence_residual",
-    "schrodinger_residual",
-    "CheckRow",
-    "write_csv",
-    "build_verification_report",
-]
+# every public name bound above, in import order; the submodules are not part of it
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -56,15 +56,19 @@ _NON_NEGATIVE_INT = _ranged(int, lambda v: v >= 0, "be non-negative")
 _AT_LEAST_TWO = _ranged(int, lambda v: v >= 2, "be at least 2")
 _POSITIVE_FINITE = _ranged(float, lambda v: 0.0 < v < math.inf, "be positive and finite")
 _FINITE = _ranged(float, math.isfinite, "be finite")
+_NONZERO_FINITE = _ranged(float, lambda v: math.isfinite(v) and v != 0.0, "be finite and nonzero")
 _ANGLE = _ranged(float, lambda v: 0.0 < v < math.pi, "lie strictly between 0 and pi")
 _PROBABILITY = _ranged(float, lambda v: 0.0 < v < 1.0, "lie strictly between 0 and 1")
 
 
 def _int_list(text: str) -> list:
     try:
-        return [int(v) for v in text.split(",") if v.strip()]
+        sizes = [int(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be comma separated integers, got {text!r}") from None
+    if any(N < 1 for N in sizes):
+        raise argparse.ArgumentTypeError(f"must be positive integers, got {text!r}")
+    return sizes
 
 
 @functools.cache
@@ -91,7 +95,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("evolve", help="Cayley time evolution of a state")
     p.add_argument("--hamiltonian", required=True, metavar="JSON",
                    help='Hermitian matrix file: {"re": [[..]], "im": [[..]]}')
-    p.add_argument("--tau", type=float, required=True, help="time step")
+    p.add_argument("--tau", type=_NONZERO_FINITE, required=True, help="time step")
     p.add_argument("--steps", type=_NON_NEGATIVE_INT, required=True, help="number of steps")
     p.add_argument("--state", required=True, metavar="JSON",
                    help='initial state file: {"epsilon": e, "re": [..], "im": [..]}')
@@ -100,7 +104,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("heisenberg-check",
                        help="difference-scheme identities for evolved observables")
     p.add_argument("--dim", type=_AT_LEAST_TWO, default=4, help="matrix dimension (default 4)")
-    p.add_argument("--tau", type=float, default=0.1, help="time step (default 0.1)")
+    p.add_argument("--tau", type=_NONZERO_FINITE, default=0.1, help="time step (default 0.1)")
     p.add_argument("--n", type=int, default=3, help="step index of the observable")
     p.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0, help="seed for the random matrices")
     add_common(p)

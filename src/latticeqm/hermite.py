@@ -97,12 +97,6 @@ def _derivative(table: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 * _levels(table)) * _below(table) - s * table
 
 
-def psi_derivative(n_max: int, s) -> np.ndarray:
-    """Analytic first derivatives sqrt(2n) psi_{n-1} - s psi_n, rows n = 0 .. n_max."""
-    s = _grid(s)
-    return _derivative(psi_table(n_max, s), s)
-
-
 def schrodinger_residual(n_max: int, s) -> np.ndarray:
     """Max residual of -psi_n'' + s^2 psi_n - (2n+1) psi_n on the grid, per level n <= n_max.
 

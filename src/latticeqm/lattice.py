@@ -2,13 +2,13 @@
 
 A state is a finite sequence of complex amplitudes f_0 .. f_{N-1} together with
 the lattice spacing epsilon.  The inner product is plain summation,
-sum_j conj(a_j) b_j, with no spacing weight.  Position acts by multiplication
-with the site coordinate j*epsilon; derivatives are replaced by the forward,
-backward and mean difference operators defined below.
+sum_j conj(a_j) b_j, with no spacing weight.  Derivatives are replaced by the
+forward, backward and mean difference operators defined below.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import operator
@@ -32,11 +32,11 @@ class BoundaryRule(Enum):
 
 
 def _integer(value, name: str) -> int:
-    """A Python or numpy integer as int; a float is never truncated to one."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """A Python or numpy integer as int; a float is never truncated to one, nor is True read as 1."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _order(N) -> int:
@@ -69,14 +69,17 @@ def _field(data: dict, key: str, convert):
         raise ValueError(f'missing "{key}" field')
     try:
         return convert(data[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f'"{key}" field: {exc}') from None
 
 
+_JSON_NUMBERS = {int, float}
+
+
 def _number(value) -> float:
-    """A JSON number as float; true and false are not numbers."""
-    if isinstance(value, bool):
-        raise ValueError(f"expected a number, got {value}")
+    """A JSON number as float; text, true and false are not numbers."""
+    if type(value) not in _JSON_NUMBERS:
+        raise ValueError(f"expected a number, got {value!r}")
     return float(value)
 
 
@@ -93,7 +96,12 @@ def complex_array(data: dict) -> np.ndarray:
     def floats(block):
         if not isinstance(block, list):
             raise ValueError(f"expected a JSON array, got {type(block).__name__}")
-        return np.asarray(block, dtype=float)
+        # float() would also parse text and read true as 1.0: every entry must be a JSON number
+        entries = np.asarray(block, dtype=object)
+        if not set(map(type, entries.flat)) <= _JSON_NUMBERS:
+            for value in entries.flat:
+                _number(value)  # raises on the first entry that is not a number
+        return entries.astype(float)
 
     re = _field(data, "re", floats)
     im = _field(data, "im", floats) if "im" in data else np.zeros_like(re)
@@ -138,10 +146,6 @@ class LatticeState:
     def norm(self) -> float:
         """Euclidean norm, the square root of the summation inner product with itself."""
         return float(np.linalg.norm(self.amplitudes))
-
-    def positions(self) -> np.ndarray:
-        """Site coordinates j*epsilon for j = 0 .. N-1."""
-        return np.arange(self.n_sites) * self.epsilon
 
     # ------------------------------------------------------------------
     # serialization
@@ -206,8 +210,3 @@ def apply_difference(
     else:
         out = 0.5 * (_shifted(v, +1, boundary) + v)
     return LatticeState(out, f.epsilon)
-
-
-def position_apply(f: LatticeState) -> LatticeState:
-    """Multiply by the site coordinate: (Xf)_j = j*epsilon*f_j."""
-    return LatticeState(f.positions() * f.amplitudes, f.epsilon)

@@ -53,11 +53,6 @@ def annihilation_matrix(model: OscillatorModel) -> np.ndarray:
     return np.diag(model.lower_coeff[1:], k=1)
 
 
-def creation_matrix(model: OscillatorModel) -> np.ndarray:
-    """A^dagger, the exact transpose of A (all coefficients are real)."""
-    return annihilation_matrix(model).T.copy()
-
-
 def position_matrix(model: OscillatorModel) -> np.ndarray:
     """X = (A + A^dagger)/sqrt(2), a real symmetric tridiagonal matrix."""
     A = annihilation_matrix(model)
@@ -80,13 +75,12 @@ def commutator_spectrum(model: OscillatorModel) -> np.ndarray:
 
 
 def energy_spectrum(model: OscillatorModel) -> np.ndarray:
-    """Diagonal of A A^dagger + A^dagger A, the energies in units of hbar*omega/2.
+    """Diagonal of 2H = A A^dagger + A^dagger A, the energies in units of hbar*omega/2.
 
     The exact values are (2n + 1) - n^2/j: equally spaced at the bottom,
     folded symmetrically around the middle level.
     """
-    A = annihilation_matrix(model)
-    return np.diagonal(A @ A.T + A.T @ A).copy()
+    return 2.0 * np.diagonal(hamiltonian_matrix(model))
 
 
 @dataclass(frozen=True)

@@ -110,23 +110,3 @@ def momentum_eigenvalues(basis: PlaneWaveBasis) -> np.ndarray:
         lam = k / (1.0 - 0.5j * eps * k)
     lam[pole] = 2j / eps
     return lam
-
-
-def momentum_apply_symmetric(basis: PlaneWaveBasis, f: LatticeState) -> LatticeState:
-    """Self-adjoint symmetrized momentum -(i/2eps)(f_{j+1} - f_{j-1}), periodic.
-
-    This is an extension beyond the forward-difference operator: it is
-    Hermitian under the summation inner product and shares the plane waves as
-    eigenvectors, at the price of real eigenvalues sin(2*pi*m/N)/epsilon that
-    fold the momentum axis.
-    """
-    _check_state(basis, f)
-    v = f.amplitudes
-    out = (np.roll(v, -1) - np.roll(v, 1)) * (-0.5j / basis.epsilon)
-    return LatticeState(out, basis.epsilon)
-
-
-def momentum_eigenvalues_symmetric(basis: PlaneWaveBasis) -> np.ndarray:
-    """Real eigenvalues sin(2*pi*m/N)/epsilon of the symmetrized momentum."""
-    m = np.arange(basis.n_sites)
-    return np.sin(2.0 * np.pi * m / basis.n_sites) / basis.epsilon

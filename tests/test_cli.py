@@ -20,6 +20,24 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def usage_error(capsys, argv):
+    """The last stderr line of argv, which exits 2 after its subcommand's usage, not the top-level one."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: latticeqm {argv[0]} ")
+    return err.splitlines()[-1]
+
+
+def evolve_argv(tmp_path, hamiltonian, state):
+    """evolve's argv up to --tau, its two input files holding the given JSON texts."""
+    h_path, s_path = tmp_path / "H.json", tmp_path / "state.json"
+    h_path.write_text(hamiltonian)
+    s_path.write_text(state)
+    return ["evolve", "--hamiltonian", str(h_path), "--state", str(s_path)]
+
+
 def test_basis_csv_frozen_rows(capsys):
     code, out, err = run_cli(capsys, "basis", "--N", "4", "--epsilon", "0.5")
     assert code == 0 and err == ""
@@ -175,20 +193,10 @@ def test_heisenberg_check_json_is_parseable(capsys):
 
 def test_evolve_matches_library(tmp_path, capsys):
     H = np.array([[1.0, 0.5], [0.5, -1.0]])
-    h_path = tmp_path / "H.json"
-    h_path.write_text(json.dumps({"re": H.tolist(), "im": np.zeros_like(H).tolist()}))
     state = LatticeState(np.array([1.0, 0.0], dtype=complex), epsilon=1.0)
-    s_path = tmp_path / "state.json"
-    s_path.write_text(state.to_json())
+    argv = evolve_argv(tmp_path, json.dumps({"re": H.tolist(), "im": np.zeros_like(H).tolist()}), state.to_json())
 
-    code, out, _ = run_cli(
-        capsys,
-        "evolve",
-        "--hamiltonian", str(h_path),
-        "--state", str(s_path),
-        "--tau", "0.3",
-        "--steps", "4",
-    )
+    code, out, _ = run_cli(capsys, *argv, "--tau", "0.3", "--steps", "4")
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "n,norm,re_0,im_0,re_1,im_1"
@@ -203,21 +211,10 @@ def test_evolve_matches_library(tmp_path, capsys):
 
 def test_evolve_json_final_state_reloads(tmp_path, capsys):
     H = np.diag([1.0, -1.0])
-    h_path = tmp_path / "H.json"
-    h_path.write_text(json.dumps({"re": H.tolist(), "im": np.zeros_like(H).tolist()}))
     state = LatticeState(np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2), epsilon=0.5)
-    s_path = tmp_path / "state.json"
-    s_path.write_text(state.to_json())
+    argv = evolve_argv(tmp_path, json.dumps({"re": H.tolist(), "im": np.zeros_like(H).tolist()}), state.to_json())
 
-    code, out, _ = run_cli(
-        capsys,
-        "evolve",
-        "--hamiltonian", str(h_path),
-        "--state", str(s_path),
-        "--tau", "2.0",
-        "--steps", "1",
-        "--format", "json",
-    )
+    code, out, _ = run_cli(capsys, *argv, "--tau", "2.0", "--steps", "1", "--format", "json")
     payload = json.loads(out)
     final = payload["trajectory"][-1]
     reloaded = LatticeState.from_json(
@@ -229,25 +226,17 @@ def test_evolve_json_final_state_reloads(tmp_path, capsys):
 
 
 def test_evolve_dimension_mismatch_fails(tmp_path, capsys):
-    h_path = tmp_path / "H.json"
-    h_path.write_text(json.dumps({"re": [[0.0]], "im": [[0.0]]}))
-    s_path = tmp_path / "state.json"
-    s_path.write_text(LatticeState(np.array([1.0, 0.0], dtype=complex), epsilon=1.0).to_json())
-    code, out, err = run_cli(
-        capsys, "evolve", "--hamiltonian", str(h_path), "--state", str(s_path), "--tau", "0.1", "--steps", "1"
-    )
+    argv = evolve_argv(tmp_path, json.dumps({"re": [[0.0]], "im": [[0.0]]}),
+                       LatticeState(np.array([1.0, 0.0], dtype=complex), epsilon=1.0).to_json())
+    code, out, err = run_cli(capsys, *argv, "--tau", "0.1", "--steps", "1")
     assert code == 1
     assert err.startswith("error:")
 
 
 def test_evolve_rejects_mis_shaped_im_block(tmp_path, capsys):
-    h_path = tmp_path / "H.json"
-    h_path.write_text(json.dumps({"re": [[1.0, 0.0], [0.0, -1.0]], "im": [[0.0, 0.0]]}))
-    s_path = tmp_path / "state.json"
-    s_path.write_text(LatticeState(np.array([1.0, 0.0], dtype=complex), epsilon=1.0).to_json())
-    code, out, err = run_cli(
-        capsys, "evolve", "--hamiltonian", str(h_path), "--state", str(s_path), "--tau", "0.1", "--steps", "1"
-    )
+    argv = evolve_argv(tmp_path, json.dumps({"re": [[1.0, 0.0], [0.0, -1.0]], "im": [[0.0, 0.0]]}),
+                       LatticeState(np.array([1.0, 0.0], dtype=complex), epsilon=1.0).to_json())
+    code, out, err = run_cli(capsys, *argv, "--tau", "0.1", "--steps", "1")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "shape" in err
 
@@ -272,25 +261,26 @@ _HAMILTONIAN = '{"re": [[1.0, 0.0], [0.0, -1.0]]}'
     ('{"re": null}', _STATE, '"re"'),
     (_HAMILTONIAN, '{"epsilon": 1.0, "re": [1.0, 0.0], "im": null}', '"im"'),
     (_HAMILTONIAN, '{"epsilon": true, "re": [1.0, 0.0]}', '"epsilon"'),
+    # text that float() parses, and true, were read as numbers
+    (_HAMILTONIAN, '{"epsilon": "0.5", "re": [1.0, 0.0]}', '"epsilon"'),
+    (_HAMILTONIAN, '{"epsilon": 1.0, "re": ["1.0", "0"]}', '"re"'),
+    (_HAMILTONIAN, '{"epsilon": 1.0, "re": [true, 0]}', '"re"'),
+    # an integer past the float range raised an OverflowError traceback
+    (_HAMILTONIAN, '{"epsilon": 1.0, "re": [1%s, 0]}' % ("0" * 400), '"re"'),
 ], ids=["hamiltonian-array", "state-array", "epsilon-missing", "epsilon-null", "epsilon-text",
         "state-re-missing", "hamiltonian-re-missing", "hamiltonian-im-null", "hamiltonian-im-true",
-        "hamiltonian-re-null", "state-im-null", "epsilon-true"])
+        "hamiltonian-re-null", "state-im-null", "epsilon-true", "epsilon-number-text",
+        "state-re-text", "state-re-true", "state-re-overflow"])
 def test_evolve_malformed_json_exits_with_one_line(tmp_path, capsys, hamiltonian, state, named):
-    h_path, s_path = tmp_path / "H.json", tmp_path / "state.json"
-    h_path.write_text(hamiltonian)
-    s_path.write_text(state)
-    code, out, err = run_cli(
-        capsys, "evolve", "--hamiltonian", str(h_path), "--state", str(s_path), "--tau", "0.1", "--steps", "1"
-    )
+    code, out, err = run_cli(capsys, *evolve_argv(tmp_path, hamiltonian, state), "--tau", "0.1", "--steps", "1")
     assert code == 1 and out == ""
     assert err.startswith("error:") and named in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("tau", ["0", "nan"])
 def test_heisenberg_check_rejects_degenerate_step(capsys, tau):
-    code, out, err = run_cli(capsys, "heisenberg-check", "--tau", tau)
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and "tau" in err and err.count("\n") == 1
+    last = usage_error(capsys, ["heisenberg-check", "--tau", tau])
+    assert last == f"latticeqm heisenberg-check: error: argument --tau: must be finite and nonzero, got {float(tau)}"
 
 
 def test_verify_all_passes_and_is_deterministic(capsys):
@@ -375,7 +365,7 @@ def test_unwritable_output_is_an_error(tmp_path, capsys):
 
 def test_failed_computation_writes_no_output(tmp_path, capsys):
     target = tmp_path / "checks.csv"
-    code, _, err = run_cli(capsys, "heisenberg-check", "--tau", "0", "--output", str(target))
+    code, _, err = run_cli(capsys, "converge", "--n", "1", "--N-list", "16,16", "--output", str(target))
     assert code == 1 and err.startswith("error:")
     assert not target.exists()
 
@@ -418,6 +408,8 @@ def test_invalid_parameters_exit_two(capsys, tmp_path):
         (["converge", "--n", "-1", "--N-list", "16,32"], "--n: must be non-negative, got -1"),
         (["converge", "--n", "1", "--N-list", "16,a"],
          "--N-list: must be comma separated integers, got '16,a'"),
+        # a size below 1 exited 1 from the library
+        (["converge", "--n", "1", "--N-list", "16,-32"], "--N-list: must be positive integers, got '16,-32'"),
         # --p was range-checked only in the library, which exited 1
         (["converge", "--n", "1", "--N-list", "16,32", "--p", "1.5"],
          "--p: must lie strictly between 0 and 1, got 1.5"),
@@ -431,13 +423,33 @@ def test_invalid_parameters_exit_two(capsys, tmp_path):
         (["verify-all", "--seed", "-1"], "--seed: must be non-negative, got -1"),
         (["heisenberg-check", "--seed", "-3"], "--seed: must be non-negative, got -3"),
     ):
-        with pytest.raises(SystemExit) as info:
-            main(argv)
-        assert info.value.code == 2
-        err = capsys.readouterr().err
-        # the range error prints its subcommand's usage, not the top-level one
-        assert err.startswith(f"usage: latticeqm {argv[0]} ")
-        assert err.splitlines()[-1] == f"latticeqm {argv[0]}: error: argument {error}"
+        assert usage_error(capsys, argv) == f"latticeqm {argv[0]}: error: argument {error}"
+
+
+# one valid command line per subcommand, to which the walk below adds one bad flag value
+VALID_ARGV = {
+    "basis": ["--N", "4", "--epsilon", "1"],
+    "evolve": ["--hamiltonian", "H.json", "--state", "s.json", "--tau", "0.1", "--steps", "1"],
+    "heisenberg-check": [],
+    "wigner": ["--N", "3", "--beta", "1"],
+    "spectrum": ["--N", "2", "--what", "energy"],
+    "converge": ["--n", "1", "--N-list", "16,32"],
+    "hermite": ["--n", "1", "--s-min", "0", "--s-max", "1", "--samples", "3"],
+    "verify-all": [],
+}
+TYPED_FLAGS = [(command, action.option_strings[0])
+               for command, sub in cli._build_parser()[1].items()
+               for action in sub._actions if action.type is not None]
+
+
+# --tau took nan and inf and exited 1 from the library; a float flag added
+# without a range type fails here too
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, flag", TYPED_FLAGS, ids=[command + flag for command, flag in TYPED_FLAGS])
+def test_every_numeric_flag_rejects_non_finite_values(capsys, command, flag, value):
+    cli._build_parser()[0].parse_args([command, *VALID_ARGV[command]])  # so the error is the flag's
+    last = usage_error(capsys, [command, *VALID_ARGV[command], flag, value])
+    assert last.startswith(f"latticeqm {command}: error: argument {flag}")
 
 
 def test_unknown_subcommand_rejected(capsys):

@@ -7,7 +7,6 @@ from latticeqm import (
     eval_psi,
     gram_matrix,
     ladder_apply,
-    psi_derivative,
     psi_table,
     recurrence_residual,
     schrodinger_residual,
@@ -90,7 +89,9 @@ def test_analytic_derivative_matches_central_difference():
     s = np.linspace(-4.0, 4.0, 41)
     h = 1e-6
     numeric = (psi_table(5, s + h) - psi_table(5, s - h)) / (2 * h)
-    assert np.abs(psi_derivative(5, s) - numeric).max() < 1e-8
+    # (s + d/ds) psi - (s - d/ds) psi = 2 psi'
+    raised, lowered = ladder_apply(5, s)
+    assert np.abs((lowered - raised) / math.sqrt(2.0) - numeric).max() < 1e-8
 
 
 def test_ladder_actions():
@@ -109,7 +110,7 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         eval_psi(-2, 0.0)
     # a negative level failed inside math.sqrt with a bare "math domain error"
-    table_fns = (psi_derivative, schrodinger_residual, recurrence_residual, ladder_apply)
+    table_fns = (schrodinger_residual, recurrence_residual, ladder_apply)
     for table_fn in table_fns:
         with pytest.raises(ValueError, match="n_max must be non-negative"):
             table_fn(-1, 0.0)

@@ -6,8 +6,11 @@ from latticeqm import (
     DifferenceKind,
     LatticeState,
     apply_difference,
+    build_basis,
+    build_kravchuk,
+    build_propagator,
+    evolve_state,
     inner_product,
-    position_apply,
 )
 
 
@@ -144,24 +147,15 @@ def test_difference_rejects_non_members():
     assert np.array_equal(periodic.amplitudes, [1.0, 1.0, -2.0])
 
 
-def test_position_frozen_examples():
-    out = position_apply(LatticeState([1.0, 1.0], 0.5))
-    assert np.allclose(out.amplitudes, [0.0, 0.5])
-    # delta at site 2 with unit spacing is an eigenvector with eigenvalue 2
-    delta = np.zeros(5)
-    delta[2] = 1.0
-    out = position_apply(LatticeState(delta, 1.0))
-    assert np.allclose(out.amplitudes, 2.0 * delta)
-
-
-def test_position_hermitian():
-    rng = np.random.default_rng(9)
-    for _ in range(15):
-        n = int(rng.integers(1, 30))
-        a, b = random_state(rng, n, 0.3), random_state(rng, n, 0.3)
-        lhs = inner_product(position_apply(a), b)
-        rhs = inner_product(a, position_apply(b))
-        assert lhs == pytest.approx(rhs, abs=1e-12)
+# True passed as the integer 1: a one-site basis, a two-row table, one step
+@pytest.mark.parametrize("call", [
+    lambda: build_basis(True, 1.0),
+    lambda: build_kravchuk(4, 0.5, n_max=True),
+    lambda: evolve_state(build_propagator(np.eye(2), 0.1), [1.0, 0.0], True),
+], ids=["build_basis", "build_kravchuk", "evolve_state"])
+def test_bool_is_not_an_integer(call):
+    with pytest.raises(ValueError, match="must be an integer, got True"):
+        call()
 
 
 def test_json_round_trip_is_exact():

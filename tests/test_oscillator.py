@@ -9,7 +9,6 @@ from latticeqm import (
     checks,
     commutator_spectrum,
     continuum_convergence,
-    creation_matrix,
     energy_spectrum,
     eval_psi,
     hamiltonian_matrix,
@@ -31,12 +30,10 @@ def test_frozen_two_site_coefficients():
 def test_ladder_matrices_annihilate_the_ends():
     model = build_oscillator(7)
     A = annihilation_matrix(model)
-    Adag = creation_matrix(model)
     e0 = np.eye(8)[0]
     eN = np.eye(8)[7]
     assert np.abs(A @ e0).max() == 0.0
-    assert np.abs(Adag @ eN).max() == 0.0
-    assert np.array_equal(Adag, A.T)
+    assert np.abs(A.T @ eN).max() == 0.0
 
 
 def test_commutator_spectrum_formula_and_trace():

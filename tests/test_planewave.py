@@ -6,12 +6,9 @@ from latticeqm import (
     build_basis,
     checks,
     forward_transform,
-    inner_product,
     inverse_transform,
     momentum_apply,
-    momentum_apply_symmetric,
     momentum_eigenvalues,
-    momentum_eigenvalues_symmetric,
 )
 
 
@@ -126,24 +123,6 @@ def test_eigenvalue_flows_to_momentum_in_continuum():
         deviations.append(abs(lam[1] - k) / abs(k))
     assert all(b < a for a, b in zip(deviations, deviations[1:]))
     assert deviations[-1] < 1e-2
-
-
-def test_symmetric_momentum_is_hermitian_with_real_spectrum():
-    rng = np.random.default_rng(22)
-    N = 12
-    basis = build_basis(N, 0.9)
-    for _ in range(8):
-        a = LatticeState(rng.standard_normal(N) + 1j * rng.standard_normal(N), 0.9)
-        b = LatticeState(rng.standard_normal(N) + 1j * rng.standard_normal(N), 0.9)
-        lhs = inner_product(momentum_apply_symmetric(basis, a), b)
-        rhs = inner_product(a, momentum_apply_symmetric(basis, b))
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    lam = momentum_eigenvalues_symmetric(basis)
-    for m in range(N):
-        col = LatticeState(basis.table[:, m], 0.9)
-        out = momentum_apply_symmetric(basis, col)
-        assert np.abs(out.amplitudes - lam[m] * col.amplitudes).max() < 1e-12
 
 
 def test_input_validation():
