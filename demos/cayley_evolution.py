@@ -1,51 +1,29 @@
 #!/usr/bin/env python3
 """Unitary evolution from the Cayley transform of a Hermitian matrix."""
 
+import sys
+
 import numpy as np
 
-from latticeqm import (
-    build_propagator,
-    evolution_operator,
-    evolution_operator_residual,
-    evolve_trajectory,
-)
+from latticeqm import checks
 
 
 def main():
     rng = np.random.default_rng(2)
-    M = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    H = 0.5 * (M + M.conj().T)
+    H = checks.random_hermitian(rng, 6)
 
-    print("Norm conservation over 10^4 steps, tau = 0.2")
-    prop = build_propagator(H, 0.2)
-    psi = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    psi /= np.linalg.norm(psi)
-    drift = 0.0
-    for _ in range(10_000):
-        psi = prop.factor @ psi
-        drift = max(drift, abs(np.linalg.norm(psi) - 1.0))
-    print(f"  worst drift {drift:.3e}")
+    print("Norm drift over 10^4 steps and the midpoint equation at n = 50, tau = 0.2")
+    rows = checks.propagator(rng, H, (0.2,), 10_000, (50,))
+    for row in rows:
+        print(" ", row)
 
     print()
-    print("Midpoint difference equation residual along a trajectory")
-    traj = evolve_trajectory(prop, np.eye(6)[0], 5)
-    for n in range(5):
-        mid = 0.5 * (traj[n + 1] + traj[n])
-        res = np.linalg.norm((traj[n + 1] - traj[n]) / 0.2 + 1j * H @ mid)
-        print(f"  step {n}: {res:.3e}")
-    print(f"  operator form, n = 50: {evolution_operator_residual(prop, 50):.3e}")
-
-    print()
-    print("Halving tau at fixed total time quarters the error")
-    lam, V = np.linalg.eigh(H)
-    exact = (V * np.exp(-1j * lam)) @ V.conj().T
-    prev = None
-    for tau, n in ((0.2, 5), (0.1, 10), (0.05, 20), (0.025, 40)):
-        err = np.abs(evolution_operator(build_propagator(H, tau), n) - exact).max()
-        ratio = "" if prev is None else f"   ratio {prev / err:.2f}"
-        print(f"  tau = {tau:<6g} n = {n:<3d} error {err:.3e}{ratio}")
-        prev = err
+    print("Halving tau at fixed total time quarters the error against exp(-iH)")
+    order = checks.propagator_order(H, (0.2, 0.1, 0.05, 0.025))
+    for row in order:
+        print(" ", row)
+    return all(row.passed for row in rows + order)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(0 if main() else 1)

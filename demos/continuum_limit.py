@@ -6,7 +6,9 @@ level to the continuum eigenfunctions, and the discrete ladder actions
 converge to sqrt(n), sqrt(n+1) times the neighbouring levels.
 """
 
-from latticeqm import continuum_convergence
+import sys
+
+from latticeqm import checks, continuum_convergence
 
 SIZES = [16, 32, 64, 128, 256]
 
@@ -27,6 +29,12 @@ def main():
         print(f"  {N:<10d} {lo:.3e}    {hi:.3e}")
     print("  both columns shrink like the profile error itself: O(1/N)")
 
+    print()
+    rows = checks.continuum(range(4), (2,), SIZES)
+    for row in rows:
+        print(" ", row)
+    return all(row.passed for row in rows)
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(0 if main() else 1)

@@ -6,19 +6,11 @@ eigenvalues slide linearly from +1 at the bottom of the ladder to -1 at
 the top, and the energies fold symmetrically about the middle.
 """
 
-import math
+import sys
 
 import numpy as np
 
-from latticeqm import (
-    annihilation_matrix,
-    build_oscillator,
-    build_wigner_d,
-    commutator_spectrum,
-    energy_spectrum,
-    position_matrix,
-    position_spectrum,
-)
+from latticeqm import annihilation_matrix, build_oscillator, checks, commutator_spectrum, energy_spectrum
 
 
 def main():
@@ -29,32 +21,24 @@ def main():
     print(f"  {'n':>2} {'[A,A+]':>9} {'energy/(hw/2)':>14}")
     for n in range(7):
         print(f"  {n:>2} {comm[n]:>9.4f} {energy[n]:>14.4f}")
-    print(f"  commutator trace {comm.sum():+.2e} (exact cancellation)")
+    rows = checks.ladder_spectra((6,))
+    for row in rows:
+        print(" ", row)
 
     print()
-    print("Position operator X = (A + A+)/sqrt(2), N = 6")
-    spec = position_spectrum(build_oscillator(6))
-    grid = np.sort(spec.m_prime / math.sqrt(3.0))
-    print(f"  eigenvalues  {np.round(np.sort(spec.eigenvalues), 6)}")
-    print(f"  m'/sqrt(j)   {np.round(grid, 6)}")
+    print("Position operator X = (A + A+)/sqrt(2): eigenvalues on the grid m'/sqrt(j),")
+    print("eigenvectors the quarter-turn rotation columns (N = 6 and 12)")
+    position = checks.position((6, 12))
+    for row in position:
+        print(" ", row)
 
     print()
-    print("Quarter-turn rotation columns diagonalize X (N = 12)")
-    model = build_oscillator(12)
-    X = position_matrix(model)
-    D = build_wigner_d(12, math.pi / 2)
-    lam = (model.j - np.arange(13)) / math.sqrt(model.j)
-    worst = max(
-        np.abs(X @ D.table[:, x] - lam[x] * D.table[:, x]).max() for x in range(13)
-    )
-    print(f"  worst eigenvector residual {worst:.3e}")
-
-    print()
-    print("The chain terminates at both ends")
-    A = annihilation_matrix(model)
+    print("The chain terminates at both ends (N = 12)")
+    A = annihilation_matrix(build_oscillator(12))
     print(f"  |A e_0|   = {np.abs(A @ np.eye(13)[0]).max():.1f}")
     print(f"  |A+ e_12| = {np.abs(A.T @ np.eye(13)[12]).max():.1f}")
+    return all(row.passed for row in rows + position)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(0 if main() else 1)

@@ -6,17 +6,11 @@ and measures how the momentum eigenvalues approach the continuum ones
 as the lattice is refined at fixed physical momentum.
 """
 
-import math
+import sys
 
 import numpy as np
 
-from latticeqm import (
-    LatticeState,
-    build_basis,
-    forward_transform,
-    inverse_transform,
-    momentum_eigenvalues,
-)
+from latticeqm import build_basis, checks, momentum_eigenvalues
 
 
 def banner(text):
@@ -32,20 +26,11 @@ def main():
         marker = "  <- singular column" if m == basis.singular_column else ""
         print(f"  m = {m}:  k_m = {k:+.6g}{marker}")
 
-    banner("Orthonormality and the DFT identity")
-    N = 16
-    basis = build_basis(N, 0.3)
-    gram = basis.table.conj().T @ basis.table
-    dft = np.exp(2j * np.pi * np.outer(np.arange(N), np.arange(N)) / N) / math.sqrt(N)
-    print(f"  gram defect      {np.abs(gram - np.eye(N)).max():.3e}")
-    print(f"  table vs DFT     {np.abs(basis.table - dft).max():.3e}")
+    banner("Orthonormality, the DFT identity and the transform round trip")
+    rows = checks.basis((16,), (0.3,)) + checks.fourier(np.random.default_rng(0), (16,), 1)
+    for row in rows:
+        print(" ", row)
     print("  the tangent map bends the momentum labels, not the vectors")
-
-    banner("Round trip through the transform")
-    rng = np.random.default_rng(0)
-    f = LatticeState(rng.standard_normal(N) + 1j * rng.standard_normal(N), 0.3)
-    g = inverse_transform(basis, forward_transform(basis, f))
-    print(f"  reconstruction error {np.abs(g.amplitudes - f.amplitudes).max():.3e}")
 
     banner("Forward-difference momentum vs continuum, k fixed near 2*pi")
     # refine the lattice at fixed physical momentum: m = 1, eps = 1/N
@@ -56,7 +41,8 @@ def main():
         print(f"  N = {N:4d}   k = {k:9.6f}   lambda = {lam.real:9.6f}{lam.imag:+.6f}i"
               f"   |lambda - k|/k = {abs(lam - k) / k:.3e}")
     print("  the eigenvalue is complex at finite spacing; the defect is O(eps*k)")
+    return all(row.passed for row in rows)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(0 if main() else 1)

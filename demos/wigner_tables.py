@@ -2,10 +2,9 @@
 """Wigner rotation tables from binomial-weighted discrete polynomials."""
 
 import math
+import sys
 
-import numpy as np
-
-from latticeqm import build_wigner_d, recurrence_residuals, wigner_d_direct
+from latticeqm import build_wigner_d, checks
 
 
 def main():
@@ -16,17 +15,16 @@ def main():
     print(f"  corner d[0,0] = cos(beta/2)^N = {math.cos(math.pi / 6) ** 4:.6f}")
 
     print()
-    print("Spectral construction vs exact integer summation")
+    print("Spectral construction vs exact integer summation, Gram and recurrences")
+    rows = []
     for N, beta in ((10, 0.3), (20, 2.5), (40, 0.3)):
-        D = build_wigner_d(N, beta)
-        gap = np.abs(D.table - wigner_d_direct(N, beta)).max()
-        gram = np.abs(D.table @ D.table.T - np.eye(N + 1)).max()
-        rec = recurrence_residuals(D)
-        print(f"  N = {N:3d}, beta = {beta:<5g}  oracle gap {gap:.2e}"
-              f"  gram defect {gram:.2e}  recurrences {max(rec):.2e}")
+        rows += checks.wigner((N,), (beta,), ("oracle", "orthogonality", "recurrence"))
+    for row in rows:
+        print(" ", row)
     print("  N = 40 at beta = 0.3 is the regime where the textbook recurrence")
     print("  loses every digit; the spectral route keeps the table orthogonal")
+    return all(row.passed for row in rows)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(0 if main() else 1)

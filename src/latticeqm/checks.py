@@ -3,16 +3,16 @@
 Every function checks one group of identities over the sweep its caller
 passes and returns ``CheckRow``s: the worst residual over the sweep, the
 tolerance it is held to, and a params label built from the sweep.  One
-fold, ``_worst``, takes that worst for every sweep, and a NaN residual at
-any sweep point makes its row NaN, so the row fails.  The
-d-table relations are one sweep: ``wigner`` builds each table once and
+fold, ``_worst``, takes that worst for every sweep; a NaN residual at any
+sweep point makes its row NaN, so the row fails, and an empty sweep raises.
+The d-table relations are one sweep: ``wigner`` builds each table once and
 applies to it the relation groups its caller names from ``WIGNER``
-(symmetry, orthogonality, recurrence, oracle, differential).
-``verify-all`` calls them with small sweeps, the ``wigner`` and
-``heisenberg-check`` subcommands at one point, the acceptance tests with
-wider sweeps, and the unit tests at their own sweeps, holding each row's
-residual to the test's own bound.  Functions that draw random input take
-the caller's generator, so one seed fixes every draw in call order.
+(symmetry, orthogonality, recurrence, oracle, differential).  ``verify-all``
+calls them with small sweeps, the ``wigner`` and ``heisenberg-check``
+subcommands at one point, the demos at the points they print, the
+acceptance tests with wider sweeps, and the unit tests at their own sweeps,
+holding each row's residual to the test's own bound.  Random draws come
+from the caller's generator, so one seed fixes every draw in call order.
 """
 
 from __future__ import annotations
@@ -61,10 +61,13 @@ def _worst_ratio(errors) -> float:
 def _worst(rows, points) -> list:
     """One ``CheckRow`` per (check, params, tolerance) of ``rows``, holding
     the worst of its column over ``points``, which yields one tuple of
-    residuals per sweep point.  ``np.maximum`` from 0 keeps a NaN."""
-    worst = np.zeros(len(rows))
+    residuals per sweep point.  ``np.maximum`` from 0 keeps a NaN.  An empty
+    sweep raises; ``rows`` is read after the fold, so a label may take ``max``."""
+    worst = None
     for residuals in points:
-        worst = np.maximum(worst, residuals)
+        worst = np.maximum(0.0 if worst is None else worst, residuals)
+    if worst is None:
+        raise ValueError("empty sweep: no point to check")
     return [CheckRow(check, params, value, tol) for (check, params, tol), value in zip(rows, worst)]
 
 
@@ -78,8 +81,8 @@ def basis(sizes, spacings) -> list:
             for eps in spacings:
                 table = planewave.build_basis(N, eps).table
                 yield _max_abs(table.conj().T @ table - eye), _max_abs(table - dft)
-    label = f"N<={max(sizes)} eps in {_values(spacings)}"
-    return _worst((("basis-orthonormality", label, 1e-12), ("basis-dft-identity", label, 1e-12)), points())
+    return _worst(((check, f"N<={max(sizes)} eps in {_values(spacings)}", 1e-12)
+                   for check in ("basis-orthonormality", "basis-dft-identity")), points())
 
 
 def fourier(rng, sizes, states: int) -> list:
@@ -113,6 +116,8 @@ def propagator(rng, H, taus, steps: int, residual_steps) -> list:
     midpoint residual of C^n, the half step, and spectral C^13 against 13
     solve-built steps, for the Cayley step of H at each tau."""
     d = H.shape[0]
+    if not len(residual_steps):
+        raise ValueError("empty sweep: no step count for the midpoint residual")
 
     def points():
         for tau in taus:
@@ -230,15 +235,18 @@ def continuum(levels, ladder_levels, sizes) -> list:
     """Profile errors against the Hermite levels shrink at each size step, at
     fitted order >= 0.9, and so do the ladder actions' errors against sqrt(n)
     and sqrt(n+1) times the neighbouring levels; one table holds every level."""
-    table = oscillator.continuum_convergence(max((*levels, *ladder_levels)), sizes)
+    table = oscillator.continuum_convergence(max((*levels, *ladder_levels), default=0), sizes)
     orders = [table.fitted_orders[n] for n in levels]
     # the lowering error of level 0 is identically zero
     ladder = [table.raise_errors[:, n] for n in ladder_levels] + [
         table.lower_errors[:, n] for n in ladder_levels if n > 0]
+
     # folded from 0, the order column reads max(0, 0.9 - lowest order)
+    def profile_rows():
+        yield "continuum-monotone", f"n<={max(levels)} N in {_values(sizes)}", 0.99
+        yield "continuum-order", "orders " + " ".join(f"{order:.2f}" for order in orders), 0.0
     return [
-        *_worst((("continuum-monotone", f"n<={max(levels)} N in {_values(sizes)}", 0.99),
-                 ("continuum-order", "orders " + " ".join(f"{order:.2f}" for order in orders), 0.0)),
+        *_worst(profile_rows(),
                 ((_worst_ratio(table.max_errors[:, n]), 0.9 - order) for n, order in zip(levels, orders))),
         *_worst((("ladder-monotone", f"n {_values(ladder_levels)} N in {_values(sizes)}", 0.99),),
                 ((_worst_ratio(errors),) for errors in ladder)),

@@ -105,8 +105,7 @@ def momentum_eigenvalues(basis: PlaneWaveBasis) -> np.ndarray:
     (the pole limit), which is what this returns at that slot.
     """
     eps, k = basis.epsilon, basis.momenta
-    pole = 2 * np.arange(basis.n_sites) == basis.n_sites
     with np.errstate(invalid="ignore"):
         lam = k / (1.0 - 0.5j * eps * k)
-    lam[pole] = 2j / eps
+    lam[np.isinf(k)] = 2j / eps
     return lam

@@ -57,3 +57,6 @@ class CheckRow:
     @property
     def status(self) -> str:
         return "pass" if self.passed else "fail"
+
+    def __str__(self) -> str:
+        return f"{self.check:<34} {self.residual:.3e}  tol {self.tolerance:g}  {self.status}  {self.params}"

@@ -1,9 +1,9 @@
 """The fold rule of ``latticeqm.checks``: a NaN residual anywhere in a sweep
 makes its row read NaN and fail, never pass as the worst of the rest, and a
-row with nothing to fold is an error, not a pass.  A check the unit tests
-share is not vacuous: a result off by ten times the tolerance fails its row,
-and a Hermite table that is not the oscillator's fails the rows that tie it
-to the oscillator."""
+row with nothing to fold (an empty sweep, a single step size) is an error,
+not a pass.  A check the unit tests share is not vacuous: a result off by
+ten times the tolerance fails its row, and a Hermite table that is not the
+oscillator's fails the rows that tie it to the oscillator."""
 
 import dataclasses
 import math
@@ -54,6 +54,36 @@ def test_nan_skewed_difference_fails_the_skewed_row(monkeypatch):
     skewed = _row(rows, "limit-recurrence-skewed")
     assert math.isnan(skewed.residual) and not skewed.passed
     assert all(r.passed for r in rows if r is not skewed)
+
+
+_H = np.eye(2)
+_SIZES = (16, 32)
+
+
+@pytest.mark.parametrize("run", [
+    lambda rng: checks.wigner((), (1.0,), ("oracle",)),
+    lambda rng: checks.wigner((4,), (), ("oracle",)),
+    lambda rng: checks.basis((4,), ()),
+    lambda rng: checks.basis((), (0.5,)),
+    lambda rng: checks.fourier(rng, (), 3),
+    lambda rng: checks.fourier(rng, (4,), 0),
+    lambda rng: checks.momentum(()),
+    lambda rng: checks.propagator(rng, _H, (), 5, (3,)),
+    lambda rng: checks.propagator(rng, _H, (0.1,), 5, ()),
+    lambda rng: checks.ladder_spectra(()),
+    lambda rng: checks.position(()),
+    lambda rng: checks.continuum((0,), (), _SIZES),
+    lambda rng: checks.continuum((), (1,), _SIZES),
+    lambda rng: checks.continuum((), (), _SIZES),
+    lambda rng: checks.state_round_trip(rng, (), 0.5),
+], ids=["wigner-sizes", "wigner-angles", "basis-spacings", "basis-sizes", "fourier-sizes",
+        "fourier-states", "momentum", "propagator-taus", "propagator-residual-steps", "ladder-spectra",
+        "position", "continuum-ladder-levels", "continuum-levels", "continuum-both-levels",
+        "state-round-trip"])
+def test_an_empty_sweep_is_an_error(run):
+    # folded from 0, a sweep with no point would read 0.0 and pass
+    with pytest.raises(ValueError, match="empty sweep"):
+        run(np.random.default_rng(0))
 
 
 def test_order_row_needs_a_halving_ratio():
