@@ -260,9 +260,10 @@ def involution_identities(H, A0, tau: float, n: int = 0):
 
     The Cayley factor multiplies the commutator from the right in the first
     two; with it on the left the relations fail for non-commuting A and H.
-    Each check also fits the exponent e that makes ``u**e * lhs`` match the
-    commutator part in spectral norm.  The fit is NaN when [A_n, H] vanishes,
-    in which case both sides are zero and the residual alone decides.
+    Residuals are spectral norms; the exponent e that makes ``u**e * lhs``
+    match the commutator part is fitted from the Frobenius norm ratio (any
+    unitarily invariant norm gives the same e).  It is NaN when [A_n, H]
+    vanishes: both sides are then zero and the residual alone decides.
 
     Returns a list of five IdentityCheck records in the order above.
     """
@@ -282,10 +283,8 @@ def involution_identities(H, A0, tau: float, n: int = 0):
     comm2 = comm @ H - H @ comm
 
     def fit_exponent(lhs, base):
-        nb, nl = _norm(base), _norm(lhs)
-        if nb < 1e-300 or nl < 1e-300:
-            return float("nan")
-        return math.log(nb / nl) / math.log(u)
+        nb, nl = np.linalg.norm(base), np.linalg.norm(lhs)
+        return math.log(nb / nl) / math.log(u) if min(nb, nl) >= 1e-300 else math.nan
 
     cases = [
         ("forward", (1j / tau) * (A_next - A_n), comm @ C, 1),

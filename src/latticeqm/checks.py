@@ -61,14 +61,19 @@ def _worst_ratio(errors) -> float:
 def _worst(rows, points) -> list:
     """One ``CheckRow`` per (check, params, tolerance) of ``rows``, holding
     the worst of its column over ``points``, which yields one tuple of
-    residuals per sweep point.  ``np.maximum`` from 0 keeps a NaN.  An empty
-    sweep raises; ``rows`` is read after the fold, so a label may take ``max``."""
-    worst = None
-    for residuals in points:
-        worst = np.maximum(0.0 if worst is None else worst, residuals)
-    if worst is None:
+    residuals per sweep point.  ``np.maximum`` from 0 keeps a NaN.  No point
+    or no row raises; ``rows`` is read after the fold, so a label may take ``max``."""
+    worst = ()
+    for i, residuals in enumerate(points):
+        worst = np.maximum(worst if i else 0.0, residuals)
+    return _nonempty([CheckRow(check, params, value, tol) for value, (check, params, tol) in zip(worst, rows)])
+
+
+def _nonempty(rows: list) -> list:
+    """``rows``, unless there are none: a caller's ``all(row.passed ...)`` would pass them."""
+    if not len(rows):
         raise ValueError("empty sweep: no point to check")
-    return [CheckRow(check, params, value, tol) for (check, params, tol), value in zip(rows, worst)]
+    return rows
 
 
 def basis(sizes, spacings) -> list:
@@ -155,21 +160,16 @@ def heisenberg(rng, H, tau: float, n: int, schemes) -> list:
     A = random_hermitian(rng, H.shape[0])
     res = cayley.heisenberg_scheme_residuals(cayley.build_propagator(H, tau), A, n)
     label = f"dim {H.shape[0]} tau {tau} n {n}"
-    return [CheckRow(f"heisenberg-{name.replace('_', '-')}", label, getattr(res, name), 1e-10)
-            for name in schemes]
+    return _nonempty([CheckRow(f"heisenberg-{name.replace('_', '-')}", label, getattr(res, name), 1e-10)
+                      for name in schemes])
 
 
 def involution(pairs, taus, n: int) -> list:
     """The five involution identities for each (H, A, label) pair at each tau."""
-    rows = []
-    for H, A, label in pairs:
-        for tau in taus:
-            for check in cayley.involution_identities(H, A, tau, n):
-                e = check.fitted_exponent
-                fitted = "nan" if math.isnan(e) else f"{e:.6f}"
-                rows.append(CheckRow(f"involution-{check.name}", f"{label} tau {tau} exponent {fitted}",
-                                     check.residual, 1e-10, e))
-    return rows
+    return _nonempty([
+        CheckRow(f"involution-{c.name}", f"{label} tau {tau} exponent {c.fitted_exponent:.6f}",
+                 c.residual, 1e-10, c.fitted_exponent)
+        for H, A, label in pairs for tau in taus for c in cayley.involution_identities(H, A, tau, n)])
 
 
 def _symmetry(D) -> tuple:
@@ -267,7 +267,7 @@ def limit_recurrence(centred, skewed) -> list:
 
 def hermite_oracle(s, schrodinger_max: int, recurrence_max: int, gram_max: int, ladder_max: int) -> list:
     """Schrodinger, recurrence, Gram and ladder relations of the Hermite levels up to each bound on grid s."""
-    bound = f"|s|<={float(np.abs(s).max()):g}"
+    bound = f"|s|<={_max_abs(_nonempty(np.ravel(s))):g}"
     raised, lowered = hermite.ladder_apply(ladder_max, s)
     psi = hermite.psi_table(ladder_max + 1, s)
     n = np.arange(1.0, ladder_max + 2.0)[:, None]

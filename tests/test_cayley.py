@@ -5,6 +5,7 @@ import pytest
 
 from latticeqm import (
     build_propagator,
+    cayley,
     check_hermitian,
     checks,
     evolution_operator,
@@ -185,6 +186,48 @@ def test_involution_identities_with_commuting_observable():
     for c in involution_identities(SIGMA_Z, SIGMA_Z, 0.3):
         assert c.residual < 1e-14
         assert math.isnan(c.fitted_exponent)
+
+
+def _spectral_exponents(H, A, tau, n):
+    # the exponent e with u**e * ||lhs|| = ||base|| in spectral norm, for the
+    # five identities in the order involution_identities reports them
+    prop = build_propagator(H, tau)
+    A_n, A_next, A_prev, A_half_up, A_half_dn, comm = cayley._evolved(prop, A, n)
+    C = prop.factor
+    cases = [
+        ((1j / tau) * (A_next - A_n), comm @ C),
+        ((1j / tau) * (A_n - A_prev), comm @ C.conj().T),
+        ((-1.0 / tau**2) * (A_next - 2.0 * A_n + A_prev), comm @ H - H @ comm),
+        ((1j / tau) * (A_half_up - A_half_dn), comm),
+        ((1j / tau) * (A_next - A_prev), 2.0 * (1.0 - 0.25 * tau * tau) * comm),
+    ]
+    log_u = math.log(1.0 + 0.25 * tau * tau)
+    return [math.log(np.linalg.norm(base, 2) / np.linalg.norm(lhs, 2)) / log_u for lhs, base in cases]
+
+
+@pytest.mark.parametrize("dim", [2, 4, 64])
+@pytest.mark.parametrize("tau", [0.05, 0.2])
+@pytest.mark.parametrize("n", [0, 3])
+def test_fitted_exponent_matches_spectral_norm_fit(dim, tau, n):
+    # any unitarily invariant norm gives the same power when lhs = base / u**e
+    rng = np.random.default_rng(dim)
+    H, A = random_involution(rng, dim), random_hermitian(rng, dim)
+    fitted = [c.fitted_exponent for c in involution_identities(H, A, tau, n)]
+    assert fitted == pytest.approx(_spectral_exponents(H, A, tau, n), abs=1e-9)
+
+
+def test_one_spectral_norm_per_gated_residual(monkeypatch):
+    # an SVD runs only where a tolerance reads its result
+    calls = []
+    norm = cayley._norm
+    monkeypatch.setattr(cayley, "_norm", lambda X: calls.append(1) or norm(X))
+    rng = np.random.default_rng(3)
+    H, A = random_involution(rng, 6), random_hermitian(rng, 6)
+    involution_identities(H, A, 0.2, 1)
+    assert len(calls) == 5
+    calls.clear()
+    heisenberg_scheme_residuals(build_propagator(H, 0.2), A, 1)
+    assert len(calls) == 5
 
 
 def test_involution_identities_reject_non_involution():

@@ -76,13 +76,19 @@ _SIZES = (16, 32)
     lambda rng: checks.continuum((), (1,), _SIZES),
     lambda rng: checks.continuum((), (), _SIZES),
     lambda rng: checks.state_round_trip(rng, (), 0.5),
+    lambda rng: checks.wigner((4,), (1.0,), ()),
+    lambda rng: checks.heisenberg(rng, _H, 0.1, 1, ()),
+    lambda rng: checks.involution([], (0.1,), 1),
+    lambda rng: checks.involution([(checks.SIGMA_Z, checks.SIGMA_X, "z x")], (), 1),
+    lambda rng: checks.hermite_oracle(np.array([]), 3, 3, 3, 3),
 ], ids=["wigner-sizes", "wigner-angles", "basis-spacings", "basis-sizes", "fourier-sizes",
         "fourier-states", "momentum", "propagator-taus", "propagator-residual-steps", "ladder-spectra",
         "position", "continuum-ladder-levels", "continuum-levels", "continuum-both-levels",
-        "state-round-trip"])
+        "state-round-trip", "wigner-groups", "heisenberg-schemes", "involution-pairs",
+        "involution-taus", "hermite-oracle-grid"])
 def test_an_empty_sweep_is_an_error(run):
     # folded from 0, a sweep with no point would read 0.0 and pass
-    with pytest.raises(ValueError, match="empty sweep"):
+    with pytest.raises(ValueError, match="^empty sweep: [^\\n]*$"):
         run(np.random.default_rng(0))
 
 
