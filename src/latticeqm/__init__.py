@@ -52,7 +52,6 @@ from .kravchuk import (
 )
 from .oscillator import (
     ConvergenceTable,
-    LimitRecurrenceResiduals,
     OscillatorModel,
     PositionSpectrum,
     annihilation_matrix,

@@ -44,8 +44,8 @@ def check_hermitian(H) -> np.ndarray:
     The defect max |H - H^dagger| may reach 1e-12 times max(1, max |H|).
     """
     H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"Hamiltonian must be a square matrix, got shape {H.shape}")
+    if H.ndim != 2 or H.shape[0] != H.shape[1] or H.size == 0:
+        raise ValueError(f"Hamiltonian must be a non-empty square matrix, got shape {H.shape}")
     if not np.isfinite(H).all():
         raise ValueError("Hamiltonian has non-finite entries")
     scale = max(1.0, float(np.abs(H).max()))
@@ -178,18 +178,26 @@ def heisenberg_evolve(prop: CayleyPropagator, A0, n: int) -> np.ndarray:
     return U.conj().T @ A @ U
 
 
-def _evolved(prop: CayleyPropagator, A0, n: int):
-    """A_n, A_{n+1}, A_{n-1}, A_{n+1/2}, A_{n-1/2} and [A_n, H] for one observable."""
-    H = prop.hamiltonian
-    C = prop.factor
-    Ch = prop.half_factor
+def _differences(prop: CayleyPropagator, A0, n: int):
+    """What both Heisenberg checks compare, for one observable at step n.
+
+    Returns [A_n, H], u = 1 + tau^2/4, the scalar central form
+    2 (1 - tau^2/4) [A_n, H], and the five time differences of A_n keyed by
+    the names of ``involution_identities``, whose left-hand sides they are.
+    """
+    H, C, Ch, tau = prop.hamiltonian, prop.factor, prop.half_factor, prop.tau
     A_n = heisenberg_evolve(prop, A0, n)
     A_next = C.conj().T @ A_n @ C
     A_prev = C @ A_n @ C.conj().T
-    A_half_up = Ch.conj().T @ A_n @ Ch
-    A_half_dn = Ch @ A_n @ Ch.conj().T
     comm = A_n @ H - H @ A_n
-    return A_n, A_next, A_prev, A_half_up, A_half_dn, comm
+    lhs = {
+        "forward": (1j / tau) * (A_next - A_n),
+        "backward": (1j / tau) * (A_n - A_prev),
+        "forward-backward": (-1.0 / tau**2) * (A_next - 2.0 * A_n + A_prev),
+        "half-step": (1j / tau) * (Ch.conj().T @ A_n @ Ch - Ch @ A_n @ Ch.conj().T),
+        "central": (1j / tau) * (A_next - A_prev),
+    }
+    return comm, 1.0 + 0.25 * tau * tau, 2.0 * (1.0 - 0.25 * tau * tau) * comm, lhs
 
 
 @dataclass(frozen=True)
@@ -211,30 +219,18 @@ class SchemeResiduals:
 
 def heisenberg_scheme_residuals(prop: CayleyPropagator, A0, n: int = 0) -> SchemeResiduals:
     """Residuals of the four difference schemes for an evolved observable."""
-    H = prop.hamiltonian
-    tau = prop.tau
-
-    A_n, A_next, A_prev, A_half_up, A_half_dn, comm = _evolved(prop, A0, n)
+    H, tau = prop.hamiltonian, prop.tau
+    comm, u, central_form, lhs = _differences(prop, A0, n)
     spec = prop.spectral_function
     p_inv = spec(lambda lam: 1.0 / (1.0 + 0.5j * tau * lam))
     r_inv = spec(lambda lam: 1.0 / np.sqrt(1.0 + 0.25 * tau * tau * lam * lam))
     r2_inv = spec(lambda lam: 1.0 / (1.0 + 0.25 * tau * tau * lam * lam))
-
-    forward = _norm((1j / tau) * (A_next - A_n) - p_inv.conj().T @ comm @ p_inv)
-    backward = _norm((1j / tau) * (A_n - A_prev) - p_inv @ comm @ p_inv.conj().T)
-    symmetric = _norm((1j / tau) * (A_half_up - A_half_dn) - r_inv @ comm @ r_inv)
-    central_lhs = (1j / tau) * (A_next - A_prev)
-    central = _norm(
-        central_lhs - 2.0 * r2_inv @ (comm + 0.25 * tau * tau * (H @ comm @ H)) @ r2_inv
-    )
-    u = 1.0 + 0.25 * tau * tau
-    central_scalar = _norm(central_lhs - (2.0 * (1.0 - 0.25 * tau * tau) / u**2) * comm)
     return SchemeResiduals(
-        forward=forward,
-        backward=backward,
-        symmetric=symmetric,
-        central=central,
-        central_involution_form=central_scalar,
+        forward=_norm(lhs["forward"] - p_inv.conj().T @ comm @ p_inv),
+        backward=_norm(lhs["backward"] - p_inv @ comm @ p_inv.conj().T),
+        symmetric=_norm(lhs["half-step"] - r_inv @ comm @ r_inv),
+        central=_norm(lhs["central"] - 2.0 * r2_inv @ (comm + 0.25 * tau * tau * (H @ comm @ H)) @ r2_inv),
+        central_involution_form=_norm(lhs["central"] - central_form / u**2),
     )
 
 
@@ -275,26 +271,22 @@ def involution_identities(H, A0, tau: float, n: int = 0):
         raise ValueError(f"H is not an involution: max |H^2 - 1| = {invol_defect:.3e}")
 
     prop = build_propagator(H, tau)
-    tau = float(tau)
-    u = 1.0 + 0.25 * tau * tau
+    comm, u, central_form, lhs = _differences(prop, A0, n)
     C = prop.factor
 
-    A_n, A_next, A_prev, A_half_up, A_half_dn, comm = _evolved(prop, A0, n)
-    comm2 = comm @ H - H @ comm
-
-    def fit_exponent(lhs, base):
-        nb, nl = np.linalg.norm(base), np.linalg.norm(lhs)
+    def fit_exponent(left, base):
+        nb, nl = np.linalg.norm(base), np.linalg.norm(left)
         return math.log(nb / nl) / math.log(u) if min(nb, nl) >= 1e-300 else math.nan
 
-    cases = [
-        ("forward", (1j / tau) * (A_next - A_n), comm @ C, 1),
-        ("backward", (1j / tau) * (A_n - A_prev), comm @ C.conj().T, 1),
-        ("forward-backward", (-1.0 / tau**2) * (A_next - 2.0 * A_n + A_prev), comm2, 2),
-        ("half-step", (1j / tau) * (A_half_up - A_half_dn), comm, 1),
-        ("central", (1j / tau) * (A_next - A_prev), 2.0 * (1.0 - 0.25 * tau * tau) * comm, 2),
-    ]
+    cases = {
+        "forward": (comm @ C, 1),
+        "backward": (comm @ C.conj().T, 1),
+        "forward-backward": (comm @ H - H @ comm, 2),
+        "half-step": (comm, 1),
+        "central": (central_form, 2),
+    }
     return [
-        IdentityCheck(name=name, residual=_norm(lhs - base / u**power),
-                      fitted_exponent=fit_exponent(lhs, base))
-        for name, lhs, base, power in cases
+        IdentityCheck(name=name, residual=_norm(lhs[name] - base / u**power),
+                      fitted_exponent=fit_exponent(lhs[name], base))
+        for name, (base, power) in cases.items()
     ]

@@ -260,7 +260,7 @@ def limit_recurrence(centred, skewed) -> list:
         for N, p, n in (centred, skewed))
     return [
         CheckRow("limit-recurrence-three-term", label, res.three_term, 1e-9),
-        CheckRow("limit-recurrence-difference", label, res.difference, 1e-9),
+        CheckRow("limit-recurrence-difference", label, res.shift, 1e-9),
         *_worst((("limit-recurrence-skewed", skewed_label, 1e-9),), ((r,) for r in skewed_res)),
     ]
 

@@ -78,7 +78,7 @@ def psi_table(n_max: int, s) -> np.ndarray:
 def eval_psi(n: int, s):
     """psi_n evaluated at a scalar or array argument."""
     n = _level(n)
-    scalar = np.isscalar(s)
+    scalar = np.ndim(s) == 0
     values = psi_table(n, s)[n]
     return float(values[0]) if scalar else values
 
@@ -100,15 +100,14 @@ def _derivative(table: np.ndarray, s: np.ndarray) -> np.ndarray:
 def schrodinger_residual(n_max: int, s) -> np.ndarray:
     """Max residual of -psi_n'' + s^2 psi_n - (2n+1) psi_n on the grid, per level n <= n_max.
 
-    The second derivative is assembled analytically from lower rows, so the
+    The second derivative differentiates psi_n' = sqrt(2n) psi_{n-1} - s psi_n
+    by the same rule, psi_n'' = sqrt(2n) psi_{n-1}' - s psi_n' - psi_n, so the
     residual probes the recurrence algebra rather than a finite difference.
     """
     s = _grid(s)
     psi = psi_table(n_max, s)
-    n, below = _levels(psi), _below(psi)
-    second = (np.sqrt(4.0 * n * (n - 1.0)) * _below(below) - 2.0 * s * np.sqrt(2.0 * n) * below
-              + (s * s - 1.0) * psi)
-    return np.abs(-second + s * s * psi - (2.0 * n + 1.0) * psi).max(axis=1)
+    second = _derivative(_derivative(psi, s), s) - psi
+    return np.abs(-second + s * s * psi - (2.0 * _levels(psi) + 1.0) * psi).max(axis=1)
 
 
 class HermiteRecurrenceResiduals(NamedTuple):

@@ -233,6 +233,9 @@ def wigner_d_direct(N: int, beta: float) -> np.ndarray:
     log space.  The powers of B and the factorials are formed once for the
     table.  Accuracy is limited by the rounding of the inputs and of that
     recombination, not by the (often catastrophic) cancellation between terms.
+    The recombination costs about 50 machine epsilons: entry (1, 1) at N = 2,
+    beta = 0.7 is off cos(0.7) by 1.08e-14, where ``build_wigner_d`` is exact,
+    so a comparison with this oracle reads the oracle's floor.
     """
     N, beta = _validate_table(N, beta)
     c = math.cos(0.5 * beta)
@@ -267,11 +270,10 @@ def wigner_d_direct(N: int, beta: float) -> np.ndarray:
     return out
 
 
-def _couplings(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sqrt(n (N-n+1)) d[n-1,x] and sqrt((N-n)(n+1)) d[n+1,x], zero off the table."""
-    N = T.shape[0] - 1
-    n = np.arange(N + 1, dtype=float)
-    zero = np.zeros((1, N + 1))
+def _couplings(T: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(n (N-n+1)) d[n-1,x], sqrt((N-n)(n+1)) d[n+1,x] on rows n = 0..m, zero off them."""
+    n = np.arange(T.shape[0], dtype=float)
+    zero = np.zeros((1, T.shape[1]))
     up = np.sqrt(n * (N - n + 1.0))[:, None] * np.vstack([zero, T[:-1]])
     down = np.sqrt((N - n) * (n + 1.0))[:, None] * np.vstack([T[1:], zero])
     return up, down
@@ -280,6 +282,26 @@ def _couplings(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class RecurrenceResiduals(NamedTuple):
     three_term: float
     shift: float
+
+
+def _relations(T: np.ndarray, N: int, p: float, q: float, spq: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row max residuals (three-term, shift) of ``recurrence_residuals``'s
+    relations on rows 0..m of an order-N table, with q = 1 - p and spq = sqrt(p q).
+
+    Row m is read without its neighbour m+1, so when m < N its residuals are
+    not those of the relations; every row below m is.
+    """
+    n = np.arange(T.shape[0], dtype=float)
+    x = np.arange(N + 1, dtype=float)
+    up, down = _couplings(T, N)
+
+    coeff = ((N * p - x)[None, :] + (n * (q - p))[:, None]) / spq
+    three_term = np.abs(coeff * T - (up + down)).max(axis=1)
+
+    # the column couplings are the row couplings of the transposed table
+    prev_col, next_col = _couplings(T.T, N)
+    shift = np.abs((next_col - prev_col).T - (up - down)).max(axis=1)
+    return three_term, shift
 
 
 def recurrence_residuals(D: WignerDMatrix) -> RecurrenceResiduals:
@@ -298,20 +320,8 @@ def recurrence_residuals(D: WignerDMatrix) -> RecurrenceResiduals:
     Out-of-range neighbours carry zero coefficients, so both relations are
     checked on the whole table at once.
     """
-    N, p, q = D.N, D.p, D.q
-    spq = 0.5 * math.sin(D.beta)
-    T = D.table
-    n = np.arange(N + 1, dtype=float)
-    x = np.arange(N + 1, dtype=float)
-    up, down = _couplings(T)
-
-    coeff = ((N * p - x)[None, :] + (n * (q - p))[:, None]) / spq
-    three_term = float(np.abs(coeff * T - (up + down)).max())
-
-    # the column couplings are the row couplings of the transposed table
-    prev_col, next_col = _couplings(T.T)
-    shift = float(np.abs((next_col - prev_col).T - (up - down)).max())
-    return RecurrenceResiduals(three_term=three_term, shift=shift)
+    per_row = _relations(D.table, D.N, D.p, D.q, 0.5 * math.sin(D.beta))
+    return RecurrenceResiduals(*(float(r.max()) for r in per_row))
 
 
 class DifferentialResiduals(NamedTuple):
@@ -340,7 +350,7 @@ def differential_residuals(D: WignerDMatrix) -> DifferentialResiduals:
     derivative = sin * _derivative(N, beta)
     m = 0.5 * N - np.arange(N + 1, dtype=float)
     rest = (m[None, :] - m[:, None] * math.cos(beta)) * D.table
-    up, down = _couplings(D.table)
+    up, down = _couplings(D.table, N)
     return DifferentialResiduals(
         plus=float(np.abs(derivative + rest - sin * up).max()),
         minus=float(np.abs(-derivative + rest - sin * down).max()),

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import hermite
-from .kravchuk import build_kravchuk, orthonormal_functions
+from .kravchuk import RecurrenceResiduals, _relations, build_kravchuk, orthonormal_functions
 from .lattice import _integer, _order, _probability
 
 
@@ -182,60 +181,35 @@ def continuum_convergence(n_max: int, N_list, p: float = 0.5) -> ConvergenceTabl
                             raise_errors=raise_, fitted_orders=orders)
 
 
-class LimitRecurrenceResiduals(NamedTuple):
-    three_term: float
-    difference: float
+def limit_recurrence_check(model: OscillatorModel, n: int) -> RecurrenceResiduals:
+    """Residuals at level n of the d-table contiguity relations, rescaled by sqrt(2/N).
 
-
-def limit_recurrence_check(model: OscillatorModel, n: int) -> LimitRecurrenceResiduals:
-    """Residuals of the two 1/N-corrected recurrences on the rescaled grid.
+    The recurrence rows phi_0 .. phi_{n+1}, signed by the checkerboard
+    (-1)^(k+x) on row k, are rows of the d-table at p = sin^2(beta/2), so the
+    relations of ``kravchuk.recurrence_residuals`` hold on them.  Times
+    sqrt(2/N) and written on the grid s_x, they read
 
     three_term:
         2 (s_x + (2p-1) n / sqrt(2 N p q)) phi_n
             = sqrt(2(n+1)) sqrt(1 - n/N) phi_{n+1}
             + sqrt(2n) sqrt(1 - (n-1)/N) phi_{n-1}
 
-    difference:
+    shift:
         sqrt(2 N p) ( sqrt((1 - x/N)(x+1)/(N p)) phi_n(x+1)
                       - sqrt((x/(N p))(1 - (x-1)/N)) phi_n(x-1) )
             = sqrt(2n (1 - (n-1)/N)) phi_{n-1}
             - sqrt(2(n+1)(1 - n/N)) phi_{n+1}
 
-    Both are exact rearrangements of the defining recurrences, so the
-    residuals sit at roundoff level for any N; as N grows the coefficients
-    visibly flow to the continuum relations for 2 s psi_n and 2 psi_n'.
+    Both are exact, so the residuals sit at roundoff level for any N; as N
+    grows the coefficients visibly flow to the continuum relations for
+    2 s psi_n and 2 psi_n'.
     """
     n = _integer(n, "n")
-    N = model.N
-    p = model.p
-    q = 1.0 - p
+    N, p = model.N, model.p
     if not 0 <= n < N:
         raise ValueError(f"need 0 <= n < N for the neighbour rows, got n={n}, N={N}")
-
-    family = build_kravchuk(N, p, n_max=n + 1)
-    phi = orthonormal_functions(family)
-    s, _ = s_grid(N, p)
-    below = phi[n - 1] if n >= 1 else np.zeros(N + 1)
-    here = phi[n]
-    above = phi[n + 1]
-
-    shift = (2.0 * p - 1.0) * n / math.sqrt(2.0 * N * p * q)
-    lhs_a = 2.0 * (s + shift) * here
-    rhs_a = (
-        math.sqrt(2.0 * (n + 1)) * math.sqrt(1.0 - n / N) * above
-        + math.sqrt(2.0 * n) * math.sqrt(1.0 - (n - 1.0) / N) * below
-    )
-    three_term = float(np.abs(lhs_a - rhs_a).max())
-
-    x = np.arange(N + 1, dtype=float)
-    here_next = np.append(here[1:], 0.0)
-    here_prev = np.insert(here[:-1], 0, 0.0)
-    coeff_next = np.sqrt((1.0 - x / N) * (x + 1.0) / (N * p))
-    coeff_prev = np.sqrt((x / (N * p)) * (1.0 - (x - 1.0) / N))
-    lhs_b = math.sqrt(2.0 * N * p) * (coeff_next * here_next - coeff_prev * here_prev)
-    rhs_b = (
-        math.sqrt(2.0 * n * (1.0 - (n - 1.0) / N)) * below
-        - math.sqrt(2.0 * (n + 1) * (1.0 - n / N)) * above
-    )
-    difference = float(np.abs(lhs_b - rhs_b).max())
-    return LimitRecurrenceResiduals(three_term=three_term, difference=difference)
+    phi = orthonormal_functions(build_kravchuk(N, p, n_max=n + 1))
+    rows = (-1.0) ** np.add.outer(np.arange(n + 2), np.arange(N + 1)) * phi
+    three_term, shift = _relations(rows, N, p, 1.0 - p, math.sqrt(p * (1.0 - p)))
+    scale = math.sqrt(2.0 / N)
+    return RecurrenceResiduals(three_term=scale * float(three_term[n]), shift=scale * float(shift[n]))

@@ -57,6 +57,14 @@ def test_rejects_non_hermitian():
         check_hermitian([[0.0, 1.0], [2.0, 0.0]])
 
 
+def test_rejects_an_empty_hamiltonian_by_its_shape():
+    # a 0 x 0 matrix failed on numpy's "zero-size array to reduction operation"
+    for call in (check_hermitian, lambda H: build_propagator(H, 0.1),
+                 lambda H: involution_identities(H, H, 0.1)):
+        with pytest.raises(ValueError, match=r"^Hamiltonian must be a non-empty square matrix, got shape \(0, 0\)$"):
+            call(np.zeros((0, 0)))
+
+
 def test_step_is_unitary_long_run():
     rng = np.random.default_rng(31)
     H = random_hermitian(rng, 7)
@@ -192,14 +200,14 @@ def _spectral_exponents(H, A, tau, n):
     # the exponent e with u**e * ||lhs|| = ||base|| in spectral norm, for the
     # five identities in the order involution_identities reports them
     prop = build_propagator(H, tau)
-    A_n, A_next, A_prev, A_half_up, A_half_dn, comm = cayley._evolved(prop, A, n)
+    comm, _, _, lhs = cayley._differences(prop, A, n)
     C = prop.factor
     cases = [
-        ((1j / tau) * (A_next - A_n), comm @ C),
-        ((1j / tau) * (A_n - A_prev), comm @ C.conj().T),
-        ((-1.0 / tau**2) * (A_next - 2.0 * A_n + A_prev), comm @ H - H @ comm),
-        ((1j / tau) * (A_half_up - A_half_dn), comm),
-        ((1j / tau) * (A_next - A_prev), 2.0 * (1.0 - 0.25 * tau * tau) * comm),
+        (lhs["forward"], comm @ C),
+        (lhs["backward"], comm @ C.conj().T),
+        (lhs["forward-backward"], comm @ H - H @ comm),
+        (lhs["half-step"], comm),
+        (lhs["central"], 2.0 * (1.0 - 0.25 * tau * tau) * comm),
     ]
     log_u = math.log(1.0 + 0.25 * tau * tau)
     return [math.log(np.linalg.norm(base, 2) / np.linalg.norm(lhs, 2)) / log_u for lhs, base in cases]

@@ -47,7 +47,7 @@ def test_nan_skewed_difference_fails_the_skewed_row(monkeypatch):
 
     def patched(model, n):
         res = check(model, n)
-        return res._replace(difference=math.nan) if model.p == 0.3 else res
+        return res._replace(shift=math.nan) if model.p == 0.3 else res
 
     monkeypatch.setattr(oscillator, "limit_recurrence_check", patched)
     rows = checks.limit_recurrence((50, 0.5, 3), (200, 0.3, 2))
@@ -111,6 +111,9 @@ def test_order_row_needs_a_halving_ratio():
      lambda: checks.position((2, 9)), "position-grid"),
     (kravchuk, "wigner_d_direct", lambda table, e: table + e,
      lambda: checks.wigner((3, 8), (0.7,), ("oracle",)), "wigner-vs-oracle"),
+    *((oscillator, "orthonormal_functions", lambda phi, e: phi + e,
+       lambda: checks.limit_recurrence((50, 0.5, 3), (200, 0.3, 2)), check)
+      for check in ("limit-recurrence-three-term", "limit-recurrence-difference", "limit-recurrence-skewed")),
 ])
 def test_a_result_off_by_ten_tolerances_fails_its_row(monkeypatch, module, name, shift, run, check):
     row = _row(run(), check)

@@ -37,6 +37,14 @@ def test_frozen_values_at_origin():
     assert eval_psi(2, 0.0) == pytest.approx(-0.5311259660135984, rel=1e-14)
 
 
+def test_a_zero_dimensional_argument_stays_scalar():
+    # np.isscalar is False for a 0-d array, which came back with shape (1,)
+    value = eval_psi(2, np.array(1.0))
+    assert isinstance(value, float)
+    assert value == eval_psi(2, 1.0)
+    assert eval_psi(2, np.array([1.0])).shape == (1,)
+
+
 def test_matches_polynomial_route():
     s = np.linspace(-4.0, 4.0, 81)
     table = psi_table(5, s)

@@ -158,7 +158,7 @@ def test_limit_recurrences_are_exact_rearrangements():
         for n in (0, 1, 3):
             res = limit_recurrence_check(model, n)
             assert res.three_term < 1e-9
-            assert res.difference < 1e-9
+            assert res.shift < 1e-9
 
 
 def test_difference_identity_approaches_derivative():
