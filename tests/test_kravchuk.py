@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from latticeqm import (
     recurrence_residuals,
     wigner_d_direct,
 )
-from latticeqm.kravchuk import _chiral, _derivative
+from latticeqm.kravchuk import _chiral, _derivative, _direct_entries
 
 
 def test_weights_sum_to_one_and_stay_positive():
@@ -96,6 +97,15 @@ def test_exact_entry_matches_half_angle_formulas():
         assert wigner_d_direct(2, beta)[1, 1] == pytest.approx(math.cos(beta), abs=1e-13)
         assert wigner_d_direct(1, beta)[0, 1] == pytest.approx(-math.sin(beta / 2), abs=1e-14)
         assert wigner_d_direct(1, beta)[1, 0] == pytest.approx(math.sin(beta / 2), abs=1e-14)
+
+
+def test_exact_entry_is_the_rounded_half_angle_difference():
+    # the log-space recombination of the exact sum with its prefactor was off
+    # by 1.08e-14 here at beta = 0.7; the entry is c^2 - s^2 of the same floats
+    for beta in (0.3, 0.7, 2.8):
+        c, s = math.cos(0.5 * beta), math.sin(0.5 * beta)
+        exact = float(Fraction(c) ** 2 - Fraction(s) ** 2)
+        assert abs(wigner_d_direct(2, beta)[1, 1] - exact) <= math.ulp(exact), beta
 
 
 def test_table_matches_exact_summation():
@@ -253,6 +263,31 @@ def test_direct_table_matches_textbook_sum_at_sixty_digits():
         with mpmath.workdps(60):
             worst = _textbook_gap(mpmath, table, N, beta)
         assert worst < 1e-12, (N, beta, worst)
+
+
+def test_direct_table_is_within_a_rounding_of_the_textbook_sum():
+    # one quarter of the table is summed, the rest filled by exact symmetries;
+    # the quarter's bounds differ between odd and even N
+    mpmath = pytest.importorskip("mpmath")
+    for N, beta in ((5, 2.5), (33, 2.9), (24, 1e-6), (40, 0.3), (32, math.pi - 1e-6)):
+        table = wigner_d_direct(N, beta)
+        with mpmath.workdps(60):
+            worst = _textbook_gap(mpmath, table, N, beta)
+        assert worst <= 2.3e-16, (N, beta, worst)
+
+
+def test_direct_entry_stays_in_range_at_large_order():
+    # C(N, x) / C(N, n) overflows a float from N ~ 1030, and c^550 s^550
+    # underflows at beta = 0.3 although the entry does not
+    N, x = 1100, 550
+    for beta in (0.3, 0.5 * math.pi):
+        value = _direct_entries(N, beta)(0, x)
+        c, s = Fraction(math.cos(0.5 * beta)), Fraction(math.sin(0.5 * beta))
+        # d[0, x] = sqrt(C(N, x)) c^(N-x) s^x, compared through its exact square
+        square = math.comb(N, x) * c ** (2 * (N - x)) * s ** (2 * x)
+        assert value > 0.0, beta
+        lo, hi = Fraction(value - 2 * math.ulp(value)), Fraction(value + 2 * math.ulp(value))
+        assert lo * lo <= square <= hi * hi, beta
 
 
 def _textbook_gap(mpmath, table, N, beta):
