@@ -7,7 +7,7 @@ fold, ``_worst``, takes that worst for every sweep; a NaN residual at any
 sweep point makes its row NaN, so the row fails, and an empty sweep raises.
 The d-table relations are one sweep: ``wigner`` builds each table once and
 applies to it the relation groups its caller names from ``WIGNER``
-(symmetry, orthogonality, recurrence, oracle, differential).  ``verify-all``
+(``_symmetry``, ``_orthogonality``, recurrence, oracle, differential).  ``verify-all``
 calls them with small sweeps, the ``wigner`` and ``heisenberg-check``
 subcommands at one point, the demos at the points they print, the
 acceptance tests with wider sweeps, and the unit tests at their own sweeps,
@@ -173,8 +173,17 @@ def involution(pairs, taus, n: int) -> list:
 
 
 def _symmetry(D) -> tuple:
-    parity = np.where((np.add.outer(np.arange(D.N + 1), np.arange(D.N + 1))) % 2 == 0, 1.0, -1.0)
-    return (_max_abs(D.table - parity * D.table.T),)
+    """d - (-1)^(n+x) d^T in one scratch table: T + T^T, exactly T - (-1) T^T, where n + x is odd."""
+    T, work = D.table, np.empty_like(D.table)
+    for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        (np.add if a != b else np.subtract)(T[a::2, b::2], T.T[a::2, b::2], out=work[a::2, b::2])
+    return (float(np.abs(work, out=work).max(initial=0.0)),)
+
+
+def _orthogonality(D) -> tuple:
+    gram = D.table.T @ D.table
+    gram.reshape(-1)[:: D.N + 2] -= 1.0  # T^T T - 1 in the product's own table
+    return (float(np.abs(gram, out=gram).max(initial=0.0)),)
 
 
 # each relation group: the residuals of one d-table, then its (row, tolerance)
@@ -182,8 +191,7 @@ def _symmetry(D) -> tuple:
 # module attribute (a tracer, a test double) is the one that runs
 WIGNER = {
     "symmetry": (_symmetry, (("wigner-symmetry", 1e-12),)),
-    "orthogonality": (lambda D: (_max_abs(D.table.T @ D.table - np.eye(D.N + 1)),),
-                      (("wigner-orthogonality", 1e-12),)),
+    "orthogonality": (_orthogonality, (("wigner-orthogonality", 1e-12),)),
     "recurrence": (lambda D: kravchuk.recurrence_residuals(D),
                    (("wigner-recurrence-three-term", 1e-10), ("wigner-recurrence-shift", 1e-10))),
     "oracle": (lambda D: (_max_abs(D.table - kravchuk.wigner_d_direct(D.N, D.beta)),),

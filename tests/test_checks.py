@@ -56,6 +56,41 @@ def test_nan_skewed_difference_fails_the_skewed_row(monkeypatch):
     assert all(r.passed for r in rows if r is not skewed)
 
 
+@pytest.mark.parametrize("N, entry", [(1, (0, 1)), (12, (0, 0)), (12, (5, 12)), (256, (100, 37))])
+def test_a_nan_entry_fails_every_table_relation(monkeypatch, N, entry):
+    # in-place abs and max(initial=0) keep a NaN; fmax or nanmax would drop it
+    build = kravchuk.build_wigner_d
+
+    def patched(N, beta):
+        table = build(N, beta).table.copy()
+        table[entry] = math.nan
+        return kravchuk.WignerDMatrix(N, beta, table)
+
+    monkeypatch.setattr(kravchuk, "build_wigner_d", patched)
+    rows = checks.wigner((N,), (0.9,), ("symmetry", "orthogonality", "recurrence", "differential"))
+    assert len(rows) == 6
+    for row in rows:
+        assert math.isnan(row.residual) and not row.passed, row
+
+
+def test_symmetry_and_orthogonality_match_the_copying_formulation_bit_for_bit():
+    def parity_matrix_symmetry(D):
+        parity = np.where((np.add.outer(np.arange(D.N + 1), np.arange(D.N + 1))) % 2 == 0, 1.0, -1.0)
+        return (float(np.abs(D.table - parity * D.table.T).max(initial=0.0)),)
+
+    def identity_matrix_orthogonality(D):
+        return (float(np.abs(D.table.T @ D.table - np.eye(D.N + 1)).max(initial=0.0)),)
+
+    rng = np.random.default_rng(21)
+    for N in (*range(1, 41), 127, 128, 256):
+        tables = [kravchuk.build_wigner_d(N, beta) for beta in (1e-9, 0.3, 1.7, math.pi - 1e-9)]
+        # a random table as well: residuals of order one, so a misplaced entry shows
+        tables.append(kravchuk.WignerDMatrix(N, 1.1, rng.standard_normal((N + 1, N + 1))))
+        for D in tables:
+            assert checks.WIGNER["symmetry"][0](D) == parity_matrix_symmetry(D)
+            assert checks.WIGNER["orthogonality"][0](D) == identity_matrix_orthogonality(D)
+
+
 _H = np.eye(2)
 _SIZES = (16, 32)
 

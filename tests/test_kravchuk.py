@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,11 +12,12 @@ from latticeqm import (
     build_wigner_d,
     checks,
     cli,
+    differential_residuals,
     orthonormal_functions,
     recurrence_residuals,
     wigner_d_direct,
 )
-from latticeqm.kravchuk import _chiral, _derivative, _direct_entries
+from latticeqm.kravchuk import _chiral, _derivative, _direct_entries, _relations, _rotation
 
 
 def test_weights_sum_to_one_and_stay_positive():
@@ -309,3 +311,97 @@ def _textbook_gap(mpmath, table, N, beta):
             exact = mpmath.sqrt(f[n] * f[N - n] * f[x] * f[N - x]) * total
             worst = max(worst, float(abs(float(table[n, x]) - exact)))
     return worst
+
+
+# The d-table kernels before they wrote into reused buffers: padded copies,
+# a transposed copy, fresh temporaries.  The kernels must agree with them bit
+# for bit.
+def _padded_couplings(T, N):
+    n = np.arange(T.shape[0], dtype=float)
+    zero = np.zeros((1, T.shape[1]))
+    up = np.sqrt(n * (N - n + 1.0))[:, None] * np.vstack([zero, T[:-1]])
+    down = np.sqrt((N - n) * (n + 1.0))[:, None] * np.vstack([T[1:], zero])
+    return up, down
+
+
+def _padded_relations(T, N, p, q, spq):
+    n = np.arange(T.shape[0], dtype=float)
+    x = np.arange(N + 1, dtype=float)
+    up, down = _padded_couplings(T, N)
+    coeff = ((N * p - x)[None, :] + (n * (q - p))[:, None]) / spq
+    three_term = np.abs(coeff * T - (up + down)).max(axis=1)
+    prev_col, next_col = _padded_couplings(T.T, N)
+    shift = np.abs((next_col - prev_col).T - (up - down)).max(axis=1)
+    return three_term, shift
+
+
+def _fresh_rotation(N, even, odd):
+    U, V, sigma = _chiral(N)
+    r = V.shape[0]
+    out = np.empty((N + 1, N + 1))
+    out[0::2, 0::2] = (U * even(sigma)) @ U.T
+    out[1::2, 1::2] = (V * even(sigma[:r])) @ V.T
+    S = (U[:, :r] * odd(sigma[:r])) @ V.T
+    out[0::2, 1::2] = -S
+    out[1::2, 0::2] = S.T
+    return out
+
+
+def _padded_differential(D):
+    N, beta = D.N, D.beta
+    sin = math.sin(beta)
+    derivative = sin * _fresh_rotation(N, lambda s: -s * np.sin(beta * s), lambda s: s * np.cos(beta * s))
+    m = 0.5 * N - np.arange(N + 1, dtype=float)
+    rest = (m[None, :] - m[:, None] * math.cos(beta)) * D.table
+    up, down = _padded_couplings(D.table, N)
+    return (float(np.abs(derivative + rest - sin * up).max()),
+            float(np.abs(-derivative + rest - sin * down).max()))
+
+
+def test_kernels_match_the_copying_formulation_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for N in (*range(1, 41), 127, 128, 256):
+        # a random table as well: residuals of order one, so a misplaced entry shows
+        tables = [build_wigner_d(N, beta) for beta in (1e-9, 0.3, 1.7, math.pi - 1e-9)]
+        tables.append(WignerDMatrix(N, 1.1, rng.standard_normal((N + 1, N + 1))))
+        assert np.array_equal(_rotation(N, np.cos, np.sin), _fresh_rotation(N, np.cos, np.sin))
+        for D in tables:
+            beta = D.beta
+            if D is not tables[-1]:
+                assert np.array_equal(D.table, _fresh_rotation(N, lambda s: np.cos(beta * s),
+                                                               lambda s: np.sin(beta * s)))
+            assert tuple(differential_residuals(D)) == _padded_differential(D)
+            args = (N, D.p, D.q, 0.5 * math.sin(beta))
+            for m in sorted({0, 1, N // 2, N}):
+                # partial tables arrive as fresh arrays of rows 0..m
+                rows = np.array(D.table[: m + 1])
+                for got, want in zip(_relations(rows, *args), _padded_relations(rows, *args)):
+                    assert np.array_equal(got, want), (N, beta, m)
+            want = _padded_relations(D.table, *args)
+            assert tuple(recurrence_residuals(D)) == tuple(float(r.max()) for r in want)
+
+
+# peak traced memory of each kernel, in (N+1)^2 float tables at N = 256; the
+# copying kernels peaked at 1.5 (build), 8.0, 6.0, 3.0 and 2.0 tables
+_CEILINGS = {"build": 1.6, "recurrence": 3.5, "differential": 3.25, "symmetry": 1.5, "orthogonality": 1.1}
+
+
+@pytest.mark.parametrize("kernel", _CEILINGS)
+def test_kernel_allocations_stay_under_their_ceiling(kernel):
+    N, beta = 256, 0.9
+    D = build_wigner_d(N, beta)  # caches the order's factors
+    run = {
+        "build": lambda: build_wigner_d(N, beta),
+        "recurrence": lambda: recurrence_residuals(D),
+        "differential": lambda: differential_residuals(D),
+        "symmetry": lambda: checks.WIGNER["symmetry"][0](D),
+        "orthogonality": lambda: checks.WIGNER["orthogonality"][0](D),
+    }[kernel]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / ((N + 1) ** 2 * 8) < _CEILINGS[kernel]
