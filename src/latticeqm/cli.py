@@ -354,6 +354,8 @@ def main(argv=None) -> int:
     Each flag's type converts its value and enforces its range, so argparse
     rejects an out-of-range value with the subcommand's usage line and exit
     code 2.  Only --s-max > --s-min spans two flags and is checked here.
+    A ValueError, OSError or MemoryError from the work ends as one ``error:``
+    line on stderr and exit code 1.
     The parser is built on the first call and shared by every later one:
     parsing returns a fresh namespace and never changes the parser, and a
     usage error only raises SystemExit.
@@ -375,8 +377,8 @@ def main(argv=None) -> int:
                     if i:
                         out.write("\n")
                     write_csv(out, header, rows)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return code
 

@@ -208,8 +208,10 @@ def limit_recurrence_check(model: OscillatorModel, n: int) -> RecurrenceResidual
     N, p = model.N, model.p
     if not 0 <= n < N:
         raise ValueError(f"need 0 <= n < N for the neighbour rows, got n={n}, N={N}")
-    phi = orthonormal_functions(build_kravchuk(N, p, n_max=n + 1))
-    rows = (-1.0) ** np.add.outer(np.arange(n + 2), np.arange(N + 1)) * phi
+    # a fresh array, so the checkerboard signs it in place and touches no cached table
+    rows = orthonormal_functions(build_kravchuk(N, p, n_max=n + 1))
+    rows[0::2, 1::2] *= -1.0
+    rows[1::2, 0::2] *= -1.0
     three_term, shift = _relations(rows, N, p, 1.0 - p, math.sqrt(p * (1.0 - p)))
     scale = math.sqrt(2.0 / N)
     return RecurrenceResiduals(three_term=scale * float(three_term[n]), shift=scale * float(shift[n]))

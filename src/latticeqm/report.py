@@ -5,7 +5,10 @@ residual and the tolerance it was held to.  Status is derived, never stored:
 a row passes iff residual <= tolerance, and a report passes iff every row
 does.  Every CSV table the package emits, the report's fixed
 ``check,params,residual,tolerance,status`` table included, is rendered by
-``write_csv`` with floats printed to 17 significant digits.
+``write_csv`` with floats printed to 17 significant digits: a numeric table
+(an ``evolve`` trajectory, a spectrum, a basis) by one ``%`` format per row,
+a labelled table (``verify-all``, ``wigner``, ``heisenberg-check``) value by
+value through ``format_float``.
 """
 
 from __future__ import annotations
@@ -21,13 +24,27 @@ def format_float(x: float) -> str:
 def write_csv(out, header: str, rows) -> None:
     """Stream one CSV table to the text stream ``out``.
 
-    Each row is a sequence of values: strings are written as they are, every
-    other value through ``format_float``.  Rows of plain Python numbers, as
-    ``ndarray.tolist()`` gives them, format fastest.
+    Each row is a sequence of values, and the first row decides the route.
+    If it holds no string the table is numeric, and each row is rendered by
+    one ``"%.17g,...,%.17g\\n" % tuple(row)``, its format string built once
+    per row width.  ``%.17g`` and ``format_float`` both print through
+    ``PyOS_double_to_string(x, 'g', 17)``, so the bytes are the same.  In a
+    labelled table strings are written as they are and every other value
+    goes through ``format_float``, the one call perfbench counts and traces
+    on the CSV ``wigner`` op.
     """
     out.write(header + "\n")
+    labelled, formats = None, {}
     for row in rows:
-        out.write(",".join(v if isinstance(v, str) else format_float(v) for v in row) + "\n")
+        if labelled is None:
+            labelled = any(isinstance(v, str) for v in row)
+        if labelled:
+            out.write(",".join(v if isinstance(v, str) else format_float(v) for v in row) + "\n")
+            continue
+        line = formats.get(len(row))
+        if line is None:
+            line = formats[len(row)] = ",".join(["%.17g"] * len(row)) + "\n"
+        out.write(line % tuple(row))
 
 
 @dataclass(frozen=True)

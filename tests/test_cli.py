@@ -209,6 +209,40 @@ def test_evolve_matches_library(tmp_path, capsys):
         assert re1 + 1j * im1 == pytest.approx(traj[n][1], abs=1e-14)
 
 
+def test_evolve_csv_is_the_per_value_rendering_byte_for_byte(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    H = checks.random_hermitian(rng, 5)
+    amplitudes = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    state = LatticeState(amplitudes / np.linalg.norm(amplitudes), epsilon=0.7)
+    argv = evolve_argv(tmp_path, json.dumps({"re": H.real.tolist(), "im": H.imag.tolist()}), state.to_json())
+    out_path = tmp_path / "traj.csv"
+
+    code, out, err = run_cli(capsys, *argv, "--tau", "0.37", "--steps", "40", "--output", str(out_path))
+    assert (code, out, err) == (0, "", "")
+    traj = evolve_trajectory(build_propagator(H, 0.37), state.amplitudes, 40)
+    norms = np.linalg.norm(traj, axis=1)
+    expected = ["n,norm," + ",".join(f"re_{i},im_{i}" for i in range(5))]
+    for n, (norm, amps) in enumerate(zip(norms, traj)):
+        values = [n, norm] + [part for a in amps for part in (a.real, a.imag)]
+        expected.append(",".join(report.format_float(v) for v in values))
+    written = out_path.read_bytes()
+    assert written.split(b"\n") == [line.encode() for line in expected] + [b""]
+    assert written == ("\n".join(expected) + "\n").encode()
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000001,)"),
+     "error: Unable to allocate 7.28 TiB for an array with shape (1000000000001,)\n"),
+    (MemoryError(), "error: MemoryError\n"),  # a bare MemoryError still names itself
+], ids=["numpy-message", "bare"])
+def test_work_out_of_memory_is_one_error_line(monkeypatch, capsys, exc, line):
+    def out_of_memory(params, fmt):
+        raise exc
+
+    monkeypatch.setitem(cli.COMMANDS, "spectrum", out_of_memory)
+    assert run_cli(capsys, "spectrum", "--N", "4", "--what", "energy") == (1, "", line)
+
+
 def test_evolve_json_final_state_reloads(tmp_path, capsys):
     H = np.diag([1.0, -1.0])
     state = LatticeState(np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2), epsilon=0.5)

@@ -161,6 +161,20 @@ def test_limit_recurrences_are_exact_rearrangements():
             assert res.shift < 1e-9
 
 
+@pytest.mark.parametrize("N, p, n", [(50, 0.5, 3), (200, 0.3, 2), (256, 0.2, 128), (7, 0.9, 6)])
+def test_limit_recurrence_checkerboard_is_bit_identical_to_the_power_form(N, p, n):
+    from latticeqm.kravchuk import _relations, build_kravchuk, orthonormal_functions
+
+    phi = orthonormal_functions(build_kravchuk(N, p, n_max=n + 1))
+    rows = (-1.0) ** np.add.outer(np.arange(n + 2), np.arange(N + 1)) * phi
+    three_term, shift = _relations(rows, N, p, 1.0 - p, math.sqrt(p * (1.0 - p)))
+    scale = math.sqrt(2.0 / N)
+    expected = np.array([scale * float(three_term[n]), scale * float(shift[n])])
+    res = limit_recurrence_check(build_oscillator(N, p=p), n)
+    got = np.array([res.three_term, res.shift])
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 def test_difference_identity_approaches_derivative():
     # the weighted shift combination tends to 2 psi' as N grows
     from latticeqm.oscillator import _aligned_level_rows

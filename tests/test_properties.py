@@ -1,5 +1,6 @@
 """Property tests over random inputs; skipped when hypothesis is not installed."""
 
+import io
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from latticeqm import LatticeState, build_propagator, checks, evolution_operator  # noqa: E402
+from latticeqm import LatticeState, build_propagator, checks, evolution_operator, report  # noqa: E402
 
 bounded = settings(max_examples=60, deadline=None)
 
@@ -62,3 +63,18 @@ def test_wigner_table_symmetry_and_orthogonality(N, beta):
 def test_cayley_step_is_unitary(H, tau, seed):
     rows = checks.propagator(np.random.default_rng(seed), H, (tau,), 200, (0, 7))
     assert all(row.passed for row in rows), rows
+
+
+edge_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308]),
+)
+
+
+@bounded
+@given(rows=st.lists(st.lists(edge_floats, max_size=12), max_size=12))
+def test_numeric_csv_rows_match_per_value_rendering(rows):
+    out = io.StringIO()
+    report.write_csv(out, "h", rows)
+    expected = "".join(["h\n"] + [",".join(report.format_float(v) for v in row) + "\n" for row in rows])
+    assert out.getvalue() == expected

@@ -1,9 +1,10 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
-from latticeqm import CheckRow, cli, write_csv
+from latticeqm import CheckRow, cli, report, write_csv
 from latticeqm.cli import main
 
 HEADER = "check,params,residual,tolerance,status"
@@ -54,7 +55,7 @@ def test_csv_round_trips_seventeen_digits():
     assert fields[0] == "pi-ish"
     assert float(fields[2]) == 0.1 + 0.2
     assert fields[4] == "pass"
-    # integers and non-finite values go through the same formatter
+    # integers and non-finite values print as format_float prints them
     assert _csv("a,b,c", [(3, float("inf"), -0.0)]).splitlines()[1] == "3,inf,-0"
 
 
@@ -88,3 +89,31 @@ def test_export_dispatch(capsys):
     with pytest.raises(SystemExit):
         main(argv + ["--format", "yaml"])
     capsys.readouterr()
+
+
+def _per_value(header, rows):
+    """The table rendered one format_float call per value, the labelled route."""
+    return "".join([header + "\n"] + [",".join(report.format_float(v) for v in row) + "\n" for row in rows])
+
+
+EDGE_ROW = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1.7976931348623157e308,
+            2**64, True, np.float64(0.1), np.float32(0.1), np.int64(-7)]
+
+
+@pytest.mark.parametrize("rows", [
+    [EDGE_ROW, EDGE_ROW[::-1]],
+    [EDGE_ROW, [1.0, 2**-1074], [3, -0.0]],  # three widths, each format built once
+    [[], [1.5]],
+    [],
+], ids=["edge-values", "widths", "empty-first-row", "empty-table"])
+def test_numeric_rows_match_per_value_rendering(rows):
+    assert _csv("h", rows) == _per_value("h", rows)
+
+
+def test_first_row_decides_the_route(monkeypatch):
+    calls = []
+    monkeypatch.setattr(report, "format_float", lambda v: calls.append(v) or format(float(v), ".17g"))
+    assert _csv("a,b", [(0.25, 1e300), (-1, 2)]) == "a,b\n0.25,1.0000000000000001e+300\n-1,2\n"
+    assert calls == []  # a numeric table takes one % format per row
+    assert _csv("check,value", [("x", 0.5), ("y", 2)]) == "check,value\nx,0.5\ny,2\n"
+    assert calls == [0.5, 2]  # a labelled table formats value by value
