@@ -1,20 +1,14 @@
 """Quantum mechanics on a discrete space and time lattice.
 
-Lattice states with difference operators, the tangent-grid plane wave basis,
-unitary Cayley propagation with its Heisenberg difference schemes, finite
-oscillators built on Kravchuk polynomials and rotation d-tables, and the
+Lattice states, the tangent-grid plane wave basis with its forward-difference
+momentum, unitary Cayley propagation with its Heisenberg difference schemes,
+finite oscillators built on Kravchuk polynomials and rotation d-tables, and the
 continuum oscillator eigenfunctions used as the limit oracle.
 """
 
 from types import ModuleType as _ModuleType
 
-from .lattice import (
-    BoundaryRule,
-    DifferenceKind,
-    LatticeState,
-    apply_difference,
-    inner_product,
-)
+from .lattice import LatticeState
 from .planewave import (
     PlaneWaveBasis,
     build_basis,

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import _integer
+from .lattice import _integer, _real
 
 
 def check_hermitian(H) -> np.ndarray:
@@ -82,8 +82,20 @@ def _norm(X) -> float:
 
 
 def _cayley_phase(tau: float, lam: np.ndarray, n) -> np.ndarray:
-    """Eigenvalues of C^n: exp(-2 i n arctan(tau lambda / 2)) for eigenvalues lambda of H."""
-    return np.exp(-2j * n * np.arctan(0.5 * tau * lam))
+    """Eigenvalues of C^n: exp(-2 i n arctan(tau lambda / 2)) for eigenvalues lambda of H.
+
+    n enters float arithmetic here, so a step count past the float range, or
+    one whose phase overflows to inf and NaN, is a ValueError.
+    """
+    try:
+        n = float(n)
+    except OverflowError:
+        n = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.exp(-2j * n * np.arctan(0.5 * tau * lam))
+    if not np.isfinite(phase).all():
+        raise ValueError("n is too large: the phase 2 n arctan(tau lambda / 2) of C^n overflows a float")
+    return phase
 
 
 def build_propagator(H, tau: float) -> CayleyPropagator:
@@ -96,7 +108,7 @@ def build_propagator(H, tau: float) -> CayleyPropagator:
     the half step reproduces C exactly.
     """
     H = check_hermitian(H)
-    tau = float(tau)
+    tau = _real(tau, "tau")
     if tau == 0.0 or not math.isfinite(tau):
         raise ValueError(f"tau must be finite and nonzero, got {tau}")
     d = H.shape[0]

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import _integer
+from .lattice import _integer, _real
 
 
 def _level(n, name: str = "n") -> int:
@@ -125,6 +125,7 @@ def recurrence_residual(n_max: int, s, h: float = 1e-5) -> HermiteRecurrenceResi
     One table holds the rows on s, s + h and s - h side by side.
     """
     n_max = _level(n_max, "n_max")
+    h = _real(h, "h")
     if not 0.0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got {h}")
     s = _grid(s)

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import _integer, _order, _probability
+from .lattice import _integer, _order, _probability, _real
 
 
 def binomial_weights(N: int, p: float) -> np.ndarray:
@@ -142,7 +142,7 @@ class WignerDMatrix:
 
 def _validate_table(N: int, beta: float) -> tuple[int, float]:
     """The order N >= 1 (Python or numpy integer) and angle beta in (0, pi)."""
-    N, beta = _order(N), float(beta)
+    N, beta = _order(N), _real(beta, "beta")
     if not 0.0 < beta < math.pi:
         raise ValueError(f"beta must lie strictly between 0 and pi, got {beta}")
     return N, beta

@@ -1,9 +1,10 @@
-"""States on a one-dimensional lattice and the elementary difference operators.
+"""States on a one-dimensional lattice and the parameter checks every module shares.
 
 A state is a finite sequence of complex amplitudes f_0 .. f_{N-1} together with
 the lattice spacing epsilon.  The inner product is plain summation,
-sum_j conj(a_j) b_j, with no spacing weight.  Derivatives are replaced by the
-forward, backward and mean difference operators defined below.
+sum_j conj(a_j) b_j, with no spacing weight.  The derivative is replaced by the
+periodic forward difference (Delta f)_j = f_{j+1} - f_j, which
+``planewave.momentum_apply`` takes as the momentum P = -(i/epsilon) Delta.
 """
 
 from __future__ import annotations
@@ -11,24 +12,11 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
-
-
-class DifferenceKind(Enum):
-    """The elementary difference operators on lattice states."""
-
-    FORWARD = "forward"      # (Df)_j = f_{j+1} - f_j
-    BACKWARD = "backward"    # (Df)_j = f_j - f_{j-1}
-    MEAN = "mean"            # (Df)_j = (f_{j+1} + f_j) / 2
-
-
-class BoundaryRule(Enum):
-    PERIODIC = "periodic"
-    ZERO_PADDED = "zero-padded"
 
 
 def _integer(value, name: str) -> int:
@@ -37,6 +25,16 @@ def _integer(value, name: str) -> int:
         with contextlib.suppress(TypeError):
             return operator.index(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(value, name: str) -> float:
+    """A Python or numpy real number as float; text is never parsed, nor is True read as 1.0."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an int past the float range, which every range check refuses as inf
+            return math.inf if value > 0 else -math.inf
+    raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _order(N) -> int:
@@ -49,7 +47,7 @@ def _order(N) -> int:
 
 def _probability(p) -> float:
     """The weight parameter p as a float strictly between 0 and 1."""
-    p = float(p)
+    p = _real(p, "p")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
     return p
@@ -57,7 +55,7 @@ def _probability(p) -> float:
 
 def _spacing(epsilon) -> float:
     """The lattice spacing epsilon as a positive, finite float."""
-    eps = float(epsilon)
+    eps = _real(epsilon, "epsilon")
     if not 0.0 < eps < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     return eps
@@ -166,47 +164,3 @@ class LatticeState:
         data = json.loads(text)
         return cls(complex_array(data), _field(data, "epsilon", _number))
 
-
-def inner_product(a: LatticeState, b: LatticeState) -> complex:
-    """Summation inner product sum_j conj(a_j) b_j.
-
-    Antilinear in the first argument, linear in the second.  Both states must
-    live on the same lattice (equal site count and spacing).
-    """
-    if a.n_sites != b.n_sites:
-        raise ValueError(f"size mismatch: {a.n_sites} vs {b.n_sites} sites")
-    if a.epsilon != b.epsilon:
-        raise ValueError(f"spacing mismatch: {a.epsilon} vs {b.epsilon}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def _shifted(values: np.ndarray, offset: int, boundary: BoundaryRule) -> np.ndarray:
-    """Array g with g_j = f_{j+offset}, out-of-range sites per boundary rule."""
-    if boundary is BoundaryRule.PERIODIC:
-        return np.roll(values, -offset)
-    out = np.zeros_like(values)
-    if offset >= 0:
-        out[: values.size - offset] = values[offset:]
-    else:
-        out[-offset:] = values[:offset]
-    return out
-
-
-def apply_difference(
-    kind: DifferenceKind,
-    f: LatticeState,
-    boundary: BoundaryRule = BoundaryRule.PERIODIC,
-) -> LatticeState:
-    """Apply a difference operator to a state."""
-    if not isinstance(kind, DifferenceKind):
-        raise ValueError(f"kind must be a DifferenceKind, got {kind!r}")
-    if not isinstance(boundary, BoundaryRule):
-        raise ValueError(f"boundary must be a BoundaryRule, got {boundary!r}")
-    v = f.amplitudes
-    if kind is DifferenceKind.FORWARD:
-        out = _shifted(v, +1, boundary) - v
-    elif kind is DifferenceKind.BACKWARD:
-        out = v - _shifted(v, -1, boundary)
-    else:
-        out = 0.5 * (_shifted(v, +1, boundary) + v)
-    return LatticeState(out, f.epsilon)

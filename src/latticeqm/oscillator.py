@@ -84,22 +84,22 @@ def energy_spectrum(model: OscillatorModel) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PositionSpectrum:
-    """Eigendecomposition of the position matrix.
+    """Eigenvalues of the position matrix.
 
     ``eigenvalues`` ascend and land on the uniform grid m'/sqrt(j) for
-    m' = -j .. j, listed in ``m_prime``.  ``eigenvectors[:, i]`` belongs to
-    ``eigenvalues[i]``.
+    m' = -j .. j, listed in ``m_prime``.  The eigenvectors are the
+    quarter-turn d-table columns, which ``checks.position`` compares.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     m_prime: np.ndarray
 
 
 def position_spectrum(model: OscillatorModel) -> PositionSpectrum:
-    lam, vec = np.linalg.eigh(position_matrix(model))
+    # eigh, not eigvalsh: their eigenvalues differ in the last bits, and position-grid keeps eigh's
+    lam = np.linalg.eigh(position_matrix(model)).eigenvalues
     m_prime = np.arange(model.N + 1, dtype=float) - model.j
-    return PositionSpectrum(eigenvalues=lam, eigenvectors=vec, m_prime=m_prime)
+    return PositionSpectrum(eigenvalues=lam, m_prime=m_prime)
 
 
 def s_grid(N: int, p: float) -> tuple[np.ndarray, float]:
@@ -162,7 +162,10 @@ def continuum_convergence(n_max: int, N_list, p: float = 0.5) -> ConvergenceTabl
     reports a value near one.
     """
     n_max = hermite._level(n_max, "n_max")
-    sizes = np.asarray(sorted(_integer(N, "each size") for N in N_list), dtype=int)
+    try:
+        sizes = np.asarray(sorted(_integer(N, "each size") for N in N_list), dtype=int)
+    except OverflowError:
+        raise ValueError("each size must fit a 64-bit integer") from None
     if sizes.size == 0 or sizes[0] == sizes[-1]:
         raise ValueError(f"need at least two distinct sizes, got {sizes.tolist()}")
     if sizes[0] <= n_max:

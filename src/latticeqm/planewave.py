@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import BoundaryRule, DifferenceKind, LatticeState, _order, _spacing, apply_difference
+from .lattice import LatticeState, _order, _spacing
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,8 @@ def inverse_transform(basis: PlaneWaveBasis, coefficients: np.ndarray) -> Lattic
 def momentum_apply(basis: PlaneWaveBasis, f: LatticeState) -> LatticeState:
     """Forward-difference momentum operator P = -(i/epsilon) * Delta, periodic."""
     _check_state(basis, f)
-    d = apply_difference(DifferenceKind.FORWARD, f, BoundaryRule.PERIODIC)
-    return LatticeState(-1j / basis.epsilon * d.amplitudes, basis.epsilon)
+    v = f.amplitudes
+    return LatticeState(-1j / basis.epsilon * (np.roll(v, -1) - v), basis.epsilon)
 
 
 def momentum_eigenvalues(basis: PlaneWaveBasis) -> np.ndarray:

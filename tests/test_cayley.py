@@ -272,3 +272,17 @@ def test_state_shape_validation():
                        lambda prop, A, n: involution_identities(SIGMA_Z, A, 0.1, n)):
             with pytest.raises(ValueError, match="observable has non-finite entries"):
                 evolve(prop, [[bad, 0.0], [0.0, 1.0]], 1)
+
+
+@pytest.mark.parametrize("n", [10**309, -10**309, 2**1023, -2**1023],
+                         ids=["10^309", "-10^309", "2^1023", "-2^1023"])
+def test_oversized_step_count_is_one_value_error(n):
+    # 10**309 raised an OverflowError from the float conversion, and 2**1023
+    # gave a phase of inf * arctan, so C^n came back as NaN
+    prop = build_propagator(SIGMA_Z, 0.1)
+    calls = [lambda: evolution_operator(prop, n), lambda: heisenberg_evolve(prop, SIGMA_X, n)]
+    if n > 0:
+        calls.append(lambda: evolve_state(prop, [1.0, 0.0], n))
+    for call in calls:
+        with pytest.raises(ValueError, match="n is too large"):
+            call()

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import json
 import math
@@ -422,6 +423,18 @@ def test_converge_size_floor_is_n(capsys):
     assert err == "error: all sizes must exceed n_max = 3, got N=3\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["heisenberg-check", "--n", str(10**309)],
+    ["heisenberg-check", "--n", str(-10**309)],
+    ["converge", "--n", "1", "--N-list", f"16,{10**309}"],
+], ids=["heisenberg-check-positive", "heisenberg-check-negative", "converge"])
+def test_oversized_integer_is_one_error_line(capsys, argv):
+    # each exited 1 with an OverflowError traceback
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_invalid_parameters_exit_two(capsys, tmp_path):
     evolve = ["evolve", "--hamiltonian", str(tmp_path / "H.json"), "--state", str(tmp_path / "s.json"),
               "--tau", "0.1"]
@@ -565,3 +578,28 @@ def test_public_names_match_all():
     public = {name for name, value in vars(latticeqm).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert public == set(latticeqm.__all__)
+
+
+def test_every_public_name_has_a_caller():
+    # a public name is read by the package, a demo or perfbench somewhere
+    # outside its own def or class; the tests do not count as callers
+    root = Path(__file__).resolve().parents[1]
+    package = Path(latticeqm.__file__).resolve().parent
+    sources = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+    sources += sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+
+    used = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in enclosing:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for path in sources:
+        visit(ast.parse(path.read_text(), str(path)), frozenset())
+    assert sorted(set(latticeqm.__all__) - used) == []

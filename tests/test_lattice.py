@@ -2,53 +2,20 @@ import numpy as np
 import pytest
 
 from latticeqm import (
-    BoundaryRule,
-    DifferenceKind,
     LatticeState,
-    apply_difference,
     build_basis,
     build_kravchuk,
+    build_oscillator,
     build_propagator,
+    build_wigner_d,
     evolve_state,
-    inner_product,
+    momentum_apply,
+    recurrence_residual,
 )
 
 
 def random_state(rng, n, eps=1.0):
     return LatticeState(rng.standard_normal(n) + 1j * rng.standard_normal(n), eps)
-
-
-def test_inner_product_frozen_example():
-    a = LatticeState([1.0, 1.0j], 1.0)
-    b = LatticeState([1.0, 1.0], 1.0)
-    assert inner_product(a, b) == pytest.approx(1.0 - 1.0j, abs=1e-15)
-
-
-def test_inner_product_antilinear_first_slot():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        n = int(rng.integers(1, 30))
-        a, b = random_state(rng, n), random_state(rng, n)
-        alpha = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        scaled = LatticeState(alpha * a.amplitudes, 1.0)
-        assert inner_product(scaled, b) == pytest.approx(
-            np.conj(alpha) * inner_product(a, b), abs=1e-12
-        )
-        scaled_b = LatticeState(alpha * b.amplitudes, 1.0)
-        assert inner_product(a, scaled_b) == pytest.approx(
-            alpha * inner_product(a, b), abs=1e-12
-        )
-        assert inner_product(a, b) == pytest.approx(
-            np.conj(inner_product(b, a)), abs=1e-12
-        )
-
-
-def test_inner_product_rejects_mismatched_lattices():
-    a = LatticeState([1.0, 2.0], 1.0)
-    with pytest.raises(ValueError):
-        inner_product(a, LatticeState([1.0, 2.0, 3.0], 1.0))
-    with pytest.raises(ValueError):
-        inner_product(a, LatticeState([1.0, 2.0], 0.5))
 
 
 def test_state_validation():
@@ -67,9 +34,10 @@ def test_state_validation():
             LatticeState(amp, 1.0)
 
 
+# momentum_apply is P = -(i/epsilon) Delta with the periodic forward difference (Delta f)_j = f_{j+1} - f_j
 def test_forward_difference_annihilates_constants():
     f = LatticeState(np.full(7, 3.0 - 2.0j), 1.0)
-    out = apply_difference(DifferenceKind.FORWARD, f)
+    out = momentum_apply(build_basis(7, 1.0), f)
     assert np.abs(out.amplitudes).max() == 0.0
 
 
@@ -78,73 +46,19 @@ def test_forward_difference_geometric_eigenvector():
     N = 12
     j = np.arange(N)
     f = LatticeState(np.exp(2j * np.pi * j / N), 1.0)
-    out = apply_difference(DifferenceKind.FORWARD, f)
-    factor = np.exp(2j * np.pi / N) - 1.0
+    out = momentum_apply(build_basis(N, 1.0), f)
+    factor = -1j * (np.exp(2j * np.pi / N) - 1.0)
     assert np.abs(out.amplitudes - factor * f.amplitudes).max() < 1e-14
 
 
-def test_mean_difference_frozen_example():
-    out = apply_difference(DifferenceKind.MEAN, LatticeState([1.0, 3.0], 1.0))
-    assert np.allclose(out.amplitudes, [2.0, 2.0])
-
-
-def test_forward_is_twice_mean_minus_identity():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        f = random_state(rng, int(rng.integers(2, 40)))
-        fwd = apply_difference(DifferenceKind.FORWARD, f)
-        mean = apply_difference(DifferenceKind.MEAN, f)
-        assert np.abs(fwd.amplitudes - 2.0 * (mean.amplitudes - f.amplitudes)).max() < 1e-13
-
-
-def test_forward_and_mean_commute():
-    rng = np.random.default_rng(6)
-    f = random_state(rng, 23)
-    ab = apply_difference(
-        DifferenceKind.FORWARD, apply_difference(DifferenceKind.MEAN, f)
-    )
-    ba = apply_difference(
-        DifferenceKind.MEAN, apply_difference(DifferenceKind.FORWARD, f)
-    )
-    assert np.abs(ab.amplitudes - ba.amplitudes).max() < 1e-13
-
-
 def test_forward_difference_norm_bound():
+    # ||Delta f|| <= 2 ||f||, so ||P f|| <= (2/epsilon) ||f||
     rng = np.random.default_rng(7)
+    eps = 0.5
     for _ in range(25):
-        f = random_state(rng, int(rng.integers(1, 50)))
-        out = apply_difference(DifferenceKind.FORWARD, f)
-        assert out.norm() <= 2.0 * f.norm() + 1e-12
-
-
-def test_backward_inverts_forward_shift_structure():
-    rng = np.random.default_rng(8)
-    f = random_state(rng, 9)
-    fwd = apply_difference(DifferenceKind.FORWARD, f)
-    bwd = apply_difference(DifferenceKind.BACKWARD, f)
-    # backward is forward shifted by one site under periodic closure
-    assert np.abs(np.roll(fwd.amplitudes, 1) - bwd.amplitudes).max() < 1e-14
-
-
-def test_zero_padded_boundary():
-    f = LatticeState([1.0, 2.0, 4.0], 1.0)
-    fwd = apply_difference(DifferenceKind.FORWARD, f, BoundaryRule.ZERO_PADDED)
-    assert np.allclose(fwd.amplitudes, [1.0, 2.0, -4.0])
-    bwd = apply_difference(DifferenceKind.BACKWARD, f, BoundaryRule.ZERO_PADDED)
-    assert np.allclose(bwd.amplitudes, [1.0, 1.0, 2.0])
-    mean = apply_difference(DifferenceKind.MEAN, f, BoundaryRule.ZERO_PADDED)
-    assert np.allclose(mean.amplitudes, [1.5, 3.0, 2.0])
-
-
-def test_difference_rejects_non_members():
-    f = LatticeState([1.0, 2.0, 3.0], 1.0)
-    # a plain string fell through to the zero-padded rule: [1, 1, -3]
-    with pytest.raises(ValueError, match="boundary must be a BoundaryRule"):
-        apply_difference(DifferenceKind.FORWARD, f, "periodic")
-    with pytest.raises(ValueError, match="kind must be a DifferenceKind"):
-        apply_difference("forward", f)
-    periodic = apply_difference(DifferenceKind.FORWARD, f, BoundaryRule.PERIODIC)
-    assert np.array_equal(periodic.amplitudes, [1.0, 1.0, -2.0])
+        f = random_state(rng, int(rng.integers(1, 50)), eps)
+        out = momentum_apply(build_basis(f.n_sites, eps), f)
+        assert out.norm() <= (2.0 / eps) * f.norm() + 1e-12
 
 
 # True passed as the integer 1: a one-site basis, a two-row table, one step
@@ -156,6 +70,36 @@ def test_difference_rejects_non_members():
 def test_bool_is_not_an_integer(call):
     with pytest.raises(ValueError, match="must be an integer, got True"):
         call()
+
+
+# True read as 1.0 and text parsed as a number; h="1e-5" raised a TypeError
+# and p=True was refused as "got 1.0"
+@pytest.mark.parametrize("call, name", [
+    (lambda: build_basis(4, True), "epsilon"),
+    (lambda: LatticeState([1.0], True), "epsilon"),
+    (lambda: build_propagator(np.eye(2), True), "tau"),
+    (lambda: build_propagator(np.eye(2), "0.1"), "tau"),
+    (lambda: build_wigner_d(4, True), "beta"),
+    (lambda: recurrence_residual(2, [0.0], h=True), "h"),
+    (lambda: recurrence_residual(2, [0.0], h="1e-5"), "h"),
+    (lambda: build_oscillator(4, True), "p"),
+], ids=["build_basis", "LatticeState", "build_propagator-bool", "build_propagator-text",
+        "build_wigner_d", "recurrence_residual-bool", "recurrence_residual-text", "build_oscillator"])
+def test_bool_and_text_are_not_real_numbers(call, name):
+    with pytest.raises(ValueError, match=f"{name} must be a real number, got "):
+        call()
+
+
+def test_real_parameters_take_ints_floats_and_numpy_scalars_by_value():
+    for eps in (2, 2.0, np.float64(2.0), np.float32(2.0), np.int64(2)):
+        assert build_basis(4, eps).epsilon == 2.0
+        assert LatticeState([1.0], eps).epsilon == 2.0
+    assert build_propagator(np.eye(2), np.float64(0.1)).tau == 0.1
+    assert build_wigner_d(4, 1).beta == 1.0
+    assert build_oscillator(4, np.float64(0.25)).p == 0.25
+    # an int past the float range reads as inf, which the range check refuses
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        build_basis(4, 10**309)
 
 
 def test_json_round_trip_is_exact():

@@ -199,6 +199,13 @@ def test_difference_identity_approaches_derivative():
     assert errors[0] > errors[1] > errors[2]
 
 
+@pytest.mark.parametrize("size", [10**309, -10**309, 2**63], ids=["10^309", "-10^309", "2^63"])
+def test_oversized_size_is_one_value_error(size):
+    # 10**309 raised an OverflowError from the int64 conversion of the sizes
+    with pytest.raises(ValueError, match="each size must fit a 64-bit integer"):
+        continuum_convergence(1, [16, size])
+
+
 def test_validation():
     with pytest.raises(ValueError):
         build_oscillator(0)
