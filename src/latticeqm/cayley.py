@@ -196,8 +196,14 @@ def _differences(prop: CayleyPropagator, A0, n: int):
     Returns [A_n, H], u = 1 + tau^2/4, the scalar central form
     2 (1 - tau^2/4) [A_n, H], and the five time differences of A_n keyed by
     the names of ``involution_identities``, whose left-hand sides they are.
+    A tau for which 1/tau^2 or u^2 is not a finite nonzero float is a
+    ValueError, raised before any difference is formed.
     """
     H, C, Ch, tau = prop.hamiltonian, prop.factor, prop.half_factor, prop.tau
+    u = 1.0 + 0.25 * tau * tau
+    # products round to inf or 0 where the float powers below would raise
+    if not (tau * tau and math.isfinite(1.0 / (tau * tau)) and math.isfinite(u * u)):
+        raise ValueError(f"tau = {tau} is out of range: 1/tau^2 or u^2 is not a finite nonzero float")
     A_n = heisenberg_evolve(prop, A0, n)
     A_next = C.conj().T @ A_n @ C
     A_prev = C @ A_n @ C.conj().T
@@ -209,7 +215,7 @@ def _differences(prop: CayleyPropagator, A0, n: int):
         "half-step": (1j / tau) * (Ch.conj().T @ A_n @ Ch - Ch @ A_n @ Ch.conj().T),
         "central": (1j / tau) * (A_next - A_prev),
     }
-    return comm, 1.0 + 0.25 * tau * tau, 2.0 * (1.0 - 0.25 * tau * tau) * comm, lhs
+    return comm, u, 2.0 * (1.0 - 0.25 * tau * tau) * comm, lhs
 
 
 @dataclass(frozen=True)
@@ -271,7 +277,8 @@ def involution_identities(H, A0, tau: float, n: int = 0):
     Residuals are spectral norms; the exponent e that makes ``u**e * lhs``
     match the commutator part is fitted from the Frobenius norm ratio (any
     unitarily invariant norm gives the same e).  It is NaN when [A_n, H]
-    vanishes: both sides are then zero and the residual alone decides.
+    vanishes, or when u rounds to 1 (|tau| below about 2e-8): both sides are
+    then zero, or log u is, and the residual alone decides.
 
     Returns a list of five IdentityCheck records in the order above.
     """
@@ -288,7 +295,7 @@ def involution_identities(H, A0, tau: float, n: int = 0):
 
     def fit_exponent(left, base):
         nb, nl = np.linalg.norm(base), np.linalg.norm(left)
-        return math.log(nb / nl) / math.log(u) if min(nb, nl) >= 1e-300 else math.nan
+        return math.log(nb / nl) / math.log(u) if min(nb, nl) >= 1e-300 and u > 1.0 else math.nan
 
     cases = {
         "forward": (comm @ C, 1),

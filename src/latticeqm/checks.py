@@ -8,8 +8,8 @@ sweep point makes its row NaN, so the row fails, and an empty sweep raises.
 The d-table relations are one sweep: ``wigner`` builds each table once and
 applies to it the relation groups its caller names from ``WIGNER``
 (``_symmetry``, ``_orthogonality``, recurrence, oracle, differential).  ``verify-all``
-calls them with small sweeps, the ``wigner`` and ``heisenberg-check``
-subcommands at one point, the demos at the points they print, the
+calls them with small sweeps, ``heisenberg-check`` with verify-all's names and
+``wigner`` at one point, the demos at the points they print, the
 acceptance tests with wider sweeps, and the unit tests at their own sweeps,
 holding each row's residual to the test's own bound.  Random draws come
 from the caller's generator, so one seed fixes every draw in call order.

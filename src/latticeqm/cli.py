@@ -12,12 +12,12 @@ Each subcommand has one builder in ``COMMANDS``, called with the parsed
 parameters and the format.  It computes the whole artifact (a momenta table,
 a trajectory, a spectrum, a residual table or the verification rows) before
 anything is written, then ``main`` writes it to stdout or to --output: JSON in
-one ``json.dumps``, CSV through ``report.write_csv``, whose floats carry 17
-significant digits so a reported value reconstructs the exact double.  The
-residuals come from ``latticeqm.checks``.  The CLI never asserts: checks are
-emitted as rows with residuals, and only the exit code of ``verify-all`` (0
-iff every row passed) summarizes them.  Identical parameters and seed produce
-byte-identical output.
+one strict ``json.dumps``, CSV through ``report.write_csv``, whose floats carry
+17 significant digits so a reported value reconstructs the exact double.  The
+residuals come from ``latticeqm.checks``.  The CLI never asserts:
+``report.render_checks`` gives the rows of ``verify-all`` and
+``heisenberg-check`` their status and exit code (0 iff every row passed).
+Identical parameters and seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cayley, checks, hermite, oscillator, planewave
+from . import cayley, checks, hermite, oscillator, planewave, report
 from .lattice import LatticeState, complex_array
 # format_float stays bound here, where perfbench reads and traces cli.format_float
 from .report import format_float, write_csv  # noqa: F401
@@ -151,10 +151,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 # ----------------------------------------------------------------------
 
 
-def _json_momentum(k: float):
-    return "inf" if math.isinf(k) else k
-
-
 def _cmd_basis(params, fmt):
     basis = planewave.build_basis(params["N"], params["epsilon"])
     N = basis.n_sites
@@ -168,7 +164,7 @@ def _cmd_basis(params, fmt):
     payload = {
         "N": N,
         "epsilon": basis.epsilon,
-        "momenta": [_json_momentum(k) for k in basis.momenta.tolist()],
+        "momenta": [report.json_number(k) for k in basis.momenta.tolist()],
         "singular_column": basis.singular_column,
     }
     if params["table"]:
@@ -214,37 +210,17 @@ SCHEMES = ("forward", "backward", "symmetric", "central")
 
 
 def _cmd_heisenberg_check(params, fmt):
-    dim, tau, n, seed = params["dim"], params["tau"], params["n"], params["seed"]
-    rng = np.random.default_rng(seed)
-    rows = checks.heisenberg(rng, checks.random_hermitian(rng, dim), tau, n,
-                             SCHEMES + ("central_involution_form",))
+    dim, tau, n = params["dim"], params["tau"], params["n"]
+    rng = np.random.default_rng(params["seed"])
+    rows = checks.heisenberg(rng, checks.random_hermitian(rng, dim), tau, n, SCHEMES)
     pair = (checks.random_involution(rng, dim), checks.random_hermitian(rng, dim), f"random dim {dim}")
-    rows += checks.involution([pair], (tau,), n)
-    named = [(row.check.replace("heisenberg-", "scheme-", 1), row.residual, row.fitted_exponent)
-             for row in rows]
-    if fmt == "csv":
-        return [("check,residual,fitted_exponent",
-                 [(name, residual, "" if e is None else e) for name, residual, e in named])], 0
-    return {
-        "dim": dim,
-        "tau": tau,
-        "n": n,
-        "seed": seed,
-        "checks": [
-            {
-                "check": name,
-                "residual": residual,
-                "fitted_exponent": None if e is None or math.isnan(e) else e,
-            }
-            for name, residual, e in named
-        ],
-    }, 0
+    return report.render_checks(rows + checks.involution([pair], (tau,), n), fmt)
 
 
 def _cmd_wigner(params, fmt):
     N, beta = params["N"], params["beta"]
     groups = checks.WIGNER if params["check"] == "all" else (params["check"],)
-    # verify-all's wigner-vs-oracle row is this command's oracle row, and so on
+    # perfbench reads this layout and needs exit 0: verify-all's wigner-vs-oracle is the oracle key, and so on
     rows = [(row.check.removeprefix("wigner-").removeprefix("vs-").replace("-", "_"), row.residual)
             for row in checks.wigner((N,), (beta,), groups)]
     if fmt == "csv":
@@ -326,14 +302,7 @@ def build_verification_report(seed: int = 7) -> list:
 
 
 def _cmd_verify_all(params, fmt):
-    checked = build_verification_report(params["seed"])
-    passed = all(r.passed for r in checked)
-    header = "check,params,residual,tolerance,status"
-    rows = [(r.check, r.params, r.residual, r.tolerance, r.status) for r in checked]
-    code = 0 if passed else 1
-    if fmt == "csv":
-        return [(header, rows)], code
-    return {"all_passed": passed, "checks": [dict(zip(header.split(","), row)) for row in rows]}, code
+    return report.render_checks(build_verification_report(params["seed"]), fmt)
 
 
 COMMANDS = {
@@ -367,11 +336,13 @@ def main(argv=None) -> int:
         subparsers[command].error("argument --s-max: must exceed --s-min")
     try:
         artifact, code = COMMANDS[command](params, fmt)
+        if fmt == "json":  # strict: a NaN or inf left in a payload is an error
+            artifact = json.dumps(artifact, indent=2, allow_nan=False) + "\n"
         # the artifact is complete before the destination opens, so a failed
         # computation leaves no partial file behind
         with contextlib.nullcontext(sys.stdout) if output is None else open(output, "w") as out:
             if fmt == "json":
-                out.write(json.dumps(artifact, indent=2) + "\n")
+                out.write(artifact)
             else:
                 for i, (header, rows) in enumerate(artifact):
                     if i:

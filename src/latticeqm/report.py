@@ -1,18 +1,17 @@
-"""Check rows and the one CSV writer every artifact goes through.
+"""Check rows, their one renderer, and the one CSV writer every artifact goes through.
 
 A report is a plain list of ``CheckRow``s, each carrying the measured
 residual and the tolerance it was held to.  Status is derived, never stored:
 a row passes iff residual <= tolerance, and a report passes iff every row
-does.  Every CSV table the package emits, the report's fixed
-``check,params,residual,tolerance,status`` table included, is rendered by
+does.  ``render_checks`` renders a report; every CSV table goes through
 ``write_csv`` with floats printed to 17 significant digits: a numeric table
 (an ``evolve`` trajectory, a spectrum, a basis) by one ``%`` format per row,
-a labelled table (``verify-all``, ``wigner``, ``heisenberg-check``) value by
-value through ``format_float``.
+a labelled table (a report, ``wigner``) value by value through ``format_float``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -77,3 +76,20 @@ class CheckRow:
 
     def __str__(self) -> str:
         return f"{self.check:<34} {self.residual:.3e}  tol {self.tolerance:g}  {self.status}  {self.params}"
+
+
+def json_number(x: float):
+    """``x``, or its CSV text ("nan", "inf") where strict JSON has no number for it."""
+    return x if math.isfinite(x) else format_float(x)
+
+
+def render_checks(rows, fmt: str) -> tuple:
+    """``(artifact, exit code)`` of a report: one table under the frozen header
+    ``check,params,residual,tolerance,status``, or JSON ``{"all_passed", "checks"}``
+    with an object of those fields per row.  The code is 1 iff a row fails."""
+    header = "check,params,residual,tolerance,status"
+    table = [(r.check, r.params, json_number(r.residual), json_number(r.tolerance), r.status) for r in rows]
+    code = 0 if all(r.passed for r in rows) else 1
+    if fmt == "csv":
+        return [(header, table)], code
+    return {"all_passed": not code, "checks": [dict(zip(header.split(","), row)) for row in table]}, code

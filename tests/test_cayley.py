@@ -286,3 +286,37 @@ def test_oversized_step_count_is_one_value_error(n):
     for call in calls:
         with pytest.raises(ValueError, match="n is too large"):
             call()
+
+
+@pytest.mark.parametrize("tau", [1e-8, -1e-8, 2e-8])
+def test_step_below_the_resolution_of_u_gives_a_nan_exponent(tau):
+    # u = 1 + tau^2/4 rounds to 1.0 here, and the fit divided by log(u) = 0
+    rng = np.random.default_rng(4)
+    H, A = random_involution(rng, 4), random_hermitian(rng, 4)
+    assert 1.0 + 0.25 * tau * tau == 1.0
+    for c in involution_identities(H, A, tau, 1):
+        assert math.isnan(c.fitted_exponent)
+
+
+@pytest.mark.parametrize("tau", [3e77, 1e300, 1e-300, 1e-155, 1e-161, 1e-162])
+def test_step_out_of_float_range_is_one_value_error(tau):
+    # 3e77 and 1e300 overflowed the float powers tau**2 and u**2, 1e-300 and
+    # 1e-162 divided by tau**2 = 0, and from 1e-155 to 1e-161 1/tau^2 was inf
+    # and the involution SVD did not converge
+    rng = np.random.default_rng(4)
+    H, A = random_involution(rng, 4), random_hermitian(rng, 4)
+    for t in (tau, -tau):
+        with pytest.raises(ValueError, match=r"^tau = .* is out of range"):
+            heisenberg_scheme_residuals(build_propagator(H, t), A, 1)
+        with pytest.raises(ValueError, match=r"^tau = .* is out of range"):
+            involution_identities(H, A, t, 1)
+
+
+def test_steps_at_the_edges_of_the_float_range_are_admitted():
+    # u^2 is finite at 2e77 and 1/tau^2 at 1e-154
+    rng = np.random.default_rng(4)
+    H, A = random_involution(rng, 4), random_hermitian(rng, 4)
+    for t in (2e77, -2e77, 1e-154, -1e-154):
+        heisenberg_scheme_residuals(build_propagator(H, t), A, 1)
+    for t in (1e-154, -1e-154):
+        assert len(involution_identities(H, A, t, 1)) == 5

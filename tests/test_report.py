@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -117,3 +118,14 @@ def test_first_row_decides_the_route(monkeypatch):
     assert calls == []  # a numeric table takes one % format per row
     assert _csv("check,value", [("x", 0.5), ("y", 2)]) == "check,value\nx,0.5\ny,2\n"
     assert calls == [0.5, 2]  # a labelled table formats value by value
+
+
+def test_render_checks_writes_non_finite_values_as_csv_text():
+    rows = [CheckRow("a", "", math.nan, 1.0), CheckRow("b", "", 0.5, math.inf), CheckRow("c", "", -math.inf, 0.0)]
+    ((header, table),), code = report.render_checks(rows, "csv")
+    assert code == 1 and header == HEADER
+    assert _csv(header, table).splitlines()[1:] == ["a,,nan,1,fail", "b,,0.5,inf,pass", "c,,-inf,0,pass"]
+    payload, code = report.render_checks(rows, "json")
+    assert code == 1 and payload["all_passed"] is False
+    assert [(r["residual"], r["tolerance"]) for r in payload["checks"]] == [("nan", 1.0), (0.5, "inf"), ("-inf", 0.0)]
+    assert report.render_checks([], "json") == ({"all_passed": True, "checks": []}, 0)
