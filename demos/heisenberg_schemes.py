@@ -13,18 +13,16 @@ import numpy as np
 
 from latticeqm import checks
 
-SCHEMES = ("forward", "backward", "symmetric", "central", "central_involution_form")
+SCHEMES = ("forward", "backward", "symmetric", "central")
 
 
 def main():
     rng = np.random.default_rng(5)
 
     print("Generic Hermitian H, d = 5, tau = 0.3")
-    *rows, scalar_form = checks.heisenberg(rng, checks.random_hermitian(rng, 5), 0.3, 2, SCHEMES)
+    rows = checks.heisenberg(rng, checks.random_hermitian(rng, 5), 0.3, 2, SCHEMES)
     for row in rows:
         print(" ", row)
-    print(" ", scalar_form)
-    print("  the scalar involution form is no identity for a generic H: not counted")
 
     print()
     print("Involution H (H^2 = 1): random 4x4, tau = 0.2")

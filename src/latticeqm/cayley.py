@@ -77,8 +77,18 @@ class CayleyPropagator:
 
 
 def _norm(X) -> float:
-    """Spectral norm."""
-    return float(np.linalg.norm(X, 2))
+    """Frobenius norm: an upper bound of the spectral norm at O(d^2), no SVD.
+
+    The plain sum of squares is rescaled by max |x| only when it leaves
+    [1e-140, 1e140], so a finite nonzero X never reads 0 or inf.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(X))
+    if 1e-140 <= norm <= 1e140:
+        return norm
+    size = np.abs(X)  # real, so a subnormal scale divides without a reciprocal
+    scale = float(size.max())
+    return scale * float(np.linalg.norm(size / scale)) if scale else 0.0
 
 
 def _cayley_phase(tau: float, lam: np.ndarray, n) -> np.ndarray:
@@ -167,7 +177,7 @@ def evolution_operator(prop: CayleyPropagator, n: int) -> np.ndarray:
 
 
 def evolution_operator_residual(prop: CayleyPropagator, n: int) -> float:
-    """Spectral norm of the midpoint difference equation applied to C^n.
+    """Frobenius norm of the midpoint difference equation applied to C^n.
 
     Zero in exact arithmetic for every n: the step operator itself satisfies
     the same implicit midpoint equation as the states it propagates.
@@ -220,25 +230,18 @@ def _differences(prop: CayleyPropagator, A0, n: int):
 
 @dataclass(frozen=True)
 class SchemeResiduals:
-    """Spectral-norm residuals of the difference schemes at step n.
-
-    ``central_involution_form`` checks the scalar-factor central formula
-    2 (1 - tau^2/4) / (1 + tau^2/4)^2 [A_n, H].  That shortcut is exact only
-    when H^2 = 1; for generic H it fails and the reported number shows by
-    how much, while ``central`` always checks the full operator identity.
-    """
+    """Frobenius-norm residuals of the difference schemes at step n."""
 
     forward: float
     backward: float
     symmetric: float
     central: float
-    central_involution_form: float
 
 
 def heisenberg_scheme_residuals(prop: CayleyPropagator, A0, n: int = 0) -> SchemeResiduals:
     """Residuals of the four difference schemes for an evolved observable."""
     H, tau = prop.hamiltonian, prop.tau
-    comm, u, central_form, lhs = _differences(prop, A0, n)
+    comm, _, _, lhs = _differences(prop, A0, n)
     spec = prop.spectral_function
     p_inv = spec(lambda lam: 1.0 / (1.0 + 0.5j * tau * lam))
     r_inv = spec(lambda lam: 1.0 / np.sqrt(1.0 + 0.25 * tau * tau * lam * lam))
@@ -248,7 +251,6 @@ def heisenberg_scheme_residuals(prop: CayleyPropagator, A0, n: int = 0) -> Schem
         backward=_norm(lhs["backward"] - p_inv @ comm @ p_inv.conj().T),
         symmetric=_norm(lhs["half-step"] - r_inv @ comm @ r_inv),
         central=_norm(lhs["central"] - 2.0 * r2_inv @ (comm + 0.25 * tau * tau * (H @ comm @ H)) @ r2_inv),
-        central_involution_form=_norm(lhs["central"] - central_form / u**2),
     )
 
 
@@ -274,18 +276,16 @@ def involution_identities(H, A0, tau: float, n: int = 0):
 
     The Cayley factor multiplies the commutator from the right in the first
     two; with it on the left the relations fail for non-commuting A and H.
-    Residuals are spectral norms; the exponent e that makes ``u**e * lhs``
-    match the commutator part is fitted from the Frobenius norm ratio (any
-    unitarily invariant norm gives the same e).  It is NaN when [A_n, H]
+    Residuals and the fit both take ``_norm``; the exponent e that makes
+    ``u**e * lhs`` match the commutator part is fitted from the norm ratio
+    (any unitarily invariant norm gives the same e).  It is NaN when [A_n, H]
     vanishes, or when u rounds to 1 (|tau| below about 2e-8): both sides are
     then zero, or log u is, and the residual alone decides.
 
     Returns a list of five IdentityCheck records in the order above.
     """
     H = check_hermitian(H)
-    d = H.shape[0]
-    eye = np.eye(d)
-    invol_defect = float(np.abs(H @ H - eye).max())
+    invol_defect = float(np.abs(H @ H - np.eye(H.shape[0])).max())
     if invol_defect > 1e-12 * max(1.0, float(np.abs(H).max()) ** 2):
         raise ValueError(f"H is not an involution: max |H^2 - 1| = {invol_defect:.3e}")
 
@@ -294,7 +294,7 @@ def involution_identities(H, A0, tau: float, n: int = 0):
     C = prop.factor
 
     def fit_exponent(left, base):
-        nb, nl = np.linalg.norm(base), np.linalg.norm(left)
+        nb, nl = _norm(base), _norm(left)
         return math.log(nb / nl) / math.log(u) if min(nb, nl) >= 1e-300 and u > 1.0 else math.nan
 
     cases = {

@@ -163,9 +163,10 @@ def test_scalar_central_form_fails_for_generic_hamiltonian():
     rng = np.random.default_rng(40)
     H = random_hermitian(rng, 5)
     A = random_hermitian(rng, 5)
-    res = heisenberg_scheme_residuals(build_propagator(H, 0.5), A, 1)
-    assert res.central < 1e-10
-    assert res.central_involution_form > 1e-3
+    prop = build_propagator(H, 0.5)
+    assert heisenberg_scheme_residuals(prop, A, 1).central < 1e-10
+    _, u, central_form, lhs = cayley._differences(prop, A, 1)
+    assert cayley._norm(lhs["central"] - central_form / u**2) > 1e-3
 
 
 def test_involution_identities_pass_with_expected_exponents():
@@ -224,18 +225,61 @@ def test_fitted_exponent_matches_spectral_norm_fit(dim, tau, n):
     assert fitted == pytest.approx(_spectral_exponents(H, A, tau, n), abs=1e-9)
 
 
-def test_one_spectral_norm_per_gated_residual(monkeypatch):
-    # an SVD runs only where a tolerance reads its result
-    calls = []
-    norm = cayley._norm
+def test_one_norm_per_gated_residual(monkeypatch):
+    # one norm per residual a tolerance reads, and none of them an SVD
+    calls, svds = [], []
+    norm, svd = cayley._norm, np.linalg.svd
     monkeypatch.setattr(cayley, "_norm", lambda X: calls.append(1) or norm(X))
+    # np.linalg.norm(X, 2) reaches the SVD through the private module's name
+    for module in (np.linalg, np.linalg._linalg):
+        monkeypatch.setattr(module, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
     rng = np.random.default_rng(3)
     H, A = random_involution(rng, 6), random_hermitian(rng, 6)
     involution_identities(H, A, 0.2, 1)
-    assert len(calls) == 5
+    assert len(calls) == 5 + 2 * 5  # the residuals, then both sides of each exponent fit
     calls.clear()
-    heisenberg_scheme_residuals(build_propagator(H, 0.2), A, 1)
-    assert len(calls) == 5
+    prop = build_propagator(H, 0.2)
+    heisenberg_scheme_residuals(prop, A, 1)
+    assert len(calls) == 4
+    calls.clear()
+    evolution_operator_residual(prop, 7)
+    assert len(calls) == 1
+    assert svds == []
+
+
+@pytest.mark.parametrize("dim", [1, 2, 6, 64])
+@pytest.mark.parametrize("scale", [1e-170, 1.0, 1e160])
+def test_norm_bounds_the_spectral_norm_at_every_scale(dim, scale):
+    # the plain sum of squares reads 0.0 at 1e-170 and inf at 1e160
+    rng = np.random.default_rng(dim)
+    Y = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    frobenius = cayley._norm(scale * Y)
+    assert 0.0 < frobenius < math.inf
+    assert frobenius >= np.linalg.norm(scale * Y, 2)
+    assert frobenius == pytest.approx(scale * np.linalg.norm(Y), rel=1e-14)
+
+
+@pytest.mark.parametrize("X, expected", [
+    (np.array([[1.72484972e-309j]]), 1.72484972e-309),
+    (np.array([[3e-309, 4e-309j], [0.0, 0.0]]), 5e-309),
+])
+def test_norm_of_a_subnormal_matrix(X, expected):
+    # complex division by a subnormal max |x| overflowed in its reciprocal
+    assert cayley._norm(X) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("tau", [0.1, 10.0])
+def test_norm_still_rejects_the_backward_factor_on_the_forward_scheme(tau):
+    # heisenberg-check --dim 4 --seed 0 at n = 3, its forward right-hand side
+    # P^(-dagger) [A_n, H] P^(-1) swapped for the backward one
+    rng = np.random.default_rng(0)
+    H, A = random_hermitian(rng, 4), random_hermitian(rng, 4)
+    prop = build_propagator(H, tau)
+    comm, _, _, lhs = cayley._differences(prop, A, 3)
+    p_inv = prop.spectral_function(lambda lam: 1.0 / (1.0 + 0.5j * tau * lam))
+    assert cayley._norm(lhs["forward"] - p_inv.conj().T @ comm @ p_inv) < 1e-10
+    mutant = lhs["forward"] - p_inv @ comm @ p_inv.conj().T
+    assert cayley._norm(mutant) >= np.linalg.norm(mutant, 2) > 1e-10
 
 
 def test_involution_identities_reject_non_involution():
@@ -317,6 +361,7 @@ def test_steps_at_the_edges_of_the_float_range_are_admitted():
     rng = np.random.default_rng(4)
     H, A = random_involution(rng, 4), random_hermitian(rng, 4)
     for t in (2e77, -2e77, 1e-154, -1e-154):
-        heisenberg_scheme_residuals(build_propagator(H, t), A, 1)
-    for t in (1e-154, -1e-154):
-        assert len(involution_identities(H, A, t, 1)) == 5
+        res = heisenberg_scheme_residuals(build_propagator(H, t), A, 1)
+        assert all(math.isfinite(getattr(res, name)) for name in ("forward", "backward", "symmetric", "central"))
+        identities = involution_identities(H, A, t, 1)
+        assert len(identities) == 5 and all(math.isfinite(c.residual) for c in identities)

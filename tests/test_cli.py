@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -356,6 +357,18 @@ def test_heisenberg_check_step_out_of_float_range_is_one_error_line(capsys, tau)
     code, out, err = run_cli(capsys, "heisenberg-check", f"--tau={tau}")
     assert code == 1 and out == ""
     assert err.startswith(f"error: tau = {float(tau)} is out of range") and err.count("\n") == 1
+
+
+def test_heisenberg_check_at_the_largest_step_warns_nothing(capsys):
+    # at 2e77 the exponent fit's norm of the central base overflowed in numpy's
+    # dot and warned; the exit code and the exponents are left unpinned here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, out, err = run_cli(capsys, "heisenberg-check", "--tau", "2e77", "--format", "json")
+    assert err == ""
+    residuals = [row["residual"] for row in json.loads(out)["checks"]]
+    assert len(residuals) == 9
+    assert all(isinstance(r, float) and math.isfinite(r) for r in residuals)
 
 
 def test_verify_all_passes_and_is_deterministic(capsys):
