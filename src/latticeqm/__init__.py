@@ -27,7 +27,6 @@ from .cayley import (
     evolution_operator_residual,
     evolve_state,
     evolve_trajectory,
-    heisenberg_evolve,
     heisenberg_scheme_residuals,
     involution_identities,
 )

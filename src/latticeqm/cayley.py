@@ -7,13 +7,13 @@ One time step of size tau is the Cayley transform
 the unique unitary for which psi_{n+1} = C psi_n solves the implicit midpoint
 difference equation (i/tau)(psi_{n+1} - psi_n) = H (psi_{n+1} + psi_n)/2
 exactly.  The module also provides the principal unitary square root of C for
-half-step quantities, Heisenberg-picture evolution of observables, and
-residual checks for the forward, backward, symmetric and central difference
-schemes an evolved observable satisfies.
+half-step quantities, and residual checks for the forward, backward,
+symmetric and central difference schemes an evolved observable satisfies.
 
-C comes from one linear solve: trajectories and the checks step it.  Every
-other function of H (C^n for any integer n, the half step, P^(-1), R^(-1)) is
-assembled from the stored eigendecomposition of H.
+C comes from one linear solve, and trajectories step it.  Every other
+function of H (C^n, the half step, P^(-1), R^(-1)) is diagonal in the
+eigenbasis V of H, computed on first read, and the checks work there: they
+read C only once, as V^dagger C V, in the involution right-hand sides.
 
 The exact operator identities verified here, with P = 1 + i*tau*H/2 and
 R^2 = P P^dagger = 1 + tau^2 H^2 / 4, A' = C^dagger A C:
@@ -30,6 +30,7 @@ identities collapse to commutator formulas with powers of (1 + tau^2/4);
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,18 +58,26 @@ def check_hermitian(H) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CayleyPropagator:
-    """One-step unitary C, its principal square root, and the spectral data of H."""
+    """One-step unitary C; the spectral data of H and the half step are computed on first read."""
 
     hamiltonian: np.ndarray
     tau: float
     factor: np.ndarray        # C itself
-    half_factor: np.ndarray   # unitary with half_factor @ half_factor = factor
-    eigenvalues: np.ndarray   # of H, ascending
-    eigenvectors: np.ndarray  # unitary, columns match eigenvalues
 
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
+
+    @functools.cached_property
+    def _eigh(self):
+        return np.linalg.eigh(self.hamiltonian)
+
+    eigenvalues = property(lambda self: self._eigh.eigenvalues)    # of H, ascending
+    eigenvectors = property(lambda self: self._eigh.eigenvectors)  # unitary, columns match eigenvalues
+
+    @functools.cached_property
+    def half_factor(self) -> np.ndarray:  # the principal root: half_factor @ half_factor = factor
+        return self.spectral_function(lambda lam: _cayley_phase(self.tau, lam, 0.5))
 
     def spectral_function(self, fn) -> np.ndarray:
         """Assemble fn(H) from the stored eigendecomposition."""
@@ -112,10 +121,8 @@ def build_propagator(H, tau: float) -> CayleyPropagator:
     """Build the Cayley step C for Hamiltonian H and time step tau.
 
     C is computed from a single linear solve and is what trajectories step.
-    The eigendecomposition of H is stored for every other function of H; the
-    half step is its n = 1/2 case, the principal phase
-    exp(-i*arctan(tau*lambda/2)) on each eigenvector, so that the square of
-    the half step reproduces C exactly.
+    The eigendecomposition of H, from which every other function of H is
+    assembled, waits for its first reader.
     """
     H = check_hermitian(H)
     tau = _real(tau, "tau")
@@ -126,18 +133,7 @@ def build_propagator(H, tau: float) -> CayleyPropagator:
     plus = eye + 0.5j * tau * H
     minus = eye - 0.5j * tau * H
     # the two factors commute, so solve(plus, minus) is both orderings at once
-    C = np.linalg.solve(plus, minus)
-
-    lam, V = np.linalg.eigh(H)
-    half = (V * _cayley_phase(tau, lam, 0.5)) @ V.conj().T
-    return CayleyPropagator(
-        hamiltonian=H,
-        tau=tau,
-        factor=C,
-        half_factor=half,
-        eigenvalues=lam,
-        eigenvectors=V,
-    )
+    return CayleyPropagator(hamiltonian=H, tau=tau, factor=np.linalg.solve(plus, minus))
 
 
 def _checked_state(prop: CayleyPropagator, psi0, n: int) -> tuple[np.ndarray, int]:
@@ -189,43 +185,45 @@ def evolution_operator_residual(prop: CayleyPropagator, n: int) -> float:
     return _norm(lhs - rhs)
 
 
-def heisenberg_evolve(prop: CayleyPropagator, A0, n: int) -> np.ndarray:
-    """Observable after n steps: A_n = C^(-n) A_0 C^n."""
+def _differences(prop: CayleyPropagator, A0, n: int):
+    """What both Heisenberg checks compare, for one observable at step n.
+
+    Returns, in H's eigenbasis V: V^dagger H V, [A_n, H], u = 1 + tau^2/4,
+    and the five time differences of A_n = C^(-n) A_0 C^n keyed by the names
+    of ``involution_identities``, whose left-hand sides they are.  A_0 and H
+    are rotated once; a time shift of A_n is an entrywise phase factor.  A
+    tau for which 1/tau^2 or u^2 is not a finite nonzero float is a
+    ValueError, raised before any difference is formed.
+    """
+    tau = prop.tau
+    u = 1.0 + 0.25 * tau * tau
+    # products round to inf or 0 where the float powers below would raise
+    if not (tau * tau and math.isfinite(1.0 / (tau * tau)) and math.isfinite(u * u)):
+        raise ValueError(f"tau = {tau} is out of range: 1/tau^2 or u^2 is not a finite nonzero float")
     A = np.asarray(A0, dtype=complex)
     if A.shape != (prop.dim, prop.dim):
         raise ValueError(f"observable shape {A.shape} does not match dimension {prop.dim}")
     if not np.isfinite(A).all():
         raise ValueError("observable has non-finite entries")
-    U = evolution_operator(prop, n)
-    return U.conj().T @ A @ U
-
-
-def _differences(prop: CayleyPropagator, A0, n: int):
-    """What both Heisenberg checks compare, for one observable at step n.
-
-    Returns [A_n, H], u = 1 + tau^2/4, the scalar central form
-    2 (1 - tau^2/4) [A_n, H], and the five time differences of A_n keyed by
-    the names of ``involution_identities``, whose left-hand sides they are.
-    A tau for which 1/tau^2 or u^2 is not a finite nonzero float is a
-    ValueError, raised before any difference is formed.
-    """
-    H, C, Ch, tau = prop.hamiltonian, prop.factor, prop.half_factor, prop.tau
-    u = 1.0 + 0.25 * tau * tau
-    # products round to inf or 0 where the float powers below would raise
-    if not (tau * tau and math.isfinite(1.0 / (tau * tau)) and math.isfinite(u * u)):
-        raise ValueError(f"tau = {tau} is out of range: 1/tau^2 or u^2 is not a finite nonzero float")
-    A_n = heisenberg_evolve(prop, A0, n)
-    A_next = C.conj().T @ A_n @ C
-    A_prev = C @ A_n @ C.conj().T
+    lam, V = prop.eigenvalues, prop.eigenvectors
+    phase = _cayley_phase(tau, lam, _integer(n, "n"))
+    A_n = phase.conj()[:, None] * (V.conj().T @ A @ V) * phase
+    H = V.conj().T @ prop.hamiltonian @ V
     comm = A_n @ H - H @ A_n
+    # A_{n+1} = conj(c_j) c_k A_n and A_{n-1} = c_j conj(c_k) A_n entrywise, c the phase of C
+    c = _cayley_phase(tau, lam, 1)
+    step = np.outer(c.conj(), c)
     lhs = {
-        "forward": (1j / tau) * (A_next - A_n),
-        "backward": (1j / tau) * (A_n - A_prev),
-        "forward-backward": (-1.0 / tau**2) * (A_next - 2.0 * A_n + A_prev),
-        "half-step": (1j / tau) * (Ch.conj().T @ A_n @ Ch - Ch @ A_n @ Ch.conj().T),
-        "central": (1j / tau) * (A_next - A_prev),
+        "forward": (1j / tau) * (step - 1.0) * A_n,
+        "backward": (1j / tau) * (1.0 - step.conj()) * A_n,
+        "forward-backward": (-1.0 / tau**2) * (step - 2.0 + step.conj()) * A_n,
+        "central": (1j / tau) * (step - step.conj()) * A_n,
     }
-    return comm, u, 2.0 * (1.0 - 0.25 * tau * tau) * comm, lhs
+    del step  # one d x d factor alive at a time
+    h = _cayley_phase(tau, lam, 0.5)
+    half = np.outer(h.conj(), h)
+    lhs["half-step"] = (1j / tau) * (half - half.conj()) * A_n
+    return H, comm, u, lhs
 
 
 @dataclass(frozen=True)
@@ -240,17 +238,17 @@ class SchemeResiduals:
 
 def heisenberg_scheme_residuals(prop: CayleyPropagator, A0, n: int = 0) -> SchemeResiduals:
     """Residuals of the four difference schemes for an evolved observable."""
-    H, tau = prop.hamiltonian, prop.tau
-    comm, _, _, lhs = _differences(prop, A0, n)
-    spec = prop.spectral_function
-    p_inv = spec(lambda lam: 1.0 / (1.0 + 0.5j * tau * lam))
-    r_inv = spec(lambda lam: 1.0 / np.sqrt(1.0 + 0.25 * tau * tau * lam * lam))
-    r2_inv = spec(lambda lam: 1.0 / (1.0 + 0.25 * tau * tau * lam * lam))
+    tau, lam = prop.tau, prop.eigenvalues
+    H, comm, _, lhs = _differences(prop, A0, n)
+    # diagonal in H's eigenbasis: P^(-1) X R^(-1) scales the rows of X by P^(-1), its columns by R^(-1)
+    p_inv = 1.0 / (1.0 + 0.5j * tau * lam)
+    r_inv = 1.0 / np.sqrt(1.0 + 0.25 * tau * tau * lam * lam)
+    r2_inv = 1.0 / (1.0 + 0.25 * tau * tau * lam * lam)
     return SchemeResiduals(
-        forward=_norm(lhs["forward"] - p_inv.conj().T @ comm @ p_inv),
-        backward=_norm(lhs["backward"] - p_inv @ comm @ p_inv.conj().T),
-        symmetric=_norm(lhs["half-step"] - r_inv @ comm @ r_inv),
-        central=_norm(lhs["central"] - 2.0 * r2_inv @ (comm + 0.25 * tau * tau * (H @ comm @ H)) @ r2_inv),
+        forward=_norm(lhs["forward"] - p_inv.conj()[:, None] * comm * p_inv),
+        backward=_norm(lhs["backward"] - p_inv[:, None] * comm * p_inv.conj()),
+        symmetric=_norm(lhs["half-step"] - r_inv[:, None] * comm * r_inv),
+        central=_norm(lhs["central"] - 2.0 * r2_inv[:, None] * (comm + 0.25 * tau * tau * (H @ comm @ H)) * r2_inv),
     )
 
 
@@ -290,22 +288,21 @@ def involution_identities(H, A0, tau: float, n: int = 0):
         raise ValueError(f"H is not an involution: max |H^2 - 1| = {invol_defect:.3e}")
 
     prop = build_propagator(H, tau)
-    comm, u, central_form, lhs = _differences(prop, A0, n)
-    C = prop.factor
+    H, comm, u, lhs = _differences(prop, A0, n)
+    V = prop.eigenvectors
+    C = V.conj().T @ prop.factor @ V
 
-    def fit_exponent(left, base):
+    def check(name, base, power):
+        left = lhs[name]
         nb, nl = _norm(base), _norm(left)
-        return math.log(nb / nl) / math.log(u) if min(nb, nl) >= 1e-300 and u > 1.0 else math.nan
+        fitted = math.log(nb / nl) / math.log(u) if min(nb, nl) >= 1e-300 and u > 1.0 else math.nan
+        return IdentityCheck(name=name, residual=_norm(left - base / u**power), fitted_exponent=fitted)
 
-    cases = {
-        "forward": (comm @ C, 1),
-        "backward": (comm @ C.conj().T, 1),
-        "forward-backward": (comm @ H - H @ comm, 2),
-        "half-step": (comm, 1),
-        "central": (central_form, 2),
-    }
+    # one right-hand side at a time, each dropped once its row is made
     return [
-        IdentityCheck(name=name, residual=_norm(lhs[name] - base / u**power),
-                      fitted_exponent=fit_exponent(lhs[name], base))
-        for name, (base, power) in cases.items()
+        check("forward", comm @ C, 1),
+        check("backward", comm @ C.conj().T, 1),
+        check("forward-backward", comm @ H - H @ comm, 2),
+        check("half-step", comm, 1),
+        check("central", 2.0 * (1.0 - 0.25 * prop.tau * prop.tau) * comm, 2),
     ]

@@ -12,7 +12,6 @@ from latticeqm import (
     evolution_operator_residual,
     evolve_state,
     evolve_trajectory,
-    heisenberg_evolve,
     heisenberg_scheme_residuals,
     involution_identities,
 )
@@ -131,12 +130,56 @@ def test_heisenberg_evolution_matches_stepwise_conjugation():
     H = random_hermitian(rng, 6)
     A = random_hermitian(rng, 6)
     prop = build_propagator(H, 0.15)
+
+    def evolved(A, n):
+        U = evolution_operator(prop, n)
+        return U.conj().T @ A @ U
+
     stepped = A.copy()
     for n in range(8):
-        assert np.abs(heisenberg_evolve(prop, A, n) - stepped).max() < 1e-11
+        assert np.abs(evolved(A, n) - stepped).max() < 1e-11
         stepped = prop.factor.conj().T @ stepped @ prop.factor
     # the Hamiltonian itself is conserved
-    assert np.abs(heisenberg_evolve(prop, H, 13) - H).max() < 1e-11
+    assert np.abs(evolved(H, 13) - H).max() < 1e-11
+
+
+@pytest.mark.parametrize("d, tau, n", [(2, 0.5, 0), (6, 0.1, 3), (64, 0.2, -2)])
+def test_eigenbasis_differences_match_steps_of_the_solve_built_factor(d, tau, n):
+    # A_{n+-1} stepped with C in the original basis, then rotated by V, against
+    # the phase factors that _differences applies in H's eigenbasis
+    rng = np.random.default_rng(d)
+    H, A = random_hermitian(rng, d), random_hermitian(rng, d)
+    prop = build_propagator(H, tau)
+    U = evolution_operator(prop, n)
+    A_n = U.conj().T @ A @ U
+    C, half = prop.factor, prop.half_factor
+    A_next, A_prev = C.conj().T @ A_n @ C, C @ A_n @ C.conj().T
+    stepped = {
+        "forward": (1j / tau) * (A_next - A_n),
+        "backward": (1j / tau) * (A_n - A_prev),
+        "forward-backward": (-1.0 / tau**2) * (A_next - 2.0 * A_n + A_prev),
+        "half-step": (1j / tau) * (half.conj().T @ A_n @ half - half @ A_n @ half.conj().T),
+        "central": (1j / tau) * (A_next - A_prev),
+    }
+    _, _, _, lhs = cayley._differences(prop, A, n)
+    V = prop.eigenvectors
+    for name, X in stepped.items():
+        assert np.linalg.norm(V.conj().T @ X @ V - lhs[name]) <= 1e-12 * np.linalg.norm(lhs[name]), name
+
+
+def test_eigendecomposition_runs_once_on_first_read(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    rng = np.random.default_rng(5)
+    H, A = random_hermitian(rng, 5), random_hermitian(rng, 5)
+    prop = build_propagator(H, 0.2)
+    evolve_trajectory(prop, np.eye(5)[0], 10)
+    assert calls == []  # stepping reads C only
+    evolve_state(prop, np.eye(5)[0], 10)
+    heisenberg_scheme_residuals(prop, A, 2)
+    evolution_operator_residual(prop, 7)
+    assert len(calls) == 1
 
 
 def test_scheme_residuals_vanish_for_exact_identities():
@@ -165,7 +208,8 @@ def test_scalar_central_form_fails_for_generic_hamiltonian():
     A = random_hermitian(rng, 5)
     prop = build_propagator(H, 0.5)
     assert heisenberg_scheme_residuals(prop, A, 1).central < 1e-10
-    _, u, central_form, lhs = cayley._differences(prop, A, 1)
+    _, comm, u, lhs = cayley._differences(prop, A, 1)
+    central_form = 2.0 * (1.0 - 0.25 * prop.tau**2) * comm
     assert cayley._norm(lhs["central"] - central_form / u**2) > 1e-3
 
 
@@ -200,9 +244,11 @@ def test_involution_identities_with_commuting_observable():
 def _spectral_exponents(H, A, tau, n):
     # the exponent e with u**e * ||lhs|| = ||base|| in spectral norm, for the
     # five identities in the order involution_identities reports them
+    # (all in H's eigenbasis V, where the spectral norm is the same)
     prop = build_propagator(H, tau)
-    comm, _, _, lhs = cayley._differences(prop, A, n)
-    C = prop.factor
+    H, comm, _, lhs = cayley._differences(prop, A, n)
+    V = prop.eigenvectors
+    C = V.conj().T @ prop.factor @ V
     cases = [
         (lhs["forward"], comm @ C),
         (lhs["backward"], comm @ C.conj().T),
@@ -268,17 +314,18 @@ def test_norm_of_a_subnormal_matrix(X, expected):
     assert cayley._norm(X) == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("tau", [0.1, 10.0])
+@pytest.mark.parametrize("tau", [0.1, 10.0, 1e4])
 def test_norm_still_rejects_the_backward_factor_on_the_forward_scheme(tau):
     # heisenberg-check --dim 4 --seed 0 at n = 3, its forward right-hand side
-    # P^(-dagger) [A_n, H] P^(-1) swapped for the backward one
+    # P^(-dagger) [A_n, H] P^(-1) swapped for the backward one; in H's
+    # eigenbasis P^(-1) is the diagonal p below
     rng = np.random.default_rng(0)
     H, A = random_hermitian(rng, 4), random_hermitian(rng, 4)
     prop = build_propagator(H, tau)
-    comm, _, _, lhs = cayley._differences(prop, A, 3)
-    p_inv = prop.spectral_function(lambda lam: 1.0 / (1.0 + 0.5j * tau * lam))
-    assert cayley._norm(lhs["forward"] - p_inv.conj().T @ comm @ p_inv) < 1e-10
-    mutant = lhs["forward"] - p_inv @ comm @ p_inv.conj().T
+    _, comm, _, lhs = cayley._differences(prop, A, 3)
+    p = 1.0 / (1.0 + 0.5j * tau * prop.eigenvalues)
+    assert cayley._norm(lhs["forward"] - p.conj()[:, None] * comm * p) < 1e-10
+    mutant = lhs["forward"] - p[:, None] * comm * p.conj()
     assert cayley._norm(mutant) >= np.linalg.norm(mutant, 2) > 1e-10
 
 
@@ -291,8 +338,8 @@ def test_state_shape_validation():
     prop = build_propagator(SIGMA_Z, 0.1)
     with pytest.raises(ValueError):
         evolve_state(prop, [1.0, 0.0, 0.0], 1)
-    with pytest.raises(ValueError):
-        heisenberg_evolve(prop, np.eye(3), 1)
+    with pytest.raises(ValueError, match="observable shape"):
+        heisenberg_scheme_residuals(prop, np.eye(3), 1)
     with pytest.raises(ValueError):
         evolve_trajectory(prop, [1.0, 0.0, 0.0], 1)
     for evolve in (evolve_state, evolve_trajectory):
@@ -311,8 +358,8 @@ def test_state_shape_validation():
         for evolve in (evolve_state, evolve_trajectory):
             with pytest.raises(ValueError, match="state has non-finite entries"):
                 evolve(prop, [bad, 0.0], 1)
-        # the schemes and the involution identities evolve through heisenberg_evolve
-        for evolve in (heisenberg_evolve, heisenberg_scheme_residuals,
+        # the schemes and the involution identities validate the observable in one place
+        for evolve in (heisenberg_scheme_residuals,
                        lambda prop, A, n: involution_identities(SIGMA_Z, A, 0.1, n)):
             with pytest.raises(ValueError, match="observable has non-finite entries"):
                 evolve(prop, [[bad, 0.0], [0.0, 1.0]], 1)
@@ -324,7 +371,7 @@ def test_oversized_step_count_is_one_value_error(n):
     # 10**309 raised an OverflowError from the float conversion, and 2**1023
     # gave a phase of inf * arctan, so C^n came back as NaN
     prop = build_propagator(SIGMA_Z, 0.1)
-    calls = [lambda: evolution_operator(prop, n), lambda: heisenberg_evolve(prop, SIGMA_X, n)]
+    calls = [lambda: evolution_operator(prop, n), lambda: heisenberg_scheme_residuals(prop, SIGMA_X, n)]
     if n > 0:
         calls.append(lambda: evolve_state(prop, [1.0, 0.0], n))
     for call in calls:

@@ -2,6 +2,9 @@
 
 import io
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,3 +81,21 @@ def test_numeric_csv_rows_match_per_value_rendering(rows):
     report.write_csv(out, "h", rows)
     expected = "".join(["h\n"] + [",".join(report.format_float(v) for v in row) + "\n" for row in rows])
     assert out.getvalue() == expected
+
+
+def test_a_failing_property_is_reported_not_an_internal_error(tmp_path):
+    # on a failure hypothesis imports libcst, whose import warned through
+    # mypy_extensions; under filterwarnings = error the run died in INTERNALERROR
+    root = Path(__file__).resolve().parents[1]
+    (tmp_path / "test_falsified.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n"
+        "@settings(database=None, max_examples=5)\n"
+        "@given(st.integers())\n"
+        "def test_falsified(x):\n"
+        "    assert x != x\n")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(root / "pyproject.toml"),
+         "--rootdir", str(tmp_path), str(tmp_path / "test_falsified.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed" in run.stdout
