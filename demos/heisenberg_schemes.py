@@ -13,14 +13,11 @@ import numpy as np
 
 from latticeqm import checks
 
-SCHEMES = ("forward", "backward", "symmetric", "central")
-
-
 def main():
     rng = np.random.default_rng(5)
 
     print("Generic Hermitian H, d = 5, tau = 0.3")
-    rows = checks.heisenberg(rng, checks.random_hermitian(rng, 5), 0.3, 2, SCHEMES)
+    rows = checks.heisenberg(rng, checks.random_hermitian(rng, 5), 0.3, 2)
     for row in rows:
         print(" ", row)
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import _integer, _real
+from .lattice import _count, _integer, _step
 
 
 def check_hermitian(H) -> np.ndarray:
@@ -47,13 +47,22 @@ def check_hermitian(H) -> np.ndarray:
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1] or H.size == 0:
         raise ValueError(f"Hamiltonian must be a non-empty square matrix, got shape {H.shape}")
-    if not np.isfinite(H).all():
-        raise ValueError("Hamiltonian has non-finite entries")
+    H = _finite_complex(H, "Hamiltonian", H.shape)
     scale = max(1.0, float(np.abs(H).max()))
     defect = float(np.abs(H - H.conj().T).max())
     if defect > 1e-12 * scale:
         raise ValueError(f"matrix is not Hermitian: max |H - H^dagger| = {defect:.3e}")
     return H
+
+
+def _finite_complex(X, name: str, shape: tuple) -> np.ndarray:
+    """X as a complex array of the given shape with finite entries; ``name`` heads each error."""
+    X = np.asarray(X, dtype=complex)
+    if X.shape != shape:
+        raise ValueError(f"{name} shape {X.shape} does not match dimension {shape[0]}")
+    if not np.isfinite(X).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return X
 
 
 @dataclass(frozen=True)
@@ -124,10 +133,7 @@ def build_propagator(H, tau: float) -> CayleyPropagator:
     The eigendecomposition of H, from which every other function of H is
     assembled, waits for its first reader.
     """
-    H = check_hermitian(H)
-    tau = _real(tau, "tau")
-    if tau == 0.0 or not math.isfinite(tau):
-        raise ValueError(f"tau must be finite and nonzero, got {tau}")
+    H, tau = check_hermitian(H), _step(tau)
     d = H.shape[0]
     eye = np.eye(d, dtype=complex)
     plus = eye + 0.5j * tau * H
@@ -136,29 +142,16 @@ def build_propagator(H, tau: float) -> CayleyPropagator:
     return CayleyPropagator(hamiltonian=H, tau=tau, factor=np.linalg.solve(plus, minus))
 
 
-def _checked_state(prop: CayleyPropagator, psi0, n: int) -> tuple[np.ndarray, int]:
-    """psi0 as a finite complex vector of the propagator's dimension, n as a step count."""
-    psi = np.asarray(psi0, dtype=complex)
-    if psi.shape != (prop.dim,):
-        raise ValueError(f"state shape {psi.shape} does not match dimension {prop.dim}")
-    if not np.isfinite(psi).all():
-        raise ValueError("state has non-finite entries")
-    n = _integer(n, "n")
-    if n < 0:
-        raise ValueError("step count must be non-negative")
-    return psi, n
-
-
 def evolve_state(prop: CayleyPropagator, psi0, n: int) -> np.ndarray:
     """The state after n Cayley steps, C^n psi0 from the eigendecomposition."""
-    psi, n = _checked_state(prop, psi0, n)
+    psi, n = _finite_complex(psi0, "state", (prop.dim,)), _count(n, "n")
     V = prop.eigenvectors
     return V @ (_cayley_phase(prop.tau, prop.eigenvalues, n) * (V.conj().T @ psi))
 
 
 def evolve_trajectory(prop: CayleyPropagator, psi0, n: int) -> np.ndarray:
     """Stack of states psi_0 .. psi_n, one row per step of the solve-built C."""
-    psi, n = _checked_state(prop, psi0, n)
+    psi, n = _finite_complex(psi0, "state", (prop.dim,)), _count(n, "n")
     out = np.empty((n + 1, prop.dim), dtype=complex)
     out[0] = psi
     for i in range(1, n + 1):
@@ -200,11 +193,7 @@ def _differences(prop: CayleyPropagator, A0, n: int):
     # products round to inf or 0 where the float powers below would raise
     if not (tau * tau and math.isfinite(1.0 / (tau * tau)) and math.isfinite(u * u)):
         raise ValueError(f"tau = {tau} is out of range: 1/tau^2 or u^2 is not a finite nonzero float")
-    A = np.asarray(A0, dtype=complex)
-    if A.shape != (prop.dim, prop.dim):
-        raise ValueError(f"observable shape {A.shape} does not match dimension {prop.dim}")
-    if not np.isfinite(A).all():
-        raise ValueError("observable has non-finite entries")
+    A = _finite_complex(A0, "observable", (prop.dim, prop.dim))
     lam, V = prop.eigenvalues, prop.eigenvectors
     phase = _cayley_phase(tau, lam, _integer(n, "n"))
     A_n = phase.conj()[:, None] * (V.conj().T @ A @ V) * phase

@@ -17,12 +17,13 @@ from the caller's generator, so one seed fixes every draw in call order.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
 from . import cayley, hermite, kravchuk, oscillator, planewave
-from .lattice import LatticeState
+from .lattice import LatticeState, _count
 from .report import CheckRow
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -34,8 +35,14 @@ def random_hermitian(rng, dim: int) -> np.ndarray:
     return 0.5 * (M + M.conj().T)
 
 
+def _involution_dim(dim) -> int:
+    """The dimension of a random involution: a genuine reflection needs room for both signs."""
+    return _count(dim, "dim", 2)
+
+
 def random_involution(rng, dim: int) -> np.ndarray:
     # unitary conjugate of a +-1 signature, Hermitian with H^2 = 1
+    dim = _involution_dim(dim)
     Q = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
     signs = np.where(rng.integers(0, 2, size=dim) == 0, -1.0, 1.0)
     if np.all(signs == signs[0]):
@@ -155,20 +162,19 @@ def propagator_order(H, taus) -> list:
     return _worst((("cayley-order", label, 0.5),), ((abs(r - 4.0),) for r in ratios))
 
 
-def heisenberg(rng, H, tau: float, n: int, schemes) -> list:
-    """The named difference schemes of ``SchemeResiduals`` for a random observable."""
+def heisenberg(rng, H, tau: float, n: int) -> list:
+    """The difference schemes of ``SchemeResiduals``, in field order, for a random observable."""
     A = random_hermitian(rng, H.shape[0])
     res = cayley.heisenberg_scheme_residuals(cayley.build_propagator(H, tau), A, n)
     label = f"dim {H.shape[0]} tau {tau} n {n}"
-    return _nonempty([CheckRow(f"heisenberg-{name.replace('_', '-')}", label, getattr(res, name), 1e-10)
-                      for name in schemes])
+    return [CheckRow(f"heisenberg-{name}", label, residual, 1e-10)
+            for name, residual in dataclasses.asdict(res).items()]
 
 
 def involution(pairs, taus, n: int) -> list:
     """The five involution identities for each (H, A, label) pair at each tau."""
     return _nonempty([
-        CheckRow(f"involution-{c.name}", f"{label} tau {tau} exponent {c.fitted_exponent:.6f}",
-                 c.residual, 1e-10, c.fitted_exponent)
+        CheckRow(f"involution-{c.name}", f"{label} tau {tau} exponent {c.fitted_exponent:.6f}", c.residual, 1e-10)
         for H, A, label in pairs for tau in taus for c in cayley.involution_identities(H, A, tau, n)])
 
 

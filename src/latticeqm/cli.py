@@ -1,12 +1,12 @@
 """Command line front end.
 
 Parsing and dispatch only.  Each subcommand is declared once in
-``_build_parser``, where every flag's argparse type also enforces its range,
-so an out-of-range value exits 2 with the subcommand's usage line before any
-work starts.  The parser is built once per process, on the first ``main``
-call, and reused by every later call.  Only code that calls ``main`` many
-times in one process gains from that; the console script builds it once per
-command as before, and importing the package does not build it.
+``_build_parser``; each numeric flag's type is ``_flag`` over the library's
+validator for that parameter, so an out-of-range value exits 2 with the usage
+line and the validator's message before any work starts.  The parser is built
+on the first ``main`` call and reused by every later one, which only helps
+code that calls ``main`` many times in one process; importing the package
+does not build it.
 
 Each subcommand has one builder in ``COMMANDS``, called with the parsed
 parameters and the format.  It computes the whole artifact (a momenta table,
@@ -33,42 +33,32 @@ from pathlib import Path
 import numpy as np
 
 from . import cayley, checks, hermite, oscillator, planewave, report
-from .lattice import LatticeState, complex_array
+from .lattice import (LatticeState, _angle, _count, _finite, _integer, _order, _probability, _spacing, _step,
+                      complex_array)
 # format_float stays bound here, where perfbench reads and traces cli.format_float
 from .report import format_float, write_csv  # noqa: F401
 
 
-def _ranged(convert, ok, requirement: str):
-    """An argparse type: ``convert`` the text, then require ``ok`` of the value."""
+def _flag(check, convert, *args):
+    """An argparse type: ``convert`` the text, then ``check(value, *args)``, a
+    library validator, whose ValueError becomes the flag's usage error."""
     def parse(text):
         value = convert(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must {requirement}, got {value}")
-        return value
+        try:
+            return check(value, *args)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     # argparse names the converter when conversion fails: "invalid int value: 'x'"
     parse.__name__ = convert.__name__
     return parse
 
 
-_POSITIVE_INT = _ranged(int, lambda v: v >= 1, "be a positive integer")
-_NON_NEGATIVE_INT = _ranged(int, lambda v: v >= 0, "be non-negative")
-_AT_LEAST_TWO = _ranged(int, lambda v: v >= 2, "be at least 2")
-_POSITIVE_FINITE = _ranged(float, lambda v: 0.0 < v < math.inf, "be positive and finite")
-_FINITE = _ranged(float, math.isfinite, "be finite")
-_NONZERO_FINITE = _ranged(float, lambda v: math.isfinite(v) and v != 0.0, "be finite and nonzero")
-_ANGLE = _ranged(float, lambda v: 0.0 < v < math.pi, "lie strictly between 0 and pi")
-_PROBABILITY = _ranged(float, lambda v: 0.0 < v < 1.0, "lie strictly between 0 and 1")
-
-
 def _int_list(text: str) -> list:
     try:
-        sizes = [int(v) for v in text.split(",") if v.strip()]
+        return [int(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be comma separated integers, got {text!r}") from None
-    if any(N < 1 for N in sizes):
-        raise argparse.ArgumentTypeError(f"must be positive integers, got {text!r}")
-    return sizes
 
 
 @functools.cache
@@ -87,58 +77,59 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                        help="write the artifact here instead of stdout")
 
     p = sub.add_parser("basis", help="tangent-grid momenta and plane-wave table")
-    p.add_argument("--N", type=_POSITIVE_INT, required=True, help="number of lattice sites")
-    p.add_argument("--epsilon", type=_POSITIVE_FINITE, required=True, help="lattice spacing")
+    p.add_argument("--N", type=_flag(_order, int), required=True, help="number of lattice sites")
+    p.add_argument("--epsilon", type=_flag(_spacing, float), required=True, help="lattice spacing")
     p.add_argument("--table", action="store_true", help="include the full basis table")
     add_common(p)
 
     p = sub.add_parser("evolve", help="Cayley time evolution of a state")
     p.add_argument("--hamiltonian", required=True, metavar="JSON",
                    help='Hermitian matrix file: {"re": [[..]], "im": [[..]]}')
-    p.add_argument("--tau", type=_NONZERO_FINITE, required=True, help="time step")
-    p.add_argument("--steps", type=_NON_NEGATIVE_INT, required=True, help="number of steps")
+    p.add_argument("--tau", type=_flag(_step, float), required=True, help="time step")
+    p.add_argument("--steps", type=_flag(_count, int, "steps"), required=True, help="number of steps")
     p.add_argument("--state", required=True, metavar="JSON",
                    help='initial state file: {"epsilon": e, "re": [..], "im": [..]}')
     add_common(p)
 
     p = sub.add_parser("heisenberg-check",
                        help="difference-scheme identities for evolved observables")
-    p.add_argument("--dim", type=_AT_LEAST_TWO, default=4, help="matrix dimension (default 4)")
-    p.add_argument("--tau", type=_NONZERO_FINITE, default=0.1, help="time step (default 0.1)")
-    p.add_argument("--n", type=int, default=3, help="step index of the observable")
-    p.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0, help="seed for the random matrices")
+    p.add_argument("--dim", type=_flag(checks._involution_dim, int), default=4, help="matrix dimension (default 4)")
+    p.add_argument("--tau", type=_flag(_step, float), default=0.1, help="time step (default 0.1)")
+    p.add_argument("--n", type=_flag(_integer, int, "n"), default=3, help="step index of the observable")
+    p.add_argument("--seed", type=_flag(_count, int, "seed"), default=0, help="seed for the random matrices")
     add_common(p)
 
     p = sub.add_parser("wigner", help="rotation d-table checks")
-    p.add_argument("--N", type=_POSITIVE_INT, required=True, help="table size parameter, N = 2j")
-    p.add_argument("--beta", type=_ANGLE, required=True, help="rotation angle in (0, pi)")
+    p.add_argument("--N", type=_flag(_order, int), required=True, help="table size parameter, N = 2j")
+    p.add_argument("--beta", type=_flag(_angle, float), required=True, help="rotation angle in (0, pi)")
     p.add_argument("--check", choices=("all", "symmetry", "recurrence", "orthogonality"),
                    default="all", help="which residuals to emit (default all)")
     add_common(p)
 
     p = sub.add_parser("spectrum", help="finite oscillator spectra")
-    p.add_argument("--N", type=_POSITIVE_INT, required=True, help="number of levels minus one, N = 2j")
-    p.add_argument("--p", type=_PROBABILITY, default=0.5, help="weight parameter (default 0.5)")
+    p.add_argument("--N", type=_flag(_order, int), required=True, help="number of levels minus one, N = 2j")
+    p.add_argument("--p", type=_flag(_probability, float), default=0.5, help="weight parameter (default 0.5)")
     p.add_argument("--what", choices=("energy", "position", "commutator"), required=True,
                    help="which spectrum to emit")
     add_common(p)
 
     p = sub.add_parser("converge", help="continuum limit error table for one level")
-    p.add_argument("--n", type=_NON_NEGATIVE_INT, required=True, help="oscillator level")
-    p.add_argument("--N-list", dest="N_list", type=_int_list, required=True, metavar="N1,N2,...",
-                   help="comma separated sizes, e.g. 16,32,64,128")
-    p.add_argument("--p", type=_PROBABILITY, default=0.5, help="weight parameter (default 0.5)")
+    p.add_argument("--n", type=_flag(_count, int, "n"), required=True, help="oscillator level")
+    p.add_argument("--N-list", dest="N_list", type=_flag(lambda sizes: list(map(_order, sizes)), _int_list),
+                   required=True, metavar="N1,N2,...", help="comma separated sizes, e.g. 16,32,64,128")
+    p.add_argument("--p", type=_flag(_probability, float), default=0.5, help="weight parameter (default 0.5)")
     add_common(p)
 
     p = sub.add_parser("hermite", help="sample a continuum oscillator eigenfunction")
-    p.add_argument("--n", type=_NON_NEGATIVE_INT, required=True, help="level")
-    p.add_argument("--s-min", dest="s_min", type=_FINITE, required=True, help="grid start")
-    p.add_argument("--s-max", dest="s_max", type=_FINITE, required=True, help="grid end")
-    p.add_argument("--samples", type=_AT_LEAST_TWO, required=True, help="number of grid points")
+    p.add_argument("--n", type=_flag(_count, int, "n"), required=True, help="level")
+    p.add_argument("--s-min", dest="s_min", type=_flag(_finite, float, "s_min"), required=True, help="grid start")
+    p.add_argument("--s-max", dest="s_max", type=_flag(_finite, float, "s_max"), required=True, help="grid end")
+    p.add_argument("--samples", type=_flag(_count, int, "samples", 2), required=True, help="number of grid points")
     add_common(p)
 
     p = sub.add_parser("verify-all", help="run the full deterministic check suite")
-    p.add_argument("--seed", type=_NON_NEGATIVE_INT, default=7, help="seed for the random draws (default 7)")
+    p.add_argument("--seed", type=_flag(_count, int, "seed"), default=7,
+                   help="seed for the random draws (default 7)")
     add_common(p)
 
     return parser, sub.choices
@@ -206,13 +197,10 @@ def _cmd_evolve(params, fmt):
     }, 0
 
 
-SCHEMES = ("forward", "backward", "symmetric", "central")
-
-
 def _cmd_heisenberg_check(params, fmt):
     dim, tau, n = params["dim"], params["tau"], params["n"]
     rng = np.random.default_rng(params["seed"])
-    rows = checks.heisenberg(rng, checks.random_hermitian(rng, dim), tau, n, SCHEMES)
+    rows = checks.heisenberg(rng, checks.random_hermitian(rng, dim), tau, n)
     pair = (checks.random_involution(rng, dim), checks.random_hermitian(rng, dim), f"random dim {dim}")
     return report.render_checks(rows + checks.involution([pair], (tau,), n), fmt)
 
@@ -282,7 +270,7 @@ def build_verification_report(seed: int = 7) -> list:
     H = checks.random_hermitian(rng, 6)
     rows += checks.propagator(rng, H, (0.1,), 200, (7,))
     rows += checks.propagator_order(H, (0.1, 0.05))
-    rows += checks.heisenberg(rng, H, 0.1, 3, SCHEMES)
+    rows += checks.heisenberg(rng, H, 0.1, 3)
     pairs = [
         (checks.SIGMA_Z, checks.SIGMA_X, "sigma_z"),
         (checks.SIGMA_X, checks.SIGMA_Z, "sigma_x"),
@@ -320,9 +308,9 @@ COMMANDS = {
 def main(argv=None) -> int:
     """Parse argv (default sys.argv[1:]), build the artifact, write it, return the exit code.
 
-    Each flag's type converts its value and enforces its range, so argparse
-    rejects an out-of-range value with the subcommand's usage line and exit
-    code 2.  Only --s-max > --s-min spans two flags and is checked here.
+    Each flag's type converts its value and calls the library's validator,
+    so argparse rejects an out-of-range value with the subcommand's usage
+    line and exit code 2.  Only --s-max > --s-min spans two flags and is checked here.
     A ValueError, OSError or MemoryError from the work ends as one ``error:``
     line on stderr and exit code 1.
     The parser is built on the first call and shared by every later one:

@@ -21,15 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import _integer, _real
-
-
-def _level(n, name: str = "n") -> int:
-    """A level or level bound as a non-negative int."""
-    n = _integer(n, name)
-    if n < 0:
-        raise ValueError(f"{name} must be non-negative")
-    return n
+from .lattice import _count, _spacing
 
 
 def _grid(s) -> np.ndarray:
@@ -44,7 +36,7 @@ def _grid(s) -> np.ndarray:
 
 def psi_table(n_max: int, s) -> np.ndarray:
     """Rows psi_0(s) .. psi_{n_max}(s) on the given grid of finite points."""
-    n_max = _level(n_max, "n_max")
+    n_max = _count(n_max, "n_max")
     s = _grid(s)
     out = np.empty((n_max + 1, s.size))
     # The seed exp(-s^2/2) leaves the normal range at s^2/2 = 708 and is 0
@@ -77,7 +69,7 @@ def psi_table(n_max: int, s) -> np.ndarray:
 
 def eval_psi(n: int, s):
     """psi_n evaluated at a scalar or array argument."""
-    n = _level(n)
+    n = _count(n, "n")
     scalar = np.ndim(s) == 0
     values = psi_table(n, s)[n]
     return float(values[0]) if scalar else values
@@ -124,10 +116,8 @@ def recurrence_residual(n_max: int, s, h: float = 1e-5) -> HermiteRecurrenceResi
     taken by a central difference of step h, so it carries an O(h^2) floor.
     One table holds the rows on s, s + h and s - h side by side.
     """
-    n_max = _level(n_max, "n_max")
-    h = _real(h, "h")
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"h must be positive and finite, got {h}")
+    n_max = _count(n_max, "n_max")
+    h = _spacing(h, "h")
     s = _grid(s)
     table, plus, minus = np.split(psi_table(n_max + 1, np.concatenate([s, s + h, s - h])), 3, axis=1)
     below, here, above = _below(table)[:-1], table[:-1], table[1:]
@@ -157,7 +147,7 @@ def gram_matrix(n_max: int) -> np.ndarray:
     highest level, where the integrand has long since collapsed, so the
     quadrature error is dominated by the trapezoidal rule itself.
     """
-    n_max = _level(n_max, "n_max")
+    n_max = _count(n_max, "n_max")
     half_width = math.sqrt(2.0 * n_max + 1.0) + 10.0
     s = np.linspace(-half_width, half_width, 4001)
     table = psi_table(n_max, s)

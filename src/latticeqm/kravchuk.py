@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import _integer, _order, _probability, _real
+from .lattice import _angle, _integer, _order, _probability
 
 
 def binomial_weights(N: int, p: float) -> np.ndarray:
@@ -140,14 +140,6 @@ class WignerDMatrix:
         return math.cos(0.5 * self.beta) ** 2
 
 
-def _validate_table(N: int, beta: float) -> tuple[int, float]:
-    """The order N >= 1 (Python or numpy integer) and angle beta in (0, pi)."""
-    N, beta = _order(N), _real(beta, "beta")
-    if not 0.0 < beta < math.pi:
-        raise ValueError(f"beta must lie strictly between 0 and pi, got {beta}")
-    return N, beta
-
-
 @functools.lru_cache(maxsize=8)
 def _chiral(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(U, V, sigma) of J_x's even-odd block B = U diag(sigma) V^T, phase folded in.
@@ -208,7 +200,7 @@ def build_wigner_d(N: int, beta: float) -> WignerDMatrix:
     once per N and kept for the last 8 orders, so a sweep over angles at one
     N decomposes once.
     """
-    N, beta = _validate_table(N, beta)
+    N, beta = _order(N), _angle(beta)
     table = _rotation(N, lambda sigma: np.cos(beta * sigma), lambda sigma: np.sin(beta * sigma))
     return WignerDMatrix(N=N, beta=beta, table=table)
 
@@ -288,7 +280,7 @@ def wigner_d_direct(N: int, beta: float) -> np.ndarray:
     at 60 digits up to N = 44.  The route uses Python integers and ``math``
     only and shares nothing with ``build_wigner_d`` or ``build_kravchuk``.
     """
-    N, beta = _validate_table(N, beta)
+    N, beta = _order(N), _angle(beta)
     entry = _direct_entries(N, beta)
     out = np.zeros((N + 1, N + 1))
     for n in range(N // 2 + 1):

@@ -1,5 +1,9 @@
 """States on a one-dimensional lattice and the parameter checks every module shares.
 
+Each scalar parameter's range is declared once, by a validator here (N,
+epsilon, p, tau, beta, counts with a lower bound, finite reals) that both
+the library functions and the command line flags' types call.
+
 A state is a finite sequence of complex amplitudes f_0 .. f_{N-1} together with
 the lattice spacing epsilon.  The inner product is plain summation,
 sum_j conj(a_j) b_j, with no spacing weight.  The derivative is replaced by the
@@ -37,6 +41,22 @@ def _real(value, name: str) -> float:
     raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
+def _count(value, name: str, low: int = 0) -> int:
+    """An integer no smaller than ``low``: a level, step count, seed or size."""
+    value = _integer(value, name)
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    return value
+
+
+def _finite(value, name: str) -> float:
+    """A finite real number as float."""
+    x = _real(value, name)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x}")
+    return x
+
+
 def _order(N) -> int:
     """The order N of a basis, table or oscillator as a positive int."""
     N = _integer(N, "N")
@@ -53,12 +73,28 @@ def _probability(p) -> float:
     return p
 
 
-def _spacing(epsilon) -> float:
-    """The lattice spacing epsilon as a positive, finite float."""
-    eps = _real(epsilon, "epsilon")
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
-    return eps
+def _spacing(value, name: str = "epsilon") -> float:
+    """A lattice spacing or difference step as a positive, finite float."""
+    x = _real(value, name)
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {x}")
+    return x
+
+
+def _step(tau) -> float:
+    """The time step tau as a finite, nonzero float."""
+    tau = _real(tau, "tau")
+    if tau == 0.0 or not math.isfinite(tau):
+        raise ValueError(f"tau must be finite and nonzero, got {tau}")
+    return tau
+
+
+def _angle(beta) -> float:
+    """The rotation angle beta as a float strictly between 0 and pi."""
+    beta = _real(beta, "beta")
+    if not 0.0 < beta < math.pi:
+        raise ValueError(f"beta must lie strictly between 0 and pi, got {beta}")
+    return beta
 
 
 def _field(data: dict, key: str, convert):

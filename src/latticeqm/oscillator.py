@@ -22,7 +22,7 @@ import numpy as np
 
 from . import hermite
 from .kravchuk import RecurrenceResiduals, _relations, build_kravchuk, orthonormal_functions
-from .lattice import _integer, _order, _probability
+from .lattice import _count, _integer, _order, _probability
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ def continuum_convergence(n_max: int, N_list, p: float = 0.5) -> ConvergenceTabl
     slope of log(error) against log(N), negated, so first order convergence
     reports a value near one.
     """
-    n_max = hermite._level(n_max, "n_max")
+    n_max = _count(n_max, "n_max")
     try:
         sizes = np.asarray(sorted(_integer(N, "each size") for N in N_list), dtype=int)
     except OverflowError:

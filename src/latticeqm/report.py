@@ -48,17 +48,12 @@ def write_csv(out, header: str, rows) -> None:
 
 @dataclass(frozen=True)
 class CheckRow:
-    """One check: worst residual, tolerance and a comma-free params label.
-
-    ``fitted_exponent`` is the measured power of (1 + tau^2/4) on involution
-    rows and None on every other row.
-    """
+    """One check: worst residual, tolerance and a comma-free params label."""
 
     check: str
     params: str
     residual: float
     tolerance: float
-    fitted_exponent: float | None = None
 
     def __post_init__(self):
         # commas would break the fixed CSV schema, keep params comma-free

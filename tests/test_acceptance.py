@@ -17,7 +17,8 @@ import time
 import numpy as np
 import pytest
 
-from latticeqm import CheckRow, build_oscillator, checks, commutator_spectrum, oscillator, position_spectrum
+from latticeqm import (CheckRow, build_oscillator, cayley, checks, commutator_spectrum, oscillator,
+                       position_spectrum)
 from latticeqm.cli import main
 
 
@@ -77,7 +78,7 @@ def test_acceptance_04_heisenberg_schemes():
     rows = []
     for d, tau in ((2, 0.2), (4, 0.1), (6, 0.05)):
         H = checks.random_hermitian(rng, d)
-        rows += checks.heisenberg(rng, H, tau, 1, ("forward", "symmetric"))
+        rows += checks.heisenberg(rng, H, tau, 1)
     pairs = [
         (H, checks.random_hermitian(rng, H.shape[0]), label)
         for H, label in (
@@ -86,14 +87,16 @@ def test_acceptance_04_heisenberg_schemes():
             (checks.random_involution(rng, 4), "random dim 4"),
         )
     ]
-    identities = checks.involution(pairs, (0.2, 0.05), 0)
+    taus = (0.2, 0.05)
+    identities = checks.involution(pairs, taus, 0)
     expected = {"forward": 1.0, "backward": 1.0, "forward-backward": 2.0,
                 "half-step": 1.0, "central": 2.0}
-    exponents = [row.fitted_exponent for row in identities]
-    gap = max(abs(row.fitted_exponent - expected[row.check.removeprefix("involution-")])
-              for row in identities)
+    fits = [(c.name, c.fitted_exponent) for H, A, _ in pairs for tau in taus
+            for c in cayley.involution_identities(H, A, tau, 0)]
+    exponents = [exponent for _, exponent in fits]
+    gap = max(abs(exponent - expected[name]) for name, exponent in fits)
     _accept(4, "Heisenberg difference schemes", rows + identities,
-            {"heisenberg-forward": 1e-10, "heisenberg-symmetric": 1e-10}
+            {f"heisenberg-{name}": 1e-10 for name in ("forward", "backward", "symmetric", "central")}
             | {f"involution-{name}": 1e-10 for name in expected},
             [(f"fitted exponents {min(exponents):.6f}..{max(exponents):.6f}", gap < 1e-6)])
 

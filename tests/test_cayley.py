@@ -186,7 +186,10 @@ def test_scheme_residuals_vanish_for_exact_identities():
     rng = np.random.default_rng(38)
     for d, tau, n in ((2, 0.5, 0), (6, 0.1, 3), (8, 1.0, 7)):
         H = random_hermitian(rng, d)
-        for row in checks.heisenberg(rng, H, tau, n, ("forward", "backward", "symmetric", "central")):
+        rows = checks.heisenberg(rng, H, tau, n)
+        assert [row.check for row in rows] == [
+            "heisenberg-forward", "heisenberg-backward", "heisenberg-symmetric", "heisenberg-central"]
+        for row in rows:
             assert row.residual < 1e-10, row
 
 
@@ -231,7 +234,7 @@ def test_involution_identities_pass_with_expected_exponents():
     assert [row.check for row in rows] == list(expected) * 6
     for row in rows:
         assert row.residual < 1e-10, row
-        assert row.fitted_exponent == pytest.approx(expected[row.check], abs=1e-6)
+        assert float(row.params.rsplit(" exponent ", 1)[1]) == pytest.approx(expected[row.check], abs=1e-6)
 
 
 def test_involution_identities_with_commuting_observable():

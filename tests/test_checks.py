@@ -112,19 +112,26 @@ _SIZES = (16, 32)
     lambda rng: checks.continuum((), (), _SIZES),
     lambda rng: checks.state_round_trip(rng, (), 0.5),
     lambda rng: checks.wigner((4,), (1.0,), ()),
-    lambda rng: checks.heisenberg(rng, _H, 0.1, 1, ()),
     lambda rng: checks.involution([], (0.1,), 1),
     lambda rng: checks.involution([(checks.SIGMA_Z, checks.SIGMA_X, "z x")], (), 1),
     lambda rng: checks.hermite_oracle(np.array([]), 3, 3, 3, 3),
 ], ids=["wigner-sizes", "wigner-angles", "basis-spacings", "basis-sizes", "fourier-sizes",
         "fourier-states", "momentum", "propagator-taus", "propagator-residual-steps", "ladder-spectra",
         "position", "continuum-ladder-levels", "continuum-levels", "continuum-both-levels",
-        "state-round-trip", "wigner-groups", "heisenberg-schemes", "involution-pairs",
+        "state-round-trip", "wigner-groups", "involution-pairs",
         "involution-taus", "hermite-oracle-grid"])
 def test_an_empty_sweep_is_an_error(run):
     # folded from 0, a sweep with no point would read 0.0 and pass
     with pytest.raises(ValueError, match="^empty sweep: [^\\n]*$"):
         run(np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("dim", [1, 0])
+def test_a_random_involution_has_room_for_both_signs(dim):
+    # dim 1 returned [[1]], the identity, on which every involution row passed
+    # vacuously with NaN exponents; dim 0 raised an IndexError
+    with pytest.raises(ValueError, match=f"^dim must be at least 2, got {dim}$"):
+        checks.random_involution(np.random.default_rng(0), dim)
 
 
 def test_order_row_needs_a_halving_ratio():

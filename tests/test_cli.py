@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import latticeqm
-from latticeqm import CheckRow, LatticeState, build_propagator, checks, cli, evolve_trajectory, hermite, kravchuk, report
+from latticeqm import (CheckRow, LatticeState, build_propagator, checks, cli, evolve_trajectory, hermite, kravchuk,
+                       oscillator, planewave, report)
 from latticeqm.cli import main
 
 
@@ -338,7 +339,8 @@ def test_evolve_malformed_json_exits_with_one_line(tmp_path, capsys, hamiltonian
 @pytest.mark.parametrize("tau", ["0", "nan"])
 def test_heisenberg_check_rejects_degenerate_step(capsys, tau):
     last = usage_error(capsys, ["heisenberg-check", "--tau", tau])
-    assert last == f"latticeqm heisenberg-check: error: argument --tau: must be finite and nonzero, got {float(tau)}"
+    assert last == ("latticeqm heisenberg-check: error: argument --tau: "
+                    f"tau must be finite and nonzero, got {float(tau)}")
 
 
 def test_heisenberg_check_step_below_the_resolution_of_u_fails_its_rows(capsys):
@@ -511,35 +513,38 @@ def test_invalid_parameters_exit_two(capsys, tmp_path):
               "--tau", "0.1"]
     hermite = ["hermite", "--samples", "3", "--n"]
     for argv, error in (
-        (["basis", "--N", "0", "--epsilon", "1.0"], "--N: must be a positive integer, got 0"),
-        (["basis", "--N", "4", "--epsilon", "-1.0"], "--epsilon: must be positive and finite, got -1.0"),
-        (["basis", "--N", "4", "--epsilon", "nan"], "--epsilon: must be positive and finite, got nan"),
+        (["basis", "--N", "0", "--epsilon", "1.0"], "--N: N must be a positive integer, got 0"),
+        (["basis", "--N", "4", "--epsilon", "-1.0"], "--epsilon: epsilon must be positive and finite, got -1.0"),
+        (["basis", "--N", "4", "--epsilon", "nan"], "--epsilon: epsilon must be positive and finite, got nan"),
         # an infinite spacing passed the flag and exited 1 from the library
-        (["basis", "--N", "4", "--epsilon", "inf"], "--epsilon: must be positive and finite, got inf"),
-        (evolve + ["--steps", "-1"], "--steps: must be non-negative, got -1"),
-        (["heisenberg-check", "--dim", "1"], "--dim: must be at least 2, got 1"),
-        (["wigner", "--N", "3", "--beta", "0.0"], "--beta: must lie strictly between 0 and pi, got 0.0"),
-        (["wigner", "--N", "3", "--beta", "3.2"], "--beta: must lie strictly between 0 and pi, got 3.2"),
-        (["wigner", "--N", "3", "--beta", "nan"], "--beta: must lie strictly between 0 and pi, got nan"),
-        (["spectrum", "--N", "5", "--what", "energy", "--p", "1.5"], "--p: must lie strictly between 0 and 1, got 1.5"),
-        (["spectrum", "--N", "5", "--what", "energy", "--p", "0"], "--p: must lie strictly between 0 and 1, got 0.0"),
-        (["converge", "--n", "-1", "--N-list", "16,32"], "--n: must be non-negative, got -1"),
+        (["basis", "--N", "4", "--epsilon", "inf"], "--epsilon: epsilon must be positive and finite, got inf"),
+        (evolve + ["--steps", "-1"], "--steps: steps must be at least 0, got -1"),
+        (["heisenberg-check", "--dim", "1"], "--dim: dim must be at least 2, got 1"),
+        (["wigner", "--N", "3", "--beta", "0.0"], "--beta: beta must lie strictly between 0 and pi, got 0.0"),
+        (["wigner", "--N", "3", "--beta", "3.2"], "--beta: beta must lie strictly between 0 and pi, got 3.2"),
+        (["wigner", "--N", "3", "--beta", "nan"], "--beta: beta must lie strictly between 0 and pi, got nan"),
+        (["spectrum", "--N", "5", "--what", "energy", "--p", "1.5"],
+         "--p: p must lie strictly between 0 and 1, got 1.5"),
+        (["spectrum", "--N", "5", "--what", "energy", "--p", "0"],
+         "--p: p must lie strictly between 0 and 1, got 0.0"),
+        (["converge", "--n", "-1", "--N-list", "16,32"], "--n: n must be at least 0, got -1"),
         (["converge", "--n", "1", "--N-list", "16,a"],
          "--N-list: must be comma separated integers, got '16,a'"),
         # a size below 1 exited 1 from the library
-        (["converge", "--n", "1", "--N-list", "16,-32"], "--N-list: must be positive integers, got '16,-32'"),
+        (["converge", "--n", "1", "--N-list", "16,-32"], "--N-list: N must be a positive integer, got -32"),
         # --p was range-checked only in the library, which exited 1
         (["converge", "--n", "1", "--N-list", "16,32", "--p", "1.5"],
-         "--p: must lie strictly between 0 and 1, got 1.5"),
-        (hermite + ["1", "--s-min", "0", "--s-max", "1", "--samples", "1"], "--samples: must be at least 2, got 1"),
-        (hermite + ["-1", "--s-min", "0", "--s-max", "1"], "--n: must be non-negative, got -1"),
+         "--p: p must lie strictly between 0 and 1, got 1.5"),
+        (hermite + ["1", "--s-min", "0", "--s-max", "1", "--samples", "1"],
+         "--samples: samples must be at least 2, got 1"),
+        (hermite + ["-1", "--s-min", "0", "--s-max", "1"], "--n: n must be at least 0, got -1"),
         (hermite + ["1", "--s-min", "1", "--s-max", "0"], "--s-max: must exceed --s-min"),
         # an infinite end printed NaN and Infinity rows and exited 0
-        (hermite + ["1", "--s-min", "0", "--s-max", "inf"], "--s-max: must be finite, got inf"),
-        (hermite + ["1", "--s-min=-inf", "--s-max", "0"], "--s-min: must be finite, got -inf"),
+        (hermite + ["1", "--s-min", "0", "--s-max", "inf"], "--s-max: s_max must be finite, got inf"),
+        (hermite + ["1", "--s-min=-inf", "--s-max", "0"], "--s-min: s_min must be finite, got -inf"),
         # a negative seed exited 1 with numpy's message, which names no flag
-        (["verify-all", "--seed", "-1"], "--seed: must be non-negative, got -1"),
-        (["heisenberg-check", "--seed", "-3"], "--seed: must be non-negative, got -3"),
+        (["verify-all", "--seed", "-1"], "--seed: seed must be at least 0, got -1"),
+        (["heisenberg-check", "--seed", "-3"], "--seed: seed must be at least 0, got -3"),
     ):
         assert usage_error(capsys, argv) == f"latticeqm {argv[0]}: error: argument {error}"
 
@@ -568,6 +573,53 @@ def test_every_numeric_flag_rejects_non_finite_values(capsys, command, flag, val
     cli._build_parser()[0].parse_args([command, *VALID_ARGV[command]])  # so the error is the flag's
     last = usage_error(capsys, [command, *VALID_ARGV[command], flag, value])
     assert last.startswith(f"latticeqm {command}: error: argument {flag}")
+
+
+# the library call each typed flag's value feeds, with that value given as text
+_H2 = checks.SIGMA_Z  # a 2x2 Hamiltonian for the step flags
+LIBRARY_CALL = {
+    ("basis", "--N"): lambda v: planewave.build_basis(int(v), 1.0),
+    ("basis", "--epsilon"): lambda v: planewave.build_basis(4, float(v)),
+    ("evolve", "--tau"): lambda v: build_propagator(_H2, float(v)),
+    ("evolve", "--steps"): lambda v: evolve_trajectory(build_propagator(_H2, 0.1), [1.0, 0.0], int(v)),
+    ("heisenberg-check", "--dim"): lambda v: checks.random_involution(np.random.default_rng(0), int(v)),
+    ("heisenberg-check", "--tau"): lambda v: checks.heisenberg(np.random.default_rng(0), _H2, float(v), 3),
+    ("heisenberg-check", "--n"): lambda v: checks.heisenberg(np.random.default_rng(0), _H2, 0.1, int(v)),
+    ("heisenberg-check", "--seed"): lambda v: np.random.default_rng(int(v)),
+    ("wigner", "--N"): lambda v: kravchuk.build_wigner_d(int(v), 1.0),
+    ("wigner", "--beta"): lambda v: kravchuk.build_wigner_d(3, float(v)),
+    ("spectrum", "--N"): lambda v: oscillator.build_oscillator(int(v)),
+    ("spectrum", "--p"): lambda v: oscillator.build_oscillator(2, float(v)),
+    ("converge", "--n"): lambda v: oscillator.continuum_convergence(int(v), [16, 32]),
+    ("converge", "--N-list"): lambda v: oscillator.continuum_convergence(1, [int(v), 16]),
+    ("converge", "--p"): lambda v: oscillator.continuum_convergence(1, [16, 32], float(v)),
+    ("hermite", "--n"): lambda v: hermite.eval_psi(int(v), 0.0),
+    ("hermite", "--s-min"): lambda v: hermite.eval_psi(1, float(v)),
+    ("hermite", "--s-max"): lambda v: hermite.eval_psi(1, float(v)),
+    ("hermite", "--samples"): lambda v: hermite.eval_psi(1, np.linspace(-1.0, 1.0, int(v))),
+    ("verify-all", "--seed"): lambda v: np.random.default_rng(int(v)),
+}
+
+
+# a flag whose type is a plain int or float, while the function it feeds
+# refuses some values, fails here: each flag's range has one declaration
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command, flag", TYPED_FLAGS, ids=[command + flag for command, flag in TYPED_FLAGS])
+def test_every_typed_flag_accepts_what_its_library_call_accepts(capsys, command, flag, value):
+    assert (command, flag) in LIBRARY_CALL, "name the library call this flag feeds"
+    try:
+        LIBRARY_CALL[command, flag](value)
+        library_accepts = True
+    except ValueError:
+        library_accepts = False
+    try:
+        cli._build_parser()[0].parse_args([command, *VALID_ARGV[command], flag, value])
+        flag_accepts = True
+    except SystemExit as exc:
+        assert exc.code == 2
+        flag_accepts = False
+    capsys.readouterr()
+    assert flag_accepts == library_accepts
 
 
 def test_unknown_subcommand_rejected(capsys):

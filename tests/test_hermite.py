@@ -120,9 +120,9 @@ def test_argument_validation():
     # a negative level failed inside math.sqrt with a bare "math domain error"
     table_fns = (schrodinger_residual, recurrence_residual, ladder_apply)
     for table_fn in table_fns:
-        with pytest.raises(ValueError, match="n_max must be non-negative"):
+        with pytest.raises(ValueError, match="n_max must be at least 0, got -1"):
             table_fn(-1, 0.0)
-    with pytest.raises(ValueError, match="n_max must be non-negative"):
+    with pytest.raises(ValueError, match="n_max must be at least 0, got -1"):
         gram_matrix(-1)
     # samples=1 gave an all-zero Gram matrix, half_width=-1 a negative diagonal
     with pytest.raises(TypeError):

@@ -230,7 +230,7 @@ def test_validation():
     # every size must exceed n_max, so the ladder's row n_max + 1 exists
     with pytest.raises(ValueError, match="exceed n_max = 3"):
         continuum_convergence(3, [3, 8])
-    with pytest.raises(ValueError, match="n_max must be non-negative"):
+    with pytest.raises(ValueError, match="n_max must be at least 0, got -1"):
         continuum_convergence(-1, [8, 16])
     # a repeated size fitted a degenerate order, an empty list raised an
     # IndexError and the ladder check took a single size
