@@ -12,8 +12,8 @@ symmetric and central difference schemes an evolved observable satisfies.
 
 C comes from one linear solve, and trajectories step it.  Every other
 function of H (C^n, the half step, P^(-1), R^(-1)) is diagonal in the
-eigenbasis V of H, computed on first read, and the checks work there: they
-read C only once, as V^dagger C V, in the involution right-hand sides.
+eigenbasis V of H, computed on first read, and the scheme residuals work
+there.
 
 The exact operator identities verified here, with P = 1 + i*tau*H/2 and
 R^2 = P P^dagger = 1 + tau^2 H^2 / 4, A' = C^dagger A C:
@@ -25,7 +25,8 @@ R^2 = P P^dagger = 1 + tau^2 H^2 / 4, A' = C^dagger A C:
 
 For involutions (H^2 = 1) every R is the scalar sqrt(1 + tau^2/4) and the
 identities collapse to commutator formulas with powers of (1 + tau^2/4);
-``involution_identities`` checks those and reports the measured power.
+``involution_identities`` checks those and reports the measured power, with
+no eigenbasis: the spectral projector (1 + H)/2 is a polynomial in H.
 """
 
 from __future__ import annotations
@@ -178,41 +179,70 @@ def evolution_operator_residual(prop: CayleyPropagator, n: int) -> float:
     return _norm(lhs - rhs)
 
 
-def _differences(prop: CayleyPropagator, A0, n: int):
-    """What both Heisenberg checks compare, for one observable at step n.
-
-    Returns, in H's eigenbasis V: V^dagger H V, [A_n, H], u = 1 + tau^2/4,
-    and the five time differences of A_n = C^(-n) A_0 C^n keyed by the names
-    of ``involution_identities``, whose left-hand sides they are.  A_0 and H
-    are rotated once; a time shift of A_n is an entrywise phase factor.  A
-    tau for which 1/tau^2 or u^2 is not a finite nonzero float is a
-    ValueError, raised before any difference is formed.
-    """
-    tau = prop.tau
+def _u(tau: float) -> float:
+    """u = 1 + tau^2/4; a tau for which 1/tau^2 or u^2 is not a finite nonzero float is a ValueError."""
     u = 1.0 + 0.25 * tau * tau
-    # products round to inf or 0 where the float powers below would raise
+    # products round to inf or 0 where the float powers of the checks would raise
     if not (tau * tau and math.isfinite(1.0 / (tau * tau)) and math.isfinite(u * u)):
         raise ValueError(f"tau = {tau} is out of range: 1/tau^2 or u^2 is not a finite nonzero float")
+    return u
+
+
+def _shift_factors(tau: float, lam):
+    """Yield the name of each time difference of A_n and its entrywise factor on A_n in H's eigenbasis.
+
+    A step scales entry (j, k) of A_n by conj(c_j) c_k, c the phases of C on
+    the eigenvalues lam, and a half step by that ratio for the root of C.
+    """
+    c = _cayley_phase(tau, lam, 1)
+    step = np.outer(c.conj(), c)  # A_{n+1} = step * A_n, A_{n-1} = step.conj() * A_n
+    yield "forward", (1j / tau) * (step - 1.0)
+    yield "backward", (1j / tau) * (1.0 - step.conj())
+    yield "forward-backward", (-1.0 / tau**2) * (step - 2.0 + step.conj())
+    yield "central", (1j / tau) * (step - step.conj())
+    del step  # one ratio table alive at a time
+    h = _cayley_phase(tau, lam, 0.5)
+    half = np.outer(h.conj(), h)
+    yield "half-step", (1j / tau) * (half - half.conj())
+
+
+def _differences(prop: CayleyPropagator, A0, n: int):
+    """What ``heisenberg_scheme_residuals`` compares, for one observable at step n.
+
+    Returns, in H's eigenbasis V: V^dagger H V, [A_n, H], u and the five time
+    differences of A_n = C^(-n) A_0 C^n keyed by name.  A_0 and H are rotated
+    once; a time shift of A_n is an entrywise phase factor.
+    """
+    tau = prop.tau
+    u = _u(tau)
     A = _finite_complex(A0, "observable", (prop.dim, prop.dim))
     lam, V = prop.eigenvalues, prop.eigenvectors
     phase = _cayley_phase(tau, lam, _integer(n, "n"))
     A_n = phase.conj()[:, None] * (V.conj().T @ A @ V) * phase
     H = V.conj().T @ prop.hamiltonian @ V
     comm = A_n @ H - H @ A_n
-    # A_{n+1} = conj(c_j) c_k A_n and A_{n-1} = c_j conj(c_k) A_n entrywise, c the phase of C
-    c = _cayley_phase(tau, lam, 1)
-    step = np.outer(c.conj(), c)
-    lhs = {
-        "forward": (1j / tau) * (step - 1.0) * A_n,
-        "backward": (1j / tau) * (1.0 - step.conj()) * A_n,
-        "forward-backward": (-1.0 / tau**2) * (step - 2.0 + step.conj()) * A_n,
-        "central": (1j / tau) * (step - step.conj()) * A_n,
-    }
-    del step  # one d x d factor alive at a time
-    h = _cayley_phase(tau, lam, 0.5)
-    half = np.outer(h.conj(), h)
-    lhs["half-step"] = (1j / tau) * (half - half.conj()) * A_n
-    return H, comm, u, lhs
+    # each factor becomes its difference in place
+    return H, comm, u, {name: np.multiply(f, A_n, out=f) for name, f in _shift_factors(tau, lam)}
+
+
+def _projector_differences(prop: CayleyPropagator, A0, n: int):
+    """What ``involution_identities`` compares, for H^2 = 1: [A_n, H], u and left(name), in H's own basis.
+
+    C^n leaves the diagonal blocks of A_0 under P = (1 + H)/2 alone and scales
+    X = P A (1-P) and Y = (1-P) A P by the (1, 2) and (2, 1) entries of the
+    phase ratios at the eigenvalues (1, -1), as every time shift does.
+    """
+    tau, H, lam = prop.tau, prop.hamiltonian, np.array([1.0, -1.0])
+    u = _u(tau)
+    A = _finite_complex(A0, "observable", (prop.dim, prop.dim))
+    phase = _cayley_phase(tau, lam, _integer(n, "n"))
+    shift = np.outer(phase.conj(), phase)  # A_0 to A_n
+    P = 0.5 * (np.eye(prop.dim) + H)
+    PA = P @ A
+    X, Y = PA - PA @ P, (A - PA) @ P
+    A_n = A + (shift[0, 1] - 1.0) * X + (shift[1, 0] - 1.0) * Y
+    factors = {name: f * shift for name, f in _shift_factors(tau, lam)}  # A_0 to each difference of A_n
+    return A_n @ H - H @ A_n, u, lambda name: factors[name][0, 1] * X + factors[name][1, 0] * Y
 
 
 @dataclass(frozen=True)
@@ -269,23 +299,23 @@ def involution_identities(H, A0, tau: float, n: int = 0):
     vanishes, or when u rounds to 1 (|tau| below about 2e-8): both sides are
     then zero, or log u is, and the residual alone decides.
 
+    The left-hand sides come from the projector blocks of A_0, with no
+    eigendecomposition; the right-hand sides multiply the solve-built C and H.
+
     Returns a list of five IdentityCheck records in the order above.
     """
-    H = check_hermitian(H)
-    invol_defect = float(np.abs(H @ H - np.eye(H.shape[0])).max())
+    prop = build_propagator(H, tau)
+    H, C = prop.hamiltonian, prop.factor
+    invol_defect = float(np.abs(H @ H - np.eye(prop.dim)).max())
     if invol_defect > 1e-12 * max(1.0, float(np.abs(H).max()) ** 2):
         raise ValueError(f"H is not an involution: max |H^2 - 1| = {invol_defect:.3e}")
-
-    prop = build_propagator(H, tau)
-    H, comm, u, lhs = _differences(prop, A0, n)
-    V = prop.eigenvectors
-    C = V.conj().T @ prop.factor @ V
+    comm, u, left = _projector_differences(prop, A0, n)
 
     def check(name, base, power):
-        left = lhs[name]
-        nb, nl = _norm(base), _norm(left)
+        lhs = left(name)  # formed for its row alone
+        nb, nl = _norm(base), _norm(lhs)
         fitted = math.log(nb / nl) / math.log(u) if min(nb, nl) >= 1e-300 and u > 1.0 else math.nan
-        return IdentityCheck(name=name, residual=_norm(left - base / u**power), fitted_exponent=fitted)
+        return IdentityCheck(name=name, residual=_norm(lhs - base / u**power), fitted_exponent=fitted)
 
     # one right-hand side at a time, each dropped once its row is made
     return [

@@ -115,8 +115,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("converge", help="continuum limit error table for one level")
     p.add_argument("--n", type=_flag(_count, int, "n"), required=True, help="oscillator level")
-    p.add_argument("--N-list", dest="N_list", type=_flag(lambda sizes: list(map(_order, sizes)), _int_list),
-                   required=True, metavar="N1,N2,...", help="comma separated sizes, e.g. 16,32,64,128")
+    p.add_argument("--N-list", dest="N_list", required=True, metavar="N1,N2,...",
+                   type=_flag(lambda sizes: oscillator._sweep_sizes(map(_order, sizes)), _int_list),
+                   help="comma separated sizes, e.g. 16,32,64,128")
     p.add_argument("--p", type=_flag(_probability, float), default=0.5, help="weight parameter (default 0.5)")
     add_common(p)
 
@@ -310,7 +311,8 @@ def main(argv=None) -> int:
 
     Each flag's type converts its value and calls the library's validator,
     so argparse rejects an out-of-range value with the subcommand's usage
-    line and exit code 2.  Only --s-max > --s-min spans two flags and is checked here.
+    line and exit code 2.  Two rules span two flags and are checked here, as
+    usage errors too: --s-max > --s-min, and every --N-list size above --n.
     A ValueError, OSError or MemoryError from the work ends as one ``error:``
     line on stderr and exit code 1.
     The parser is built on the first call and shared by every later one:
@@ -322,6 +324,11 @@ def main(argv=None) -> int:
     command, fmt, output = params.pop("command"), params.pop("format"), params.pop("output")
     if command == "hermite" and not params["s_max"] > params["s_min"]:
         subparsers[command].error("argument --s-max: must exceed --s-min")
+    if command == "converge":
+        try:
+            oscillator._sweep_sizes(params["N_list"], params["n"])
+        except ValueError as exc:
+            subparsers[command].error(f"argument --N-list: {exc}")
     try:
         artifact, code = COMMANDS[command](params, fmt)
         if fmt == "json":  # strict: a NaN or inf left in a payload is an error

@@ -151,6 +151,16 @@ class ConvergenceTable:
     fitted_orders: np.ndarray  # per level, from max_errors
 
 
+def _sweep_sizes(N_list, n_max: int = 0) -> list:
+    """The sizes of a convergence sweep, ascending: at least two distinct integers, each above n_max."""
+    sizes = sorted(_integer(N, "each size") for N in N_list)
+    if len(sizes) < 2 or sizes[0] == sizes[-1]:
+        raise ValueError(f"need at least two distinct sizes, got {sizes}")
+    if sizes[0] <= n_max:
+        raise ValueError(f"all sizes must exceed n_max = {n_max}, got N={sizes[0]}")
+    return sizes
+
+
 def continuum_convergence(n_max: int, N_list, p: float = 0.5) -> ConvergenceTable:
     """Measure how fast levels 0..n_max and their ladder actions approach the continuum.
 
@@ -163,13 +173,10 @@ def continuum_convergence(n_max: int, N_list, p: float = 0.5) -> ConvergenceTabl
     """
     n_max = _count(n_max, "n_max")
     try:
-        sizes = np.asarray(sorted(_integer(N, "each size") for N in N_list), dtype=int)
+        sizes = np.asarray([_integer(N, "each size") for N in N_list], dtype=int)
     except OverflowError:
         raise ValueError("each size must fit a 64-bit integer") from None
-    if sizes.size == 0 or sizes[0] == sizes[-1]:
-        raise ValueError(f"need at least two distinct sizes, got {sizes.tolist()}")
-    if sizes[0] <= n_max:
-        raise ValueError(f"all sizes must exceed n_max = {n_max}, got N={sizes[0]}")
+    sizes = np.asarray(_sweep_sizes(sizes, n_max))
     errors, lower, raise_ = (np.zeros((sizes.size, n_max + 1)) for _ in range(3))
     root = np.sqrt(np.arange(1.0, n_max + 2.0))[:, None]  # root[n] = sqrt(n + 1)
     for i, N in enumerate(sizes):

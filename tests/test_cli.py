@@ -472,16 +472,18 @@ def test_unwritable_output_is_an_error(tmp_path, capsys):
 
 
 def test_failed_computation_writes_no_output(tmp_path, capsys):
-    target = tmp_path / "checks.csv"
-    code, _, err = run_cli(capsys, "converge", "--n", "1", "--N-list", "16,16", "--output", str(target))
-    assert code == 1 and err.startswith("error:")
+    # the state's length is checked against H inside the builder, after parsing
+    target = tmp_path / "trajectory.csv"
+    argv = evolve_argv(tmp_path, '{"re": [[1, 0], [0, -1]]}', '{"epsilon": 1, "re": [1, 0, 0]}')
+    code, _, err = run_cli(capsys, *argv, "--tau", "0.1", "--steps", "1", "--output", str(target))
+    assert code == 1 and err == "error: state has 3 components, Hamiltonian is 2x2\n"
     assert not target.exists()
 
 
 def test_converge_rejects_repeated_size(capsys):
-    code, out, err = run_cli(capsys, "converge", "--n", "1", "--N-list", "16,16")
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and "two distinct sizes" in err and err.count("\n") == 1
+    # the flag refuses it; the library refused it after parsing, with exit code 1
+    assert usage_error(capsys, ["converge", "--n", "1", "--N-list", "16,16"]) == (
+        "latticeqm converge: error: argument --N-list: need at least two distinct sizes, got [16, 16]")
 
 
 def test_converge_size_floor_is_n(capsys):
@@ -491,9 +493,8 @@ def test_converge_size_floor_is_n(capsys):
     table = latticeqm.continuum_convergence(3, [4, 8, 16])
     assert out.splitlines() == ["N,max_error"] + [f"{N},{report.format_float(e)}"
                                                   for N, e in zip((4, 8, 16), table.max_errors[:, 3])]
-    code, out, err = run_cli(capsys, "converge", "--n", "3", "--N-list", "3,8,16")
-    assert code == 1 and out == ""
-    assert err == "error: all sizes must exceed n_max = 3, got N=3\n"
+    assert usage_error(capsys, ["converge", "--n", "3", "--N-list", "3,8,16"]) == (
+        "latticeqm converge: error: argument --N-list: all sizes must exceed n_max = 3, got N=3")
 
 
 @pytest.mark.parametrize("argv", [
@@ -532,6 +533,10 @@ def test_invalid_parameters_exit_two(capsys, tmp_path):
          "--N-list: must be comma separated integers, got '16,a'"),
         # a size below 1 exited 1 from the library
         (["converge", "--n", "1", "--N-list", "16,-32"], "--N-list: N must be a positive integer, got -32"),
+        # a list of fewer than two distinct sizes, or one reaching --n, exited 1 from the library
+        (["converge", "--n", "1", "--N-list", "16"], "--N-list: need at least two distinct sizes, got [16]"),
+        (["converge", "--n", "1", "--N-list", ","], "--N-list: need at least two distinct sizes, got []"),
+        (["converge", "--n", "20", "--N-list", "16,32"], "--N-list: all sizes must exceed n_max = 20, got N=16"),
         # --p was range-checked only in the library, which exited 1
         (["converge", "--n", "1", "--N-list", "16,32", "--p", "1.5"],
          "--p: p must lie strictly between 0 and 1, got 1.5"),
