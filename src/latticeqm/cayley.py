@@ -12,8 +12,8 @@ symmetric and central difference schemes an evolved observable satisfies.
 
 C comes from one linear solve, and trajectories step it.  Every other
 function of H (C^n, the half step, P^(-1), R^(-1)) is diagonal in the
-eigenbasis V of H, computed on first read, and the scheme residuals work
-there.
+eigenbasis V of H, computed on first read.  The scheme residuals work there:
+each time difference of A_n is an entrywise factor, formed in its own row.
 
 The exact operator identities verified here, with P = 1 + i*tau*H/2 and
 R^2 = P P^dagger = 1 + tau^2 H^2 / 4, A' = C^dagger A C:
@@ -188,41 +188,41 @@ def _u(tau: float) -> float:
     return u
 
 
-def _shift_factors(tau: float, lam):
-    """Yield the name of each time difference of A_n and its entrywise factor on A_n in H's eigenbasis.
+def _difference_factor(name: str, tau: float, lam):
+    """The entrywise factor on A_n in H's eigenbasis (eigenvalues lam) that gives its time difference ``name``.
 
-    A step scales entry (j, k) of A_n by conj(c_j) c_k, c the phases of C on
-    the eigenvalues lam, and a half step by that ratio for the root of C.
+    A step scales entry (j, k) of A_n by conj(c_j) c_k, c the phases on lam of C (of its root for "half-step").
     """
-    c = _cayley_phase(tau, lam, 1)
-    step = np.outer(c.conj(), c)  # A_{n+1} = step * A_n, A_{n-1} = step.conj() * A_n
-    yield "forward", (1j / tau) * (step - 1.0)
-    yield "backward", (1j / tau) * (1.0 - step.conj())
-    yield "forward-backward", (-1.0 / tau**2) * (step - 2.0 + step.conj())
-    yield "central", (1j / tau) * (step - step.conj())
-    del step  # one ratio table alive at a time
-    h = _cayley_phase(tau, lam, 0.5)
-    half = np.outer(h.conj(), h)
-    yield "half-step", (1j / tau) * (half - half.conj())
+    c = _cayley_phase(tau, lam, 0.5 if name == "half-step" else 1)
+    ratio = np.outer(c.conj(), c)
+    if name == "forward":
+        return (1j / tau) * (ratio - 1.0)
+    if name == "backward":
+        return (1j / tau) * (1.0 - ratio.conj())
+    if name == "forward-backward":
+        return (-1.0 / tau**2) * (ratio - 2.0 + ratio.conj())
+    return (1j / tau) * (ratio - ratio.conj())  # central, or half-step on the half ratio
 
 
 def _differences(prop: CayleyPropagator, A0, n: int):
     """What ``heisenberg_scheme_residuals`` compares, for one observable at step n.
 
-    Returns, in H's eigenbasis V: V^dagger H V, [A_n, H], u and the five time
-    differences of A_n = C^(-n) A_0 C^n keyed by name.  A_0 and H are rotated
-    once; a time shift of A_n is an entrywise phase factor.
+    Returns, in H's eigenbasis V: V^dagger H V, [A_n, H] and left(name), the time difference ``name`` of
+    A_n = C^(-n) A_0 C^n formed when called.  A_0 and H are rotated once.
     """
     tau = prop.tau
-    u = _u(tau)
+    _u(tau)  # the tau guard
     A = _finite_complex(A0, "observable", (prop.dim, prop.dim))
     lam, V = prop.eigenvalues, prop.eigenvectors
     phase = _cayley_phase(tau, lam, _integer(n, "n"))
     A_n = phase.conj()[:, None] * (V.conj().T @ A @ V) * phase
     H = V.conj().T @ prop.hamiltonian @ V
-    comm = A_n @ H - H @ A_n
-    # each factor becomes its difference in place
-    return H, comm, u, {name: np.multiply(f, A_n, out=f) for name, f in _shift_factors(tau, lam)}
+
+    def left(name):
+        f = _difference_factor(name, tau, lam)
+        return np.multiply(f, A_n, out=f)  # the factor becomes its difference in place
+
+    return H, A_n @ H - H @ A_n, left
 
 
 def _projector_differences(prop: CayleyPropagator, A0, n: int):
@@ -241,8 +241,12 @@ def _projector_differences(prop: CayleyPropagator, A0, n: int):
     PA = P @ A
     X, Y = PA - PA @ P, (A - PA) @ P
     A_n = A + (shift[0, 1] - 1.0) * X + (shift[1, 0] - 1.0) * Y
-    factors = {name: f * shift for name, f in _shift_factors(tau, lam)}  # A_0 to each difference of A_n
-    return A_n @ H - H @ A_n, u, lambda name: factors[name][0, 1] * X + factors[name][1, 0] * Y
+
+    def left(name):
+        f = _difference_factor(name, tau, lam) * shift  # A_0 to the difference of A_n
+        return f[0, 1] * X + f[1, 0] * Y
+
+    return A_n @ H - H @ A_n, u, left
 
 
 @dataclass(frozen=True)
@@ -258,16 +262,16 @@ class SchemeResiduals:
 def heisenberg_scheme_residuals(prop: CayleyPropagator, A0, n: int = 0) -> SchemeResiduals:
     """Residuals of the four difference schemes for an evolved observable."""
     tau, lam = prop.tau, prop.eigenvalues
-    H, comm, _, lhs = _differences(prop, A0, n)
+    H, comm, left = _differences(prop, A0, n)
     # diagonal in H's eigenbasis: P^(-1) X R^(-1) scales the rows of X by P^(-1), its columns by R^(-1)
     p_inv = 1.0 / (1.0 + 0.5j * tau * lam)
     r_inv = 1.0 / np.sqrt(1.0 + 0.25 * tau * tau * lam * lam)
     r2_inv = 1.0 / (1.0 + 0.25 * tau * tau * lam * lam)
     return SchemeResiduals(
-        forward=_norm(lhs["forward"] - p_inv.conj()[:, None] * comm * p_inv),
-        backward=_norm(lhs["backward"] - p_inv[:, None] * comm * p_inv.conj()),
-        symmetric=_norm(lhs["half-step"] - r_inv[:, None] * comm * r_inv),
-        central=_norm(lhs["central"] - 2.0 * r2_inv[:, None] * (comm + 0.25 * tau * tau * (H @ comm @ H)) * r2_inv),
+        forward=_norm(left("forward") - p_inv.conj()[:, None] * comm * p_inv),
+        backward=_norm(left("backward") - p_inv[:, None] * comm * p_inv.conj()),
+        symmetric=_norm(left("half-step") - r_inv[:, None] * comm * r_inv),
+        central=_norm(left("central") - 2.0 * r2_inv[:, None] * (comm + 0.25 * tau * tau * (H @ comm @ H)) * r2_inv),
     )
 
 

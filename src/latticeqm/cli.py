@@ -56,7 +56,7 @@ def _flag(check, convert, *args):
 
 def _int_list(text: str) -> list:
     try:
-        return [int(v) for v in text.split(",") if v.strip()]
+        return [int(v) for v in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be comma separated integers, got {text!r}") from None
 
@@ -116,7 +116,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("converge", help="continuum limit error table for one level")
     p.add_argument("--n", type=_flag(_count, int, "n"), required=True, help="oscillator level")
     p.add_argument("--N-list", dest="N_list", required=True, metavar="N1,N2,...",
-                   type=_flag(lambda sizes: oscillator._sweep_sizes(map(_order, sizes)), _int_list),
+                   type=_flag(lambda sizes: list(map(_order, sizes)), _int_list),
                    help="comma separated sizes, e.g. 16,32,64,128")
     p.add_argument("--p", type=_flag(_probability, float), default=0.5, help="weight parameter (default 0.5)")
     add_common(p)
@@ -168,13 +168,8 @@ def _cmd_basis(params, fmt):
 
 
 def _cmd_evolve(params, fmt):
-    H = cayley.check_hermitian(complex_array(json.loads(Path(params["hamiltonian"]).read_text())))
+    prop = cayley.build_propagator(complex_array(json.loads(Path(params["hamiltonian"]).read_text())), params["tau"])
     state = LatticeState.from_json(Path(params["state"]).read_text())
-    if state.n_sites != H.shape[0]:
-        raise ValueError(
-            f"state has {state.n_sites} components, Hamiltonian is {H.shape[0]}x{H.shape[0]}"
-        )
-    prop = cayley.build_propagator(H, params["tau"])
     traj = cayley.evolve_trajectory(prop, state.amplitudes, params["steps"])
     norms = np.linalg.norm(traj, axis=1)
     if fmt == "csv":
@@ -183,9 +178,9 @@ def _cmd_evolve(params, fmt):
         rows = np.column_stack((np.arange(traj.shape[0]), norms, traj.view(float))).tolist()
         return [(header, rows)], 0
     return {
-        "tau": float(params["tau"]),
+        "tau": params["tau"],
         "epsilon": state.epsilon,
-        "steps": int(params["steps"]),
+        "steps": params["steps"],
         "trajectory": [
             {
                 "n": i,
@@ -312,7 +307,7 @@ def main(argv=None) -> int:
     Each flag's type converts its value and calls the library's validator,
     so argparse rejects an out-of-range value with the subcommand's usage
     line and exit code 2.  Two rules span two flags and are checked here, as
-    usage errors too: --s-max > --s-min, and every --N-list size above --n.
+    usage errors too: --s-max > --s-min, and two distinct --N-list sizes above --n.
     A ValueError, OSError or MemoryError from the work ends as one ``error:``
     line on stderr and exit code 1.
     The parser is built on the first call and shared by every later one:

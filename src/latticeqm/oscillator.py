@@ -151,7 +151,7 @@ class ConvergenceTable:
     fitted_orders: np.ndarray  # per level, from max_errors
 
 
-def _sweep_sizes(N_list, n_max: int = 0) -> list:
+def _sweep_sizes(N_list, n_max: int) -> list:
     """The sizes of a convergence sweep, ascending: at least two distinct integers, each above n_max."""
     sizes = sorted(_integer(N, "each size") for N in N_list)
     if len(sizes) < 2 or sizes[0] == sizes[-1]:

@@ -167,10 +167,10 @@ def test_eigenbasis_differences_match_steps_of_the_solve_built_factor(d, tau, n)
     rng = np.random.default_rng(d)
     H, A = random_hermitian(rng, d), random_hermitian(rng, d)
     prop = build_propagator(H, tau)
-    _, _, _, lhs = cayley._differences(prop, A, n)
+    _, _, left = cayley._differences(prop, A, n)
     V = prop.eigenvectors
     for name, X in _stepped_differences(prop, A, n).items():
-        assert np.linalg.norm(V.conj().T @ X @ V - lhs[name]) <= 1e-12 * np.linalg.norm(lhs[name]), name
+        assert np.linalg.norm(V.conj().T @ X @ V - left(name)) <= 1e-12 * np.linalg.norm(left(name)), name
 
 
 @pytest.mark.parametrize("d, tau, n", [(2, 0.5, 0), (6, 0.1, 3), (64, 0.2, -2)])
@@ -199,6 +199,21 @@ def test_involution_rejects_the_cayley_factor_on_the_left(dim, tau):
     for name, C in (("forward", prop.factor), ("backward", prop.factor.conj().T)):
         assert rows[name].residual <= 1e-10  # the tolerance of the involution rows
         assert cayley._norm(left(name) - C @ comm / u) > 1e-10, name
+
+
+def test_each_left_hand_side_is_formed_once_in_its_row(monkeypatch):
+    # the scheme residuals read four differences and never forward-backward;
+    # the involution identities read all five, each formed once
+    calls = []
+    factor = cayley._difference_factor
+    monkeypatch.setattr(cayley, "_difference_factor", lambda name, *a: calls.append(name) or factor(name, *a))
+    rng = np.random.default_rng(4)
+    H, A = random_involution(rng, 6), random_hermitian(rng, 6)
+    heisenberg_scheme_residuals(build_propagator(H, 0.2), A, 1)
+    assert calls == ["forward", "backward", "half-step", "central"]
+    calls.clear()
+    involution_identities(H, A, 0.2, 1)
+    assert calls == ["forward", "backward", "forward-backward", "half-step", "central"]
 
 
 def test_eigendecomposition_runs_once_on_first_read(monkeypatch):
@@ -254,9 +269,9 @@ def test_scalar_central_form_fails_for_generic_hamiltonian():
     A = random_hermitian(rng, 5)
     prop = build_propagator(H, 0.5)
     assert heisenberg_scheme_residuals(prop, A, 1).central < 1e-10
-    _, comm, u, lhs = cayley._differences(prop, A, 1)
+    _, comm, left = cayley._differences(prop, A, 1)
     central_form = 2.0 * (1.0 - 0.25 * prop.tau**2) * comm
-    assert cayley._norm(lhs["central"] - central_form / u**2) > 1e-3
+    assert cayley._norm(left("central") - central_form / cayley._u(prop.tau) ** 2) > 1e-3
 
 
 def test_involution_identities_pass_with_expected_exponents():
@@ -292,15 +307,15 @@ def _spectral_exponents(H, A, tau, n):
     # five identities in the order involution_identities reports them
     # (all in H's eigenbasis V, where the spectral norm is the same)
     prop = build_propagator(H, tau)
-    H, comm, _, lhs = cayley._differences(prop, A, n)
+    H, comm, left = cayley._differences(prop, A, n)
     V = prop.eigenvectors
     C = V.conj().T @ prop.factor @ V
     cases = [
-        (lhs["forward"], comm @ C),
-        (lhs["backward"], comm @ C.conj().T),
-        (lhs["forward-backward"], comm @ H - H @ comm),
-        (lhs["half-step"], comm),
-        (lhs["central"], 2.0 * (1.0 - 0.25 * tau * tau) * comm),
+        (left("forward"), comm @ C),
+        (left("backward"), comm @ C.conj().T),
+        (left("forward-backward"), comm @ H - H @ comm),
+        (left("half-step"), comm),
+        (left("central"), 2.0 * (1.0 - 0.25 * tau * tau) * comm),
     ]
     log_u = math.log(1.0 + 0.25 * tau * tau)
     return [math.log(np.linalg.norm(base, 2) / np.linalg.norm(lhs, 2)) / log_u for lhs, base in cases]
@@ -368,10 +383,10 @@ def test_norm_still_rejects_the_backward_factor_on_the_forward_scheme(tau):
     rng = np.random.default_rng(0)
     H, A = random_hermitian(rng, 4), random_hermitian(rng, 4)
     prop = build_propagator(H, tau)
-    _, comm, _, lhs = cayley._differences(prop, A, 3)
+    _, comm, left = cayley._differences(prop, A, 3)
     p = 1.0 / (1.0 + 0.5j * tau * prop.eigenvalues)
-    assert cayley._norm(lhs["forward"] - p.conj()[:, None] * comm * p) < 1e-10
-    mutant = lhs["forward"] - p[:, None] * comm * p.conj()
+    assert cayley._norm(left("forward") - p.conj()[:, None] * comm * p) < 1e-10
+    mutant = left("forward") - p[:, None] * comm * p.conj()
     assert cayley._norm(mutant) >= np.linalg.norm(mutant, 2) > 1e-10
 
 

@@ -472,11 +472,21 @@ def test_unwritable_output_is_an_error(tmp_path, capsys):
 
 
 def test_failed_computation_writes_no_output(tmp_path, capsys):
-    # the state's length is checked against H inside the builder, after parsing
+    # the library checks the state's length against H, after parsing
     target = tmp_path / "trajectory.csv"
     argv = evolve_argv(tmp_path, '{"re": [[1, 0], [0, -1]]}', '{"epsilon": 1, "re": [1, 0, 0]}')
     code, _, err = run_cli(capsys, *argv, "--tau", "0.1", "--steps", "1", "--output", str(target))
-    assert code == 1 and err == "error: state has 3 components, Hamiltonian is 2x2\n"
+    assert code == 1 and err == "error: state shape (3,) does not match dimension 2\n"
+    assert not target.exists()
+
+
+def test_non_hermitian_hamiltonian_writes_no_output(tmp_path, capsys):
+    # build_propagator refuses H; the command has no check of its own
+    target = tmp_path / "trajectory.csv"
+    argv = evolve_argv(tmp_path, '{"re": [[1, 2], [0, -1]]}', '{"epsilon": 1, "re": [1, 0]}')
+    code, out, err = run_cli(capsys, *argv, "--tau", "0.1", "--steps", "1", "--output", str(target))
+    assert code == 1 and out == ""
+    assert err == "error: matrix is not Hermitian: max |H - H^dagger| = 2.000e+00\n"
     assert not target.exists()
 
 
@@ -535,7 +545,10 @@ def test_invalid_parameters_exit_two(capsys, tmp_path):
         (["converge", "--n", "1", "--N-list", "16,-32"], "--N-list: N must be a positive integer, got -32"),
         # a list of fewer than two distinct sizes, or one reaching --n, exited 1 from the library
         (["converge", "--n", "1", "--N-list", "16"], "--N-list: need at least two distinct sizes, got [16]"),
-        (["converge", "--n", "1", "--N-list", ","], "--N-list: need at least two distinct sizes, got []"),
+        # an empty item was dropped, so these ran as [16, 32]
+        (["converge", "--n", "1", "--N-list", "16,,32"], "--N-list: must be comma separated integers, got '16,,32'"),
+        (["converge", "--n", "1", "--N-list", ",16,32,"], "--N-list: must be comma separated integers, got ',16,32,'"),
+        (["converge", "--n", "1", "--N-list", ","], "--N-list: must be comma separated integers, got ','"),
         (["converge", "--n", "20", "--N-list", "16,32"], "--N-list: all sizes must exceed n_max = 20, got N=16"),
         # --p was range-checked only in the library, which exited 1
         (["converge", "--n", "1", "--N-list", "16,32", "--p", "1.5"],
@@ -708,26 +721,54 @@ def test_public_names_match_all():
     assert public == set(latticeqm.__all__)
 
 
-def test_every_public_name_has_a_caller():
-    # a public name is read by the package, a demo or perfbench somewhere
-    # outside its own def or class; the tests do not count as callers
-    root = Path(__file__).resolve().parents[1]
-    package = Path(latticeqm.__file__).resolve().parent
-    sources = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
-    sources += sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+PACKAGE = Path(latticeqm.__file__).resolve().parent
 
-    used = set()
+
+def _names_read(paths) -> set:
+    """Each name or attribute read in the files outside the def or class of that name."""
+    read = set()
 
     def visit(node, enclosing):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             enclosing = enclosing | {node.name}
-        elif isinstance(node, ast.Name) and node.id not in enclosing:
-            used.add(node.id)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in enclosing:
+            read.add(node.id)
         elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
-            used.add(node.attr)
+            read.add(node.attr)
         for child in ast.iter_child_nodes(node):
             visit(child, enclosing)
 
-    for path in sources:
+    for path in paths:
         visit(ast.parse(path.read_text(), str(path)), frozenset())
-    assert sorted(set(latticeqm.__all__) - used) == []
+    return read
+
+
+def test_every_public_name_has_a_caller():
+    # a public name is read by the package, a demo or perfbench somewhere
+    # outside its own def or class; the tests do not count as callers
+    root = PACKAGE.parents[1]
+    sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    sources += sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    assert sorted(set(latticeqm.__all__) - _names_read(sources)) == []
+
+
+def test_every_private_helper_has_a_caller():
+    # a module-level private name is read by the package outside its own
+    # definition, so a helper a refactor leaves behind fails here; the tests,
+    # demos and perfbench do not count as callers
+    sources = sorted(PACKAGE.glob("*.py"))
+    private = set()
+    for path in sources:
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            private.update(f"{path.stem}.{name}" for name in names
+                           if name.startswith("_") and not name.startswith("__"))
+    read = _names_read(sources)
+    assert private  # the walk finds the helpers
+    assert sorted(name for name in private if name.split(".")[1] not in read) == []
