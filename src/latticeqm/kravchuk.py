@@ -130,15 +130,6 @@ class WignerDMatrix:
     beta: float
     table: np.ndarray
 
-    @property
-    def p(self) -> float:
-        return math.sin(0.5 * self.beta) ** 2
-
-    @property
-    def q(self) -> float:
-        # taken directly: 1 - p keeps no digits of q next to beta = pi
-        return math.cos(0.5 * self.beta) ** 2
-
 
 @functools.lru_cache(maxsize=8)
 def _chiral(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -306,20 +297,23 @@ class RecurrenceResiduals(NamedTuple):
     shift: float
 
 
-def _relations(T: np.ndarray, N: int, p: float, q: float, spq: float) -> tuple[np.ndarray, np.ndarray]:
+def _diagonal_term(T: np.ndarray, N: int, cos: float, out: np.ndarray) -> np.ndarray:
+    """``out`` holding (m' - m cos beta) d[n,x], with m = N/2 - n and m' = N/2 - x."""
+    m = 0.5 * N - np.arange(N + 1, dtype=float)
+    return np.multiply(np.subtract(m[None, :], m[: T.shape[0], None] * cos, out=out), T, out=out)
+
+
+def _relations(T: np.ndarray, N: int, cos: float, sin: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-row max residuals (three-term, shift) of ``recurrence_residuals``'s
-    relations on rows 0..m of an order-N table, with q = 1 - p and spq = sqrt(p q).
+    relations on rows 0..m of an order-N table at cos beta and sin beta.
 
     Row m is read without its neighbour m+1, so when m < N its residuals are
     not those of the relations; every row below m is.
     """
-    n = np.arange(T.shape[0], dtype=float)
-    x = np.arange(N + 1, dtype=float)
     up, down = (_coupled(T, N, step, np.empty_like(T)) for step in (-1, 1))
     difference, total = up - down, np.add(up, down, out=up)
-    work = np.add((N * p - x)[None, :], (n * (q - p))[:, None], out=down)
-    work /= spq
-    work *= T
+    total *= 0.5 * sin
+    work = _diagonal_term(T, N, cos, down)
     work -= total
     three_term = np.abs(work, out=work).max(axis=1)
     # the column couplings are the row couplings of the transposed table
@@ -333,10 +327,14 @@ def _relations(T: np.ndarray, N: int, p: float, q: float, spq: float) -> tuple[n
 def recurrence_residuals(D: WignerDMatrix) -> RecurrenceResiduals:
     """Max-norm residuals of the two exact contiguity relations of the table.
 
-    ``three_term`` couples rows n-1, n, n+1 within one column:
+    ``three_term`` couples rows n-1, n, n+1 within one column; with m = j - n
+    and m' = j - x, held multiplied through by sin(beta) / 2 = sqrt(p q),
 
-        ((N p - x) + n (q - p)) / sqrt(p q) d[n,x]
-            = sqrt(n (N-n+1)) d[n-1,x] + sqrt((N-n)(n+1)) d[n+1,x]
+        (m' - m cos beta) d[n,x]
+            = sin(beta)/2 (sqrt(n (N-n+1)) d[n-1,x] + sqrt((N-n)(n+1)) d[n+1,x])
+
+    A residual held to tol bounds that of the relation divided by sin(beta) / 2
+    by 2 tol / sin beta, and none is amplified next to beta = 0 or pi.
 
     ``shift`` moves along a row and trades it against the same row couple:
 
@@ -346,7 +344,7 @@ def recurrence_residuals(D: WignerDMatrix) -> RecurrenceResiduals:
     Out-of-range neighbours carry zero coefficients, so both relations are
     checked on the whole table at once.
     """
-    per_row = _relations(D.table, D.N, D.p, D.q, 0.5 * math.sin(D.beta))
+    per_row = _relations(D.table, D.N, math.cos(D.beta), math.sin(D.beta))
     return RecurrenceResiduals(*(float(r.max()) for r in per_row))
 
 
@@ -373,8 +371,7 @@ def differential_residuals(D: WignerDMatrix) -> DifferentialResiduals:
     """
     N, beta, T, sin = D.N, D.beta, D.table, math.sin(D.beta)
     derivative = sin * _derivative(N, beta)
-    m = 0.5 * N - np.arange(N + 1, dtype=float)
-    rest = (m[None, :] - m[:, None] * math.cos(beta)) * T
+    rest = _diagonal_term(T, N, math.cos(beta), np.empty_like(T))
     plus, minus = derivative + rest, np.subtract(rest, derivative, out=rest)  # -derivative + rest, bitwise
     for step, residual in ((-1, plus), (1, minus)):  # reusing the derivative's table
         residual -= np.multiply(_coupled(T, N, step, derivative), sin, out=derivative)

@@ -212,7 +212,8 @@ def limit_recurrence_check(model: OscillatorModel, n: int) -> RecurrenceResidual
 
     Both are exact, so the residuals sit at roundoff level for any N; as N
     grows the coefficients visibly flow to the continuum relations for
-    2 s psi_n and 2 psi_n'.
+    2 s psi_n and 2 psi_n'.  Held multiplied through as ``recurrence_residuals``
+    holds it, the three-term residual is sqrt(p q) times that of the one shown.
     """
     n = _integer(n, "n")
     N, p = model.N, model.p
@@ -222,6 +223,6 @@ def limit_recurrence_check(model: OscillatorModel, n: int) -> RecurrenceResidual
     rows = orthonormal_functions(build_kravchuk(N, p, n_max=n + 1))
     rows[0::2, 1::2] *= -1.0
     rows[1::2, 0::2] *= -1.0
-    three_term, shift = _relations(rows, N, p, 1.0 - p, math.sqrt(p * (1.0 - p)))
+    three_term, shift = _relations(rows, N, 1.0 - 2.0 * p, 2.0 * math.sqrt(p * (1.0 - p)))
     scale = math.sqrt(2.0 / N)
     return RecurrenceResiduals(three_term=scale * float(three_term[n]), shift=scale * float(shift[n]))

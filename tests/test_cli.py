@@ -123,11 +123,11 @@ def test_wigner_check_rows(capsys):
 def test_wigner_json_layout_is_the_one_perfbench_reads(capsys, monkeypatch):
     # perfbench/workloads.py (Wigner.validate) reads this layout, keyed by
     # the underscored names, and needs exit 0 even where a row exceeds
-    # verify-all's tolerance: here the three-term residual is above 1e-10.
+    # verify-all's tolerance: here the oracle row is above 1e-10.
     # A change to the wigner output fails here before it fails the benchmark.
     # The exact oracle, seconds at N = 256, is stood in for by the table
-    # itself; the oracle tests hold its value, this test the layout.
-    monkeypatch.setattr(kravchuk, "wigner_d_direct", lambda N, beta: kravchuk.build_wigner_d(N, beta).table)
+    # itself moved by 1e-9; the oracle tests hold its value, this test the layout.
+    monkeypatch.setattr(kravchuk, "wigner_d_direct", lambda N, beta: kravchuk.build_wigner_d(N, beta).table + 1e-9)
     beta = math.pi - 0.01
     code, out, _ = run_cli(capsys, "wigner", "--N", "256", "--beta", repr(beta), "--check", "all", "--format", "json")
     payload = json.loads(out)
@@ -135,7 +135,16 @@ def test_wigner_json_layout_is_the_one_perfbench_reads(capsys, monkeypatch):
     assert list(payload) == ["N", "beta", "checks"] and payload["N"] == 256 and payload["beta"] == beta
     assert list(payload["checks"]) == ["symmetry", "orthogonality", "recurrence_three_term", "recurrence_shift",
                                        "oracle", "differential_plus", "differential_minus"]
-    assert payload["checks"]["recurrence_three_term"] > 1e-10
+    assert payload["checks"]["oracle"] > 1e-10
+
+
+def test_wigner_check_all_is_finite_at_the_smallest_angle(capsys):
+    # no relation check divides by sin(beta), so the smallest subnormal angle
+    # raises no RuntimeWarning and gives no nan
+    code, out, _ = run_cli(capsys, "wigner", "--N", "2", "--beta", "5e-324", "--check", "all")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 7 and all(math.isfinite(float(value)) for _, value in rows)
 
 
 def test_wigner_near_pi_orthogonality_is_finite(capsys):

@@ -185,13 +185,27 @@ def test_recurrence_residuals():
 
 
 def test_recurrence_residuals_mirror_under_angle_reflection():
-    # beta -> pi - beta swaps p and q; the exact table scores alike at both
-    # ends only when q is not taken as 1 - p next to pi
+    # beta -> pi - beta swaps p and q; the exact table scores alike at both ends
     def oracle_three_term(beta):
         return recurrence_residuals(WignerDMatrix(16, beta, wigner_d_direct(16, beta))).three_term
 
     near_zero = oracle_three_term(1e-6)
     assert oracle_three_term(math.pi - 1e-6) <= 10.0 * near_zero
+
+
+@pytest.mark.parametrize("N", [2, 64])
+@pytest.mark.parametrize("beta", [5e-324, 1e-9, math.pi - 1e-9])
+def test_three_term_relation_holds_next_to_the_poles(N, beta):
+    # held multiplied through by sin(beta) / 2, the relation divides by nothing
+    assert recurrence_residuals(build_wigner_d(N, beta)).three_term <= 1e-12
+
+
+def test_three_term_relation_rejects_a_flipped_cos_term():
+    # the (m' - m cos beta) term with the sign of cos beta flipped fails by far
+    N, beta = 30, 0.7
+    table = build_wigner_d(N, beta).table
+    assert _relations(table, N, math.cos(beta), math.sin(beta))[0].max() <= 1e-12
+    assert _relations(table, N, -math.cos(beta), math.sin(beta))[0].max() > 1.0
 
 
 def _central_difference(N, beta, h):
@@ -324,12 +338,11 @@ def _padded_couplings(T, N):
     return up, down
 
 
-def _padded_relations(T, N, p, q, spq):
-    n = np.arange(T.shape[0], dtype=float)
-    x = np.arange(N + 1, dtype=float)
+def _padded_relations(T, N, cos, sin):
+    m = 0.5 * N - np.arange(N + 1, dtype=float)
     up, down = _padded_couplings(T, N)
-    coeff = ((N * p - x)[None, :] + (n * (q - p))[:, None]) / spq
-    three_term = np.abs(coeff * T - (up + down)).max(axis=1)
+    coeff = m[None, :] - m[: T.shape[0], None] * cos
+    three_term = np.abs(coeff * T - 0.5 * sin * (up + down)).max(axis=1)
     prev_col, next_col = _padded_couplings(T.T, N)
     shift = np.abs((next_col - prev_col).T - (up - down)).max(axis=1)
     return three_term, shift
@@ -371,7 +384,7 @@ def test_kernels_match_the_copying_formulation_bit_for_bit():
                 assert np.array_equal(D.table, _fresh_rotation(N, lambda s: np.cos(beta * s),
                                                                lambda s: np.sin(beta * s)))
             assert tuple(differential_residuals(D)) == _padded_differential(D)
-            args = (N, D.p, D.q, 0.5 * math.sin(beta))
+            args = (N, math.cos(beta), math.sin(beta))
             for m in sorted({0, 1, N // 2, N}):
                 # partial tables arrive as fresh arrays of rows 0..m
                 rows = np.array(D.table[: m + 1])

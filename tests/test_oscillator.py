@@ -167,7 +167,7 @@ def test_limit_recurrence_checkerboard_is_bit_identical_to_the_power_form(N, p, 
 
     phi = orthonormal_functions(build_kravchuk(N, p, n_max=n + 1))
     rows = (-1.0) ** np.add.outer(np.arange(n + 2), np.arange(N + 1)) * phi
-    three_term, shift = _relations(rows, N, p, 1.0 - p, math.sqrt(p * (1.0 - p)))
+    three_term, shift = _relations(rows, N, 1.0 - 2.0 * p, 2.0 * math.sqrt(p * (1.0 - p)))
     scale = math.sqrt(2.0 / N)
     expected = np.array([scale * float(three_term[n]), scale * float(shift[n])])
     res = limit_recurrence_check(build_oscillator(N, p=p), n)
