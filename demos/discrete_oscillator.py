@@ -10,7 +10,8 @@ import sys
 
 import numpy as np
 
-from latticeqm import annihilation_matrix, build_oscillator, checks, commutator_spectrum, energy_spectrum
+from latticeqm import (annihilation_matrix, build_oscillator, checks, commutator_spectrum, energy_spectrum,
+                       hamiltonian_matrix)
 
 
 def main():
@@ -21,6 +22,9 @@ def main():
     print(f"  {'n':>2} {'[A,A+]':>9} {'energy/(hw/2)':>14}")
     for n in range(7):
         print(f"  {n:>2} {comm[n]:>9.4f} {energy[n]:>14.4f}")
+    H = hamiltonian_matrix(model)
+    print(f"  dense H = (AA+ + A+A)/2: max |off-diagonal| = {np.abs(H - np.diag(np.diagonal(H))).max():.1e},"
+          f" max |diag H - energy/2| = {np.abs(np.diagonal(H) - energy / 2).max():.1e}")
     rows = checks.ladder_spectra((6,))
     for row in rows:
         print(" ", row)

@@ -105,6 +105,8 @@ def build_kravchuk(N: int, p: float, n_max: int | None = None) -> KravchukFamily
         ) / (n + 1)
 
     norms = np.sqrt(np.sum(weights * values**2, axis=1))
+    if not ((0.0 < norms) & (norms < math.inf)).all():
+        raise ValueError(f"the Kravchuk norms at N={N}, p={p} leave the float range: not all finite and positive")
     return KravchukFamily(N=N, p=p, values=values, weights=weights, norms=norms)
 
 

@@ -64,22 +64,27 @@ def hamiltonian_matrix(model: OscillatorModel) -> np.ndarray:
     return 0.5 * (A @ A.T + A.T @ A)
 
 
+def _ladder_diagonals(model: OscillatorModel) -> tuple[np.ndarray, np.ndarray]:
+    """diag(A A^dagger) and diag(A^dagger A): the row and column sums of A * A, with no matrix product."""
+    A = annihilation_matrix(model)
+    return np.einsum("ij,ij->i", A, A), np.einsum("ji,ji->i", A, A)
+
+
 def commutator_spectrum(model: OscillatorModel) -> np.ndarray:
-    """Diagonal of [A, A^dagger], computed from the matrices.
+    """Diagonal of [A, A^dagger], read off the matrix A by ``_ladder_diagonals``.
 
     The exact values are 1 - n/j; the deformation vanishes only as j grows.
     """
-    A = annihilation_matrix(model)
-    return np.diagonal(A @ A.T - A.T @ A).copy()
+    return np.subtract(*_ladder_diagonals(model))
 
 
 def energy_spectrum(model: OscillatorModel) -> np.ndarray:
-    """Diagonal of 2H = A A^dagger + A^dagger A, the energies in units of hbar*omega/2.
+    """Diagonal of 2H = A A^dagger + A^dagger A, the energies in units of hbar*omega/2, read off A likewise.
 
     The exact values are (2n + 1) - n^2/j: equally spaced at the bottom,
     folded symmetrically around the middle level.
     """
-    return 2.0 * np.diagonal(hamiltonian_matrix(model))
+    return np.add(*_ladder_diagonals(model))
 
 
 @dataclass(frozen=True)

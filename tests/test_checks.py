@@ -5,13 +5,14 @@ not a pass.  A check the unit tests share is not vacuous: a result off by
 ten times the tolerance fails its row, and a Hermite table that is not the
 oscillator's fails the rows that tie it to the oscillator."""
 
+import copy
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from latticeqm import checks, hermite, kravchuk, oscillator, planewave
+from latticeqm import cayley, checks, hermite, kravchuk, oscillator, planewave
 
 
 def _row(rows, name):
@@ -89,6 +90,45 @@ def test_symmetry_and_orthogonality_match_the_copying_formulation_bit_for_bit():
         for D in tables:
             assert checks.WIGNER["symmetry"][0](D) == parity_matrix_symmetry(D)
             assert checks.WIGNER["orthogonality"][0](D) == identity_matrix_orthogonality(D)
+
+
+def test_position_residual_matches_the_column_loop():
+    # the check once formed X @ col - lam * col for one column at a time
+    for N in range(1, 65):
+        model = oscillator.build_oscillator(N)
+        X = oscillator.position_matrix(model)
+        table = kravchuk.build_wigner_d(N, 0.5 * math.pi).table
+        columns = max(float(np.abs(X @ table[:, x] - (model.j - x) / math.sqrt(model.j) * table[:, x]).max())
+                      for x in range(N + 1))
+        assert abs(_row(checks.position((N,)), "position-eigenvectors").residual - columns) <= 1e-15, N
+
+
+@pytest.mark.parametrize("d", [1, 6, 64])
+def test_trajectory_norms_match_the_per_row_norms(d):
+    # the check once took one np.linalg.norm per row of the trajectory; a
+    # copy of its generator draws the same unit state here
+    rng = np.random.default_rng(d)
+    H = checks.random_hermitian(rng, d)
+    twin = copy.deepcopy(rng)
+    row = _row(checks.propagator(rng, H, (0.1,), 200, (7,)), "cayley-unitarity")
+    psi = twin.standard_normal(d) + 1j * twin.standard_normal(d)
+    psi /= np.linalg.norm(psi)
+    traj = cayley.evolve_trajectory(cayley.build_propagator(H, 0.1), psi, 200)[1:]
+    per_row = np.array([np.linalg.norm(state) for state in traj])
+    assert np.all(np.abs(np.linalg.norm(traj, axis=1) - per_row) <= 4.5e-16 * per_row)
+    assert abs(row.residual - float(np.abs(per_row - 1.0).max())) <= 4.5e-16
+
+
+def test_norm_calls_do_not_grow_with_the_trajectory(monkeypatch):
+    # one norm call per tau covers every state of the trajectory
+    calls, norm = [], np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *args, **kwargs: calls.append(1) or norm(*args, **kwargs))
+    counts = []
+    for steps in (5, 50):
+        calls.clear()
+        checks.propagator(np.random.default_rng(0), np.diag([1.0, -2.0]), (0.1, 0.2), steps, (3,))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 _H = np.eye(2)

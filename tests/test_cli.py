@@ -92,6 +92,16 @@ def test_spectrum_commutator_trace_free(capsys):
     assert values[0] == pytest.approx(1.0)
 
 
+def test_converge_whose_weights_underflow_is_one_error_line(capsys):
+    # p = 1e-300 warned "invalid value encountered in divide" and exited 0
+    # with NaN-derived errors near 2.4e-75
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "converge", "--n", "1", "--N-list", "16,32", "--p", "1e-300")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "N=16, p=1e-300" in err and err.count("\n") == 1
+
+
 def test_converge_errors_decrease(capsys):
     code, out, _ = run_cli(capsys, "converge", "--n", "1", "--N-list", "16,32,64")
     lines = out.splitlines()

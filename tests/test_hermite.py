@@ -68,6 +68,23 @@ def test_gram_matrix_is_identity():
     assert np.abs(gram - np.eye(9)).max() < 1e-8
 
 
+@pytest.mark.parametrize("n_max", [0, 1, 6, 20])
+def test_gram_matrix_matches_the_per_row_trapezoid(n_max):
+    # the matrix was once one np.trapezoid call per row of the table
+    half_width = math.sqrt(2.0 * n_max + 1.0) + 10.0
+    s = np.linspace(-half_width, half_width, 4001)
+    table = psi_table(n_max, s)
+    per_row = np.array([np.trapezoid(row * table, s, axis=1) for row in table])
+    assert np.abs(gram_matrix(n_max) - per_row).max() <= 1e-15
+
+
+def test_gram_matrix_runs_without_trapezoid(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Gram matrix is one product with the trapezoid weights")
+    monkeypatch.setattr(np, "trapezoid", refuse)
+    assert np.abs(gram_matrix(6) - np.eye(7)).max() < 1e-8
+
+
 def test_algebraic_recurrence_is_tight():
     s = np.linspace(-5.0, 5.0, 101)
     assert recurrence_residual(9, s).algebraic.max() < 1e-12

@@ -49,6 +49,15 @@ def test_weight_validation():
     assert build_kravchuk(np.int64(5), 0.5, n_max=np.int32(2)).values.shape == (3, 6)
 
 
+def test_family_whose_weights_underflow_is_refused():
+    # at p = 1e-300, 15 of the 17 norms of N = 16 were exactly 0, and the
+    # orthonormal rows divided by them: a RuntimeWarning, then NaN rows
+    with pytest.raises(ValueError, match=r"N=16, p=1e-300") as info:
+        build_kravchuk(16, 1e-300)
+    assert "\n" not in str(info.value)
+    assert np.all(build_kravchuk(16, 1e-12).norms > 0.0)
+
+
 def test_frozen_single_site_family():
     fam = build_kravchuk(1, 0.5)
     assert np.abs(fam.values[0] - [1.0, 1.0]).max() < 1e-15

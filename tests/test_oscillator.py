@@ -13,6 +13,7 @@ from latticeqm import (
     eval_psi,
     hamiltonian_matrix,
     limit_recurrence_check,
+    oscillator,
     position_matrix,
     position_spectrum,
     s_grid,
@@ -55,6 +56,22 @@ def test_energy_spectrum_formula():
     _, energies, _ = checks.ladder_spectra((2, 5, 50, 200))
     assert energies.residual < 1e-10
     assert np.abs(energy_spectrum(build_oscillator(2)) - [1.0, 2.0, 1.0]).max() < 1e-14
+
+
+def test_spectra_match_the_dense_product_formulation_bit_for_bit():
+    # the spectra once took the diagonals of the (N+1)^3 products A A^T and A^T A
+    for N in range(1, 301):
+        model = build_oscillator(N)
+        A = annihilation_matrix(model)
+        assert np.array_equal(commutator_spectrum(model), np.diagonal(A @ A.T - A.T @ A)), N
+        assert np.array_equal(energy_spectrum(model), 2.0 * np.diagonal(0.5 * (A @ A.T + A.T @ A))), N
+
+
+def test_ladder_spectra_run_without_the_dense_hamiltonian(monkeypatch):
+    def refuse(model):
+        raise AssertionError("the spectra read the diagonals off A")
+    monkeypatch.setattr(oscillator, "hamiltonian_matrix", refuse)
+    assert all(row.passed for row in checks.ladder_spectra((2, 200)))
 
 
 def test_hamiltonian_matrix_is_diagonal_with_spectrum():
