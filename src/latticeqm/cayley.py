@@ -13,7 +13,9 @@ symmetric and central difference schemes an evolved observable satisfies.
 C comes from one linear solve, and trajectories step it.  Every other
 function of H (C^n, the half step, P^(-1), R^(-1)) is diagonal in the
 eigenbasis V of H, computed on first read.  The scheme residuals work there:
-each time difference of A_n is an entrywise factor, formed in its own row.
+each time difference of A_n is an entrywise factor, formed in its own row,
+and so is the central row's sandwich H X H, which scales entry (j, k) of X
+by lambda_j lambda_k.
 
 The exact operator identities verified here, with P = 1 + i*tau*H/2 and
 R^2 = P P^dagger = 1 + tau^2 H^2 / 4, A' = C^dagger A C:
@@ -26,7 +28,8 @@ R^2 = P P^dagger = 1 + tau^2 H^2 / 4, A' = C^dagger A C:
 For involutions (H^2 = 1) every R is the scalar sqrt(1 + tau^2/4) and the
 identities collapse to commutator formulas with powers of (1 + tau^2/4);
 ``involution_identities`` checks those and reports the measured power, with
-no eigenbasis: the spectral projector (1 + H)/2 is a polynomial in H.
+no eigenbasis and no solve: the spectral projector (1 + H)/2 and the Cayley
+step ((1 - tau^2/4) - i tau H)/(1 + tau^2/4) are polynomials in H.
 """
 
 from __future__ import annotations
@@ -207,8 +210,9 @@ def _difference_factor(name: str, tau: float, lam):
 def _differences(prop: CayleyPropagator, A0, n: int):
     """What ``heisenberg_scheme_residuals`` compares, for one observable at step n.
 
-    Returns, in H's eigenbasis V: V^dagger H V, [A_n, H] and left(name), the time difference ``name`` of
-    A_n = C^(-n) A_0 C^n formed when called.  A_0 and H are rotated once.
+    Returns, in H's eigenbasis V: [A_n, V^dagger H V] and left(name), the time difference ``name`` of
+    A_n = C^(-n) A_0 C^n formed when called.  A_0 and H are rotated once, so the commutator carries
+    the eigendecomposition's own error into every row.
     """
     tau = prop.tau
     _u(tau)  # the tau guard
@@ -222,22 +226,22 @@ def _differences(prop: CayleyPropagator, A0, n: int):
         f = _difference_factor(name, tau, lam)
         return np.multiply(f, A_n, out=f)  # the factor becomes its difference in place
 
-    return H, A_n @ H - H @ A_n, left
+    return A_n @ H - H @ A_n, left
 
 
-def _projector_differences(prop: CayleyPropagator, A0, n: int):
+def _projector_differences(H, tau: float, A0, n: int):
     """What ``involution_identities`` compares, for H^2 = 1: [A_n, H], u and left(name), in H's own basis.
 
     C^n leaves the diagonal blocks of A_0 under P = (1 + H)/2 alone and scales
     X = P A (1-P) and Y = (1-P) A P by the (1, 2) and (2, 1) entries of the
     phase ratios at the eigenvalues (1, -1), as every time shift does.
     """
-    tau, H, lam = prop.tau, prop.hamiltonian, np.array([1.0, -1.0])
+    lam, dim = np.array([1.0, -1.0]), H.shape[0]
     u = _u(tau)
-    A = _finite_complex(A0, "observable", (prop.dim, prop.dim))
+    A = _finite_complex(A0, "observable", (dim, dim))
     phase = _cayley_phase(tau, lam, _integer(n, "n"))
     shift = np.outer(phase.conj(), phase)  # A_0 to A_n
-    P = 0.5 * (np.eye(prop.dim) + H)
+    P = 0.5 * (np.eye(dim) + H)
     PA = P @ A
     X, Y = PA - PA @ P, (A - PA) @ P
     A_n = A + (shift[0, 1] - 1.0) * X + (shift[1, 0] - 1.0) * Y
@@ -262,8 +266,9 @@ class SchemeResiduals:
 def heisenberg_scheme_residuals(prop: CayleyPropagator, A0, n: int = 0) -> SchemeResiduals:
     """Residuals of the four difference schemes for an evolved observable."""
     tau, lam = prop.tau, prop.eigenvalues
-    H, comm, left = _differences(prop, A0, n)
-    # diagonal in H's eigenbasis: P^(-1) X R^(-1) scales the rows of X by P^(-1), its columns by R^(-1)
+    comm, left = _differences(prop, A0, n)
+    # diagonal in H's eigenbasis: P^(-1) X R^(-1) scales the rows of X by P^(-1), its columns by R^(-1),
+    # and X + (tau^2/4) H X H scales entry (j, k) of X by 1 + tau^2 lam_j lam_k / 4
     p_inv = 1.0 / (1.0 + 0.5j * tau * lam)
     r_inv = 1.0 / np.sqrt(1.0 + 0.25 * tau * tau * lam * lam)
     r2_inv = 1.0 / (1.0 + 0.25 * tau * tau * lam * lam)
@@ -271,7 +276,8 @@ def heisenberg_scheme_residuals(prop: CayleyPropagator, A0, n: int = 0) -> Schem
         forward=_norm(left("forward") - p_inv.conj()[:, None] * comm * p_inv),
         backward=_norm(left("backward") - p_inv[:, None] * comm * p_inv.conj()),
         symmetric=_norm(left("half-step") - r_inv[:, None] * comm * r_inv),
-        central=_norm(left("central") - 2.0 * r2_inv[:, None] * (comm + 0.25 * tau * tau * (H @ comm @ H)) * r2_inv),
+        central=_norm(left("central")
+                      - r2_inv[:, None] * (2.0 * (1.0 + 0.25 * tau * tau * np.outer(lam, lam)) * comm) * r2_inv),
     )
 
 
@@ -304,16 +310,19 @@ def involution_identities(H, A0, tau: float, n: int = 0):
     then zero, or log u is, and the residual alone decides.
 
     The left-hand sides come from the projector blocks of A_0, with no
-    eigendecomposition; the right-hand sides multiply the solve-built C and H.
+    eigendecomposition.  The right-hand sides are polynomials in the verified
+    involution: there C = ((1 - tau^2/4) - i tau H) / u, so [A_n, H] C and
+    [A_n, H] C^dagger combine [A_n, H] and [A_n, H] H, the product the
+    forward-backward row reads, and no linear solve runs.
 
     Returns a list of five IdentityCheck records in the order above.
     """
-    prop = build_propagator(H, tau)
-    H, C = prop.hamiltonian, prop.factor
-    invol_defect = float(np.abs(H @ H - np.eye(prop.dim)).max())
+    H, tau = check_hermitian(H), _step(tau)
+    invol_defect = float(np.abs(H @ H - np.eye(H.shape[0])).max())
     if invol_defect > 1e-12 * max(1.0, float(np.abs(H).max()) ** 2):
         raise ValueError(f"H is not an involution: max |H^2 - 1| = {invol_defect:.3e}")
-    comm, u, left = _projector_differences(prop, A0, n)
+    comm, u, left = _projector_differences(H, tau, A0, n)
+    comm_H = comm @ H
 
     def check(name, base, power):
         lhs = left(name)  # formed for its row alone
@@ -323,9 +332,9 @@ def involution_identities(H, A0, tau: float, n: int = 0):
 
     # one right-hand side at a time, each dropped once its row is made
     return [
-        check("forward", comm @ C, 1),
-        check("backward", comm @ C.conj().T, 1),
-        check("forward-backward", comm @ H - H @ comm, 2),
+        check("forward", ((1.0 - 0.25 * tau * tau) * comm - 1j * tau * comm_H) / u, 1),
+        check("backward", ((1.0 - 0.25 * tau * tau) * comm + 1j * tau * comm_H) / u, 1),
+        check("forward-backward", comm_H - H @ comm, 2),
         check("half-step", comm, 1),
-        check("central", 2.0 * (1.0 - 0.25 * prop.tau * prop.tau) * comm, 2),
+        check("central", 2.0 * (1.0 - 0.25 * tau * tau) * comm, 2),
     ]

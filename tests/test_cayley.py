@@ -167,7 +167,7 @@ def test_eigenbasis_differences_match_steps_of_the_solve_built_factor(d, tau, n)
     rng = np.random.default_rng(d)
     H, A = random_hermitian(rng, d), random_hermitian(rng, d)
     prop = build_propagator(H, tau)
-    _, _, left = cayley._differences(prop, A, n)
+    _, left = cayley._differences(prop, A, n)
     V = prop.eigenvectors
     for name, X in _stepped_differences(prop, A, n).items():
         assert np.linalg.norm(V.conj().T @ X @ V - left(name)) <= 1e-12 * np.linalg.norm(left(name)), name
@@ -180,7 +180,7 @@ def test_projector_differences_match_steps_of_the_solve_built_factor(d, tau, n):
     rng = np.random.default_rng(d)
     H, A = random_involution(rng, d), random_hermitian(rng, d)
     prop = build_propagator(H, tau)
-    _, _, left = cayley._projector_differences(prop, A, n)
+    _, _, left = cayley._projector_differences(H, tau, A, n)
     for name, X in _stepped_differences(prop, A, n).items():
         assert np.linalg.norm(X - left(name)) <= 1e-12 * np.linalg.norm(left(name)), name
 
@@ -195,7 +195,7 @@ def test_involution_rejects_the_cayley_factor_on_the_left(dim, tau):
     H, A = random_involution(rng, dim), random_hermitian(rng, dim)
     rows = {c.name: c for c in involution_identities(H, A, tau, 3)}
     prop = build_propagator(H, tau)
-    comm, u, left = cayley._projector_differences(prop, A, 3)
+    comm, u, left = cayley._projector_differences(H, tau, A, 3)
     for name, C in (("forward", prop.factor), ("backward", prop.factor.conj().T)):
         assert rows[name].residual <= 1e-10  # the tolerance of the involution rows
         assert cayley._norm(left(name) - C @ comm / u) > 1e-10, name
@@ -240,6 +240,51 @@ def test_involution_identities_run_no_eigendecomposition(monkeypatch):
     assert calls == []
 
 
+def test_involution_identities_run_no_linear_solve(monkeypatch):
+    # for H^2 = 1 the Cayley step is a polynomial in H, so no propagator is built
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    rng = np.random.default_rng(6)
+    involution_identities(random_involution(rng, 6), random_hermitian(rng, 6), 0.2, 3)
+    assert calls == []
+
+
+@pytest.mark.parametrize("tau", [0.1, 10.0, 1e4])
+@pytest.mark.parametrize("dim", [2, 4, 64])
+def test_closed_form_involution_step_is_the_solve_built_factor(dim, tau):
+    # the step the involution rows multiply by, ((1 - tau^2/4) - i tau H)/u,
+    # against the one linear solve that trajectories step
+    rng = np.random.default_rng(dim)
+    H = random_involution(rng, dim)
+    closed = ((1.0 - 0.25 * tau * tau) * np.eye(dim) - 1j * tau * H) / (1.0 + 0.25 * tau * tau)
+    C = build_propagator(H, tau).factor
+    assert np.linalg.norm(closed - C) <= 1e-13 * np.linalg.norm(C)
+
+
+@pytest.mark.parametrize("tau", [0.1, 10.0])
+@pytest.mark.parametrize("dim", [6, 64])
+def test_central_row_rejects_a_wrong_sandwich_factor(dim, tau):
+    # in H's eigenbasis 2 R^(-2) ([A_n,H] + (tau^2/4) H [A_n,H] H) R^(-2) scales
+    # entry (j, k) of [A_n, H] by 2 (1 + tau^2 lam_j lam_k / 4) r_j r_k, r = R^(-2);
+    # dropping the tau^2 term or flipping its sign must fail the row
+    rng = np.random.default_rng(dim)
+    H, A = random_hermitian(rng, dim), random_hermitian(rng, dim)
+    prop = build_propagator(H, tau)
+    comm, left = cayley._differences(prop, A, 3)
+    lam = prop.eigenvalues
+    r = 1.0 / (1.0 + 0.25 * tau * tau * lam * lam)
+    term = 0.25 * tau * tau * np.outer(lam, lam)
+
+    def residual(sandwich):
+        return cayley._norm(left("central") - r[:, None] * (2.0 * sandwich * comm) * r)
+
+    assert heisenberg_scheme_residuals(prop, A, 3).central <= 1e-10
+    assert residual(1.0 + term) <= 1e-10
+    for mutant in (np.ones_like(term), 1.0 - term):
+        assert residual(mutant) > 1e-10
+
+
 def test_scheme_residuals_vanish_for_exact_identities():
     rng = np.random.default_rng(38)
     for d, tau, n in ((2, 0.5, 0), (6, 0.1, 3), (8, 1.0, 7)):
@@ -269,7 +314,7 @@ def test_scalar_central_form_fails_for_generic_hamiltonian():
     A = random_hermitian(rng, 5)
     prop = build_propagator(H, 0.5)
     assert heisenberg_scheme_residuals(prop, A, 1).central < 1e-10
-    _, comm, left = cayley._differences(prop, A, 1)
+    comm, left = cayley._differences(prop, A, 1)
     central_form = 2.0 * (1.0 - 0.25 * prop.tau**2) * comm
     assert cayley._norm(left("central") - central_form / cayley._u(prop.tau) ** 2) > 1e-3
 
@@ -307,9 +352,9 @@ def _spectral_exponents(H, A, tau, n):
     # five identities in the order involution_identities reports them
     # (all in H's eigenbasis V, where the spectral norm is the same)
     prop = build_propagator(H, tau)
-    H, comm, left = cayley._differences(prop, A, n)
+    comm, left = cayley._differences(prop, A, n)
     V = prop.eigenvectors
-    C = V.conj().T @ prop.factor @ V
+    H, C = (V.conj().T @ X @ V for X in (prop.hamiltonian, prop.factor))
     cases = [
         (left("forward"), comm @ C),
         (left("backward"), comm @ C.conj().T),
@@ -383,7 +428,7 @@ def test_norm_still_rejects_the_backward_factor_on_the_forward_scheme(tau):
     rng = np.random.default_rng(0)
     H, A = random_hermitian(rng, 4), random_hermitian(rng, 4)
     prop = build_propagator(H, tau)
-    _, comm, left = cayley._differences(prop, A, 3)
+    comm, left = cayley._differences(prop, A, 3)
     p = 1.0 / (1.0 + 0.5j * tau * prop.eigenvalues)
     assert cayley._norm(left("forward") - p.conj()[:, None] * comm * p) < 1e-10
     mutant = left("forward") - p[:, None] * comm * p.conj()
