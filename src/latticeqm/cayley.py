@@ -40,33 +40,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import _count, _integer, _step
+from .lattice import _array, _count, _integer, _step
 
 
 def check_hermitian(H) -> np.ndarray:
     """Validate and return a Hermitian matrix as a complex ndarray.
 
-    The defect max |H - H^dagger| may reach 1e-12 times max(1, max |H|).
+    Its entries follow the array rule of ``lattice._array``; it must be square, and
+    its defect max |H - H^dagger| may reach 1e-12 times max(1, max |H|).
     """
-    H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1] or H.size == 0:
-        raise ValueError(f"Hamiltonian must be a non-empty square matrix, got shape {H.shape}")
-    H = _finite_complex(H, "Hamiltonian", H.shape)
+    H = _array(H, "Hamiltonian", (None, None), complex)
+    if H.shape[0] != H.shape[1]:
+        raise ValueError(f"Hamiltonian must be a square matrix, got shape {H.shape}")
     scale = max(1.0, float(np.abs(H).max()))
     defect = float(np.abs(H - H.conj().T).max())
     if defect > 1e-12 * scale:
         raise ValueError(f"matrix is not Hermitian: max |H - H^dagger| = {defect:.3e}")
     return H
-
-
-def _finite_complex(X, name: str, shape: tuple) -> np.ndarray:
-    """X as a complex array of the given shape with finite entries; ``name`` heads each error."""
-    X = np.asarray(X, dtype=complex)
-    if X.shape != shape:
-        raise ValueError(f"{name} shape {X.shape} does not match dimension {shape[0]}")
-    if not np.isfinite(X).all():
-        raise ValueError(f"{name} has non-finite entries")
-    return X
 
 
 @dataclass(frozen=True)
@@ -148,14 +138,14 @@ def build_propagator(H, tau: float) -> CayleyPropagator:
 
 def evolve_state(prop: CayleyPropagator, psi0, n: int) -> np.ndarray:
     """The state after n Cayley steps, C^n psi0 from the eigendecomposition."""
-    psi, n = _finite_complex(psi0, "state", (prop.dim,)), _count(n, "n")
+    psi, n = _array(psi0, "state", (prop.dim,), complex), _count(n, "n")
     V = prop.eigenvectors
     return V @ (_cayley_phase(prop.tau, prop.eigenvalues, n) * (V.conj().T @ psi))
 
 
 def evolve_trajectory(prop: CayleyPropagator, psi0, n: int) -> np.ndarray:
     """Stack of states psi_0 .. psi_n, one row per step of the solve-built C."""
-    psi, n = _finite_complex(psi0, "state", (prop.dim,)), _count(n, "n")
+    psi, n = _array(psi0, "state", (prop.dim,), complex), _count(n, "n")
     out = np.empty((n + 1, prop.dim), dtype=complex)
     out[0] = psi
     for i in range(1, n + 1):
@@ -216,7 +206,7 @@ def _differences(prop: CayleyPropagator, A0, n: int):
     """
     tau = prop.tau
     _u(tau)  # the tau guard
-    A = _finite_complex(A0, "observable", (prop.dim, prop.dim))
+    A = _array(A0, "observable", (prop.dim, prop.dim), complex)
     lam, V = prop.eigenvalues, prop.eigenvectors
     phase = _cayley_phase(tau, lam, _integer(n, "n"))
     A_n = phase.conj()[:, None] * (V.conj().T @ A @ V) * phase
@@ -238,7 +228,7 @@ def _projector_differences(H, tau: float, A0, n: int):
     """
     lam, dim = np.array([1.0, -1.0]), H.shape[0]
     u = _u(tau)
-    A = _finite_complex(A0, "observable", (dim, dim))
+    A = _array(A0, "observable", (dim, dim), complex)
     phase = _cayley_phase(tau, lam, _integer(n, "n"))
     shift = np.outer(phase.conj(), phase)  # A_0 to A_n
     P = 0.5 * (np.eye(dim) + H)

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from . import cayley, hermite, kravchuk, oscillator, planewave
-from .lattice import LatticeState, _count
+from .lattice import LatticeState, _array, _count
 from .report import CheckRow
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -284,7 +284,8 @@ def limit_recurrence(centred, skewed) -> list:
 
 def hermite_oracle(s, schrodinger_max: int, recurrence_max: int, gram_max: int, ladder_max: int) -> list:
     """Schrodinger, recurrence, Gram and ladder relations of the Hermite levels up to each bound on grid s."""
-    bound = f"|s|<={_max_abs(_nonempty(np.ravel(s))):g}"
+    s = hermite._grid(_nonempty(_array(s, "s", None, scalar=True)))  # no point is an empty sweep, not a bad grid
+    bound = f"|s|<={_max_abs(s):g}"
     raised, lowered = hermite.ladder_apply(ladder_max, s)
     psi = hermite.psi_table(ladder_max + 1, s)
     n = np.arange(1.0, ladder_max + 2.0)[:, None]

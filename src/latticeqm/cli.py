@@ -307,7 +307,7 @@ def main(argv=None) -> int:
     Each flag's type converts its value and calls the library's validator,
     so argparse rejects an out-of-range value with the subcommand's usage
     line and exit code 2.  Two rules span two flags and are checked here, as
-    usage errors too: --s-max > --s-min, and two distinct --N-list sizes above --n.
+    usage errors too: --s-max > --s-min by a finite span, and two distinct --N-list sizes above --n.
     A ValueError, OSError or MemoryError from the work ends as one ``error:``
     line on stderr and exit code 1.
     The parser is built on the first call and shared by every later one:
@@ -319,6 +319,8 @@ def main(argv=None) -> int:
     command, fmt, output = params.pop("command"), params.pop("format"), params.pop("output")
     if command == "hermite" and not params["s_max"] > params["s_min"]:
         subparsers[command].error("argument --s-max: must exceed --s-min")
+    if command == "hermite" and params["s_max"] - params["s_min"] == math.inf:
+        subparsers[command].error("argument --s-max: s_max - s_min must be finite, got inf")
     if command == "converge":
         try:
             oscillator._sweep_sizes(params["N_list"], params["n"])

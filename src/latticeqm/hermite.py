@@ -21,17 +21,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import _count, _spacing
+from .lattice import _array, _count, _spacing
 
 
 def _grid(s) -> np.ndarray:
-    """The grid s as a non-empty one-dimensional array of finite points."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError(f"s must be a non-empty one-dimensional grid, got shape {s.shape}")
-    if not np.isfinite(s).all():
-        raise ValueError("grid points s must be finite")
-    return s
+    """The grid s as a non-empty one-dimensional array of finite real points; a number is a one-point grid."""
+    return _array(s, "s", (None,), scalar=True)
 
 
 def psi_table(n_max: int, s) -> np.ndarray:
@@ -45,7 +40,8 @@ def psi_table(n_max: int, s) -> np.ndarray:
     # live rows as mantissas times a running exponent 2^scale, renormalized
     # by an exact power of two at every level; where q = 0 every row keeps
     # the bits of the plain recurrence.  Past |s| = 1.3e154, s^2 overflows
-    # to inf, the seed exp(-inf) is 0, and so are the rows.
+    # to inf, the seed exp(-inf) is 0, and so are the rows: s reads 0 there,
+    # so that 2 s, inf past 9e307, never multiplies the zero seed to NaN.
     with np.errstate(over="ignore"):
         log_seed = -0.5 * s * s
     scaled = log_seed.min() < -700.0
@@ -53,6 +49,7 @@ def psi_table(n_max: int, s) -> np.ndarray:
         q = np.where(log_seed > -700.0, 0.0, np.minimum(np.rint(-log_seed / math.log(2.0)), 2.0**30))
         scale = -q.astype(np.int32)  # ldexp takes a C int exponent
         log_seed += q * math.log(2.0)
+        s = np.where(log_seed == -math.inf, 0.0, s)
     prev, cur = None, math.pi ** -0.25 * np.exp(log_seed)
     for n in range(n_max + 1):
         if n == 1:
@@ -69,10 +66,8 @@ def psi_table(n_max: int, s) -> np.ndarray:
 
 def eval_psi(n: int, s):
     """psi_n evaluated at a scalar or array argument."""
-    n = _count(n, "n")
-    scalar = np.ndim(s) == 0
-    values = psi_table(n, s)[n]
-    return float(values[0]) if scalar else values
+    values = psi_table(_count(n, "n"), s)[n]
+    return float(values[0]) if np.ndim(s) == 0 else values  # s has passed the grid rule
 
 
 def _below(table: np.ndarray) -> np.ndarray:

@@ -1,8 +1,10 @@
 """States on a one-dimensional lattice and the parameter checks every module shares.
 
-Each scalar parameter's range is declared once, by a validator here (N,
-epsilon, p, tau, beta, counts with a lower bound, finite reals) that both
-the library functions and the command line flags' types call.
+Each parameter's rule is declared once, by a validator here that the
+library functions and the command line flags' types call: a scalar's range
+(N, epsilon, p, tau, beta, counts with a lower bound, finite reals), and in
+``_array`` the rule of every array argument: finite numbers, real where a
+real array is taken, never text, bools or nested lists, in the caller's shape.
 
 A state is a finite sequence of complex amplitudes f_0 .. f_{N-1} together with
 the lattice spacing epsilon.  The inner product is plain summation,
@@ -97,6 +99,38 @@ def _angle(beta) -> float:
     return beta
 
 
+def _array(value, name: str, shape, dtype=float, scalar: bool = False) -> np.ndarray:
+    """``value`` as a finite ndarray of ``dtype``, float or complex, by the array rule above.
+
+    ``shape`` gives each length, None for any length >= 1, or is None for any
+    shape; with ``scalar`` a number is a one-entry array.  ``name`` heads each error.
+    """
+    if isinstance(value, np.ndarray) and value.dtype.kind in ("iuf" if dtype is float else "iufc"):
+        X = value.astype(dtype, copy=False)
+    else:
+        kind, number = ("real", numbers.Real) if dtype is float else ("complex", numbers.Complex)
+        if isinstance(value, np.ndarray) and value.dtype.kind != "O":
+            raise ValueError(f"{name} entries must be {kind} numbers, got dtype {value.dtype}")
+        X = np.asarray(value, dtype=object)
+        # one pass over the entries' types; the entries are searched only to name a bad one
+        bad = {t for t in set(map(type, X.flat)) if not issubclass(t, number) or issubclass(t, bool)}
+        if bad:
+            entry = next(v for v in X.flat if type(v) in bad)
+            raise ValueError(f"{name} entries must be {kind} numbers, got {entry!r}")
+        try:
+            X = X.astype(dtype)
+        except OverflowError:  # an int past the float range
+            raise ValueError(f"{name} has non-finite entries") from None
+    if scalar and X.ndim == 0:
+        X = X.reshape(1)
+    if shape is not None and X.shape != shape and (
+            X.ndim != len(shape) or any(m < 1 if n is None else m != n for n, m in zip(shape, X.shape))):
+        raise ValueError(f"{name} shape {X.shape} does not match {str(shape).replace('None', '>=1')}")
+    if not np.isfinite(X).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return X
+
+
 def _field(data: dict, key: str, convert):
     """``convert(data[key])``; a missing or malformed field is a ValueError naming it."""
     if key not in data:
@@ -105,16 +139,6 @@ def _field(data: dict, key: str, convert):
         return convert(data[key])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f'"{key}" field: {exc}') from None
-
-
-_JSON_NUMBERS = {int, float}
-
-
-def _number(value) -> float:
-    """A JSON number as float; text, true and false are not numbers."""
-    if type(value) not in _JSON_NUMBERS:
-        raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
 
 
 def complex_array(data: dict) -> np.ndarray:
@@ -127,20 +151,13 @@ def complex_array(data: dict) -> np.ndarray:
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object, got {type(data).__name__}")
 
-    def floats(block):
+    def floats(block, shape=None):
         if not isinstance(block, list):
             raise ValueError(f"expected a JSON array, got {type(block).__name__}")
-        # float() would also parse text and read true as 1.0: every entry must be a JSON number
-        entries = np.asarray(block, dtype=object)
-        if not set(map(type, entries.flat)) <= _JSON_NUMBERS:
-            for value in entries.flat:
-                _number(value)  # raises on the first entry that is not a number
-        return entries.astype(float)
+        return _array(block, "block", shape)
 
     re = _field(data, "re", floats)
-    im = _field(data, "im", floats) if "im" in data else np.zeros_like(re)
-    if re.shape != im.shape:
-        raise ValueError(f"re and im blocks differ in shape: {re.shape} vs {im.shape}")
+    im = _field(data, "im", lambda block: floats(block, re.shape)) if "im" in data else 0.0
     return re + 1j * im
 
 
@@ -163,11 +180,7 @@ class LatticeState:
     epsilon: float
 
     def __post_init__(self):
-        amp = np.array(self.amplitudes, dtype=complex)
-        if amp.ndim != 1 or amp.size < 1:
-            raise ValueError("amplitudes must be a non-empty one-dimensional sequence")
-        if not np.isfinite(amp).all():
-            raise ValueError("amplitudes must be finite")
+        amp = np.array(_array(self.amplitudes, "amplitudes", (None,), complex))
         eps = _spacing(self.epsilon)
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
@@ -198,5 +211,5 @@ class LatticeState:
     @classmethod
     def from_json(cls, text: str) -> "LatticeState":
         data = json.loads(text)
-        return cls(complex_array(data), _field(data, "epsilon", _number))
+        return cls(complex_array(data), _field(data, "epsilon", _spacing))
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeState, _order, _spacing
+from .lattice import LatticeState, _array, _order, _spacing
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,7 @@ def forward_transform(basis: PlaneWaveBasis, f: LatticeState) -> np.ndarray:
 
 def inverse_transform(basis: PlaneWaveBasis, coefficients: np.ndarray) -> LatticeState:
     """Reassemble the state sum_m a_m * (column m)."""
-    a = np.asarray(coefficients, dtype=complex)
-    if a.shape != (basis.n_sites,):
-        raise ValueError(f"expected {basis.n_sites} coefficients, got shape {a.shape}")
+    a = _array(coefficients, "coefficients", (basis.n_sites,), complex)
     return LatticeState(basis.table @ a, basis.epsilon)
 
 

@@ -495,7 +495,7 @@ def test_failed_computation_writes_no_output(tmp_path, capsys):
     target = tmp_path / "trajectory.csv"
     argv = evolve_argv(tmp_path, '{"re": [[1, 0], [0, -1]]}', '{"epsilon": 1, "re": [1, 0, 0]}')
     code, _, err = run_cli(capsys, *argv, "--tau", "0.1", "--steps", "1", "--output", str(target))
-    assert code == 1 and err == "error: state shape (3,) does not match dimension 2\n"
+    assert code == 1 and err == "error: state shape (3,) does not match (2,)\n"
     assert not target.exists()
 
 
@@ -576,6 +576,8 @@ def test_invalid_parameters_exit_two(capsys, tmp_path):
          "--samples: samples must be at least 2, got 1"),
         (hermite + ["-1", "--s-min", "0", "--s-max", "1"], "--n: n must be at least 0, got -1"),
         (hermite + ["1", "--s-min", "1", "--s-max", "0"], "--s-max: must exceed --s-min"),
+        # a span past the float range overflowed in np.linspace and exited 1 on its non-finite grid
+        (hermite + ["1", "--s-min=-1e308", "--s-max", "1e308"], "--s-max: s_max - s_min must be finite, got inf"),
         # an infinite end printed NaN and Infinity rows and exited 0
         (hermite + ["1", "--s-min", "0", "--s-max", "inf"], "--s-max: s_max must be finite, got inf"),
         (hermite + ["1", "--s-min=-inf", "--s-max", "0"], "--s-min: s_min must be finite, got -inf"),
@@ -769,6 +771,28 @@ def test_every_public_name_has_a_caller():
     sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
     sources += sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
     assert sorted(set(latticeqm.__all__) - _names_read(sources)) == []
+
+
+def test_only_lattice_turns_an_argument_into_an_array():
+    # every array argument passes lattice._array; a module that converts one
+    # itself, as check_hermitian, _grid and inverse_transform did, keeps a
+    # rule of its own for text, bools and non-finite entries
+    converters = {"asarray", "array", "atleast_1d"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "lattice.py":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            params = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+            for call in ast.walk(fn):
+                if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                        and isinstance(call.func.value, ast.Name) and call.func.value.id == "np"
+                        and call.func.attr in converters and call.args
+                        and isinstance(call.args[0], ast.Name) and call.args[0].id in params):
+                    found.append(f"{path.stem}.{getattr(fn, 'name', 'lambda')}: np.{call.func.attr}({call.args[0].id})")
+    assert found == []
 
 
 def test_every_private_helper_has_a_caller():

@@ -160,9 +160,9 @@ def test_argument_validation():
             eval_psi(1, bad)
     # a (2, 3) grid failed on numpy's "could not broadcast"; an empty one gave
     # empty rows, or "zero-size array to reduction operation" in the residuals
-    for bad in ([], np.zeros((2, 3))):
+    for bad, shape in (([], r"\(0,\)"), (np.zeros((2, 3)), r"\(2, 3\)")):
         for fn in (psi_table, eval_psi) + table_fns:
-            with pytest.raises(ValueError, match="s must be a non-empty one-dimensional grid"):
+            with pytest.raises(ValueError, match=rf"^s shape {shape} does not match \(>=1,\)$"):
                 fn(2, bad)
 
 
@@ -190,3 +190,7 @@ def test_far_tail_is_zero_without_an_overflow_warning():
     assert np.array_equal(psi_table(4, [-1e200, 1e200]), np.zeros((5, 2)))
     assert eval_psi(3, 1e200) == 0.0
     assert eval_psi(2, -1e200) == 0.0
+    # past 9e307, 2 s overflowed to inf, and inf times the zero seed read NaN from level 1 or 2 on
+    far = [1e308, -1e308, np.finfo(float).max, -np.finfo(float).max]
+    assert np.array_equal(psi_table(4, far), np.zeros((5, 4)))
+    assert np.array_equal(psi_table(4, [0.5] + far)[:, 0], psi_table(4, [0.5])[:, 0])

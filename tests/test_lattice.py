@@ -8,9 +8,19 @@ from latticeqm import (
     build_oscillator,
     build_propagator,
     build_wigner_d,
+    check_hermitian,
+    checks,
+    eval_psi,
     evolve_state,
+    evolve_trajectory,
+    heisenberg_scheme_residuals,
+    involution_identities,
+    inverse_transform,
+    ladder_apply,
     momentum_apply,
+    psi_table,
     recurrence_residual,
+    schrodinger_residual,
 )
 
 
@@ -88,6 +98,61 @@ def test_bool_is_not_an_integer(call):
 def test_bool_and_text_are_not_real_numbers(call, name):
     with pytest.raises(ValueError, match=f"{name} must be a real number, got "):
         call()
+
+
+# each array argument, by the name its errors give it and whether it is a
+# matrix and takes complex entries; text was parsed, True read as 1, a
+# complex ndarray cast to its real part, and a dict raised a TypeError
+_PROP = build_propagator(checks.SIGMA_Z, 0.1)
+_ARRAY_ARGUMENTS = {
+    "check_hermitian": (check_hermitian, "Hamiltonian", 2, True),
+    "build_propagator": (lambda X: build_propagator(X, 0.1), "Hamiltonian", 2, True),
+    "evolve_state": (lambda X: evolve_state(_PROP, X, 1), "state", 1, True),
+    "evolve_trajectory": (lambda X: evolve_trajectory(_PROP, X, 1), "state", 1, True),
+    "heisenberg_scheme_residuals": (lambda X: heisenberg_scheme_residuals(_PROP, X, 1), "observable", 2, True),
+    "involution_identities-H": (lambda X: involution_identities(X, checks.SIGMA_X, 0.1), "Hamiltonian", 2, True),
+    "involution_identities-A0": (lambda X: involution_identities(checks.SIGMA_Z, X, 0.1), "observable", 2, True),
+    "LatticeState": (lambda X: LatticeState(X, 1.0), "amplitudes", 1, True),
+    "inverse_transform": (lambda X: inverse_transform(build_basis(2, 1.0), X), "coefficients", 1, True),
+    "psi_table": (lambda X: psi_table(2, X), "s", 1, False),
+    "eval_psi": (lambda X: eval_psi(2, X), "s", 1, False),
+    "schrodinger_residual": (lambda X: schrodinger_residual(2, X), "s", 1, False),
+    "recurrence_residual": (lambda X: recurrence_residual(2, X), "s", 1, False),
+    "ladder_apply": (lambda X: ladder_apply(2, X), "s", 1, False),
+    "hermite_oracle": (lambda X: checks.hermite_oracle(X, 1, 1, 1, 1), "s", 1, False),
+}
+_BAD_ARRAYS = {
+    "text": (["1", "0"], [["1", "0"], ["0", "-1"]]),
+    "bool": ([True, False], [[True, False], [False, True]]),
+    "numpy-bool": (np.array([True, False]), np.eye(2, dtype=bool)),
+    "dict": ({"a": 1}, {"a": 1}),
+    "ragged": ([[1.0, 0.0], [1.0]], [[1.0, 0.0], [1.0]]),
+    "complex-ndarray": (np.array([1.0 + 1.0j, 0.0]), None),
+}
+
+
+@pytest.mark.parametrize("argument, bad", [
+    (argument, bad) for argument, (_, _, _, takes_complex) in _ARRAY_ARGUMENTS.items()
+    for bad in _BAD_ARRAYS if not (takes_complex and bad == "complex-ndarray")])
+def test_bool_and_text_are_not_array_entries(argument, bad):
+    call, name, ndim, _ = _ARRAY_ARGUMENTS[argument]
+    with pytest.raises(ValueError, match=f"^{name} entries must be (real|complex) numbers, got [^\\n]+$"):
+        call(_BAD_ARRAYS[bad][ndim - 1])
+
+
+def test_array_entries_past_the_float_range_are_not_finite():
+    # an int past the float range raised an OverflowError
+    with pytest.raises(ValueError, match="^amplitudes has non-finite entries$"):
+        LatticeState([10**400], 1.0)
+    with pytest.raises(ValueError, match="^s has non-finite entries$"):
+        psi_table(2, [0.0, -10**400])
+
+
+def test_arrays_take_ints_floats_and_numpy_scalars_by_value():
+    for amp in ([1, 2.0, np.float32(3.0), np.int64(4), 5j], np.arange(1, 6), np.arange(1.0, 6.0)):
+        assert np.array_equal(LatticeState(amp, 1.0).amplitudes[:4], [1, 2, 3, 4])
+    assert np.array_equal(psi_table(1, np.float64(0.5)), psi_table(1, [0.5]))  # a number is a one-point grid
+    assert eval_psi(1, np.float64(0.5)) == eval_psi(1, 0.5)
 
 
 def test_real_parameters_take_ints_floats_and_numpy_scalars_by_value():
