@@ -98,15 +98,18 @@ def basis(sizes, spacings) -> list:
 
 
 def fourier(rng, sizes, states: int) -> list:
-    """Forward then inverse transform of random states is the identity and keeps the norm."""
+    """Forward then inverse transform of a block of random states, one per column,
+    is the identity and keeps each column's norm."""
+    _nonempty(range(states))  # no state is an empty sweep, not an empty block
+
     def points():
         for N in sizes:
             b = planewave.build_basis(N, 0.7)
-            for _ in range(states):
-                f = LatticeState(rng.standard_normal(N) + 1j * rng.standard_normal(N), 0.7)
-                a = planewave.forward_transform(b, f)
-                g = planewave.inverse_transform(b, a)
-                yield _max_abs(g.amplitudes - f.amplitudes), abs(float(np.linalg.norm(a)) - f.norm())
+            draws = rng.standard_normal((states, 2, N))  # per state, its real then its imaginary part
+            f = (draws[:, 0] + 1j * draws[:, 1]).T
+            a = planewave.forward_transform(b, f)
+            yield (_max_abs(planewave.inverse_transform(b, a) - f),
+                   _max_abs(np.linalg.norm(a, axis=0) - np.linalg.norm(f, axis=0)))
     label = f"{states} random states per N"
     return _worst((("fourier-round-trip", label, 1e-12), ("fourier-parseval", label, 1e-12)), points())
 
@@ -116,10 +119,7 @@ def momentum(sizes) -> list:
     def points():
         for N in sizes:
             b = planewave.build_basis(N, 1.3)
-            lam = planewave.momentum_eigenvalues(b)
-            for m in range(N):
-                col = LatticeState(b.table[:, m], b.epsilon)
-                yield (_max_abs(planewave.momentum_apply(b, col).amplitudes - lam[m] * col.amplitudes),)
+            yield (_max_abs(planewave.momentum_apply(b, b.table) - b.table * planewave.momentum_eigenvalues(b)),)
     return _worst((("momentum-eigenrelation", f"N in {_values(sizes)} all columns", 1e-10),), points())
 
 
@@ -284,7 +284,7 @@ def limit_recurrence(centred, skewed) -> list:
 
 def hermite_oracle(s, schrodinger_max: int, recurrence_max: int, gram_max: int, ladder_max: int) -> list:
     """Schrodinger, recurrence, Gram and ladder relations of the Hermite levels up to each bound on grid s."""
-    s = hermite._grid(_nonempty(_array(s, "s", None, scalar=True)))  # no point is an empty sweep, not a bad grid
+    s = _nonempty(_array(s, "s", None, scalar=True))  # no point is an empty sweep; the label reads s as given
     bound = f"|s|<={_max_abs(s):g}"
     raised, lowered = hermite.ladder_apply(ladder_max, s)
     psi = hermite.psi_table(ladder_max + 1, s)

@@ -25,8 +25,12 @@ from .lattice import _array, _count, _spacing
 
 
 def _grid(s) -> np.ndarray:
-    """The grid s as a non-empty one-dimensional array of finite real points; a number is a one-point grid."""
-    return _array(s, "s", (None,), scalar=True)
+    """The grid s as a non-empty one-dimensional array of finite real points; a number is a one-point grid.
+
+    A point past |s| = 1e154 reads as +-1e154: every psi_n reads 0 at both, and
+    there s^2 and 2 s stay finite, so neither multiplies a zero row to NaN.
+    """
+    return np.clip(_array(s, "s", (None,), scalar=True), -1e154, 1e154)
 
 
 def psi_table(n_max: int, s) -> np.ndarray:
@@ -39,17 +43,13 @@ def psi_table(n_max: int, s) -> np.ndarray:
     # s^2/2 = 700 carry it as exp(q log 2 - s^2/2) times 2^-q, and the two
     # live rows as mantissas times a running exponent 2^scale, renormalized
     # by an exact power of two at every level; where q = 0 every row keeps
-    # the bits of the plain recurrence.  Past |s| = 1.3e154, s^2 overflows
-    # to inf, the seed exp(-inf) is 0, and so are the rows: s reads 0 there,
-    # so that 2 s, inf past 9e307, never multiplies the zero seed to NaN.
-    with np.errstate(over="ignore"):
-        log_seed = -0.5 * s * s
+    # the bits of the plain recurrence.
+    log_seed = -0.5 * s * s
     scaled = log_seed.min() < -700.0
     if scaled:
         q = np.where(log_seed > -700.0, 0.0, np.minimum(np.rint(-log_seed / math.log(2.0)), 2.0**30))
         scale = -q.astype(np.int32)  # ldexp takes a C int exponent
         log_seed += q * math.log(2.0)
-        s = np.where(log_seed == -math.inf, 0.0, s)
     prev, cur = None, math.pi ** -0.25 * np.exp(log_seed)
     for n in range(n_max + 1):
         if n == 1:

@@ -6,11 +6,14 @@ library functions and the command line flags' types call: a scalar's range
 ``_array`` the rule of every array argument: finite numbers, real where a
 real array is taken, never text, bools or nested lists, in the caller's shape.
 
-A state is a finite sequence of complex amplitudes f_0 .. f_{N-1} together with
-the lattice spacing epsilon.  The inner product is plain summation,
+A state is a finite sequence of complex amplitudes f_0 .. f_{N-1}: an array
+of shape (N,), or in a block of shape (N, k), one state per column, which the
+plane-wave functions take and return.  The inner product is plain summation,
 sum_j conj(a_j) b_j, with no spacing weight.  The derivative is replaced by the
 periodic forward difference (Delta f)_j = f_{j+1} - f_j, which
 ``planewave.momentum_apply`` takes as the momentum P = -(i/epsilon) Delta.
+``LatticeState`` pairs one state with its spacing epsilon where the two travel
+together: in a JSON state file and the ``evolve`` command that reads one.
 """
 
 from __future__ import annotations
@@ -185,14 +188,6 @@ class LatticeState:
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
         object.__setattr__(self, "epsilon", eps)
-
-    @property
-    def n_sites(self) -> int:
-        return self.amplitudes.size
-
-    def norm(self) -> float:
-        """Euclidean norm, the square root of the summation inner product with itself."""
-        return float(np.linalg.norm(self.amplitudes))
 
     # ------------------------------------------------------------------
     # serialization

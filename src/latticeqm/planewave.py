@@ -11,8 +11,11 @@ basis, but the momentum labels are tangents rather than equally spaced values.
 For even N the slot m = N/2 sits at the pole of the tangent; its column is the
 alternating sequence (-1)^j and the momentum is recorded as an infinity marker.
 
-Transforms are computed by direct summation against the stored table.  Sizes
-of interest stay well below the point where an FFT would matter.
+The transforms and the momentum operator work on plain arrays: one state of
+shape (N,), or a block of shape (N, k) holding one state per column, and
+return the same shape.  Transforms are computed by direct summation against
+the stored table, one product for a whole block.  Sizes of interest stay well
+below the point where an FFT would matter.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeState, _array, _order, _spacing
+from .lattice import _array, _order, _spacing
 
 
 @dataclass(frozen=True)
@@ -69,30 +72,28 @@ def build_basis(N: int, epsilon: float) -> PlaneWaveBasis:
     return PlaneWaveBasis(n_sites=N, epsilon=eps, momenta=k, table=table)
 
 
-def _check_state(basis: PlaneWaveBasis, f: LatticeState) -> None:
-    if f.n_sites != basis.n_sites:
-        raise ValueError(f"state has {f.n_sites} sites, basis expects {basis.n_sites}")
-    if f.epsilon != basis.epsilon:
-        raise ValueError(f"state spacing {f.epsilon} differs from basis spacing {basis.epsilon}")
+def _columns(basis: PlaneWaveBasis, value, name: str) -> np.ndarray:
+    """``value`` as one column of N entries, shape (N,), or a block of k >= 1 columns, shape (N, k)."""
+    X = _array(value, name, None, complex)  # the entries first: a ragged list has no shape to compare
+    if X.shape[:1] != (basis.n_sites,) or X.ndim > 2 or X.size == 0:
+        raise ValueError(f"{name} shape {X.shape} does not match ({basis.n_sites},) or ({basis.n_sites}, >=1)")
+    return X
 
 
-def forward_transform(basis: PlaneWaveBasis, f: LatticeState) -> np.ndarray:
-    """Coefficients a_m = <plane wave m, f> in the summation inner product."""
-    _check_state(basis, f)
-    return basis.table.conj().T @ f.amplitudes
+def forward_transform(basis: PlaneWaveBasis, f) -> np.ndarray:
+    """Coefficients a_m = <plane wave m, f> in the summation inner product, per column of f."""
+    return basis.table.conj().T @ _columns(basis, f, "state")
 
 
-def inverse_transform(basis: PlaneWaveBasis, coefficients: np.ndarray) -> LatticeState:
-    """Reassemble the state sum_m a_m * (column m)."""
-    a = _array(coefficients, "coefficients", (basis.n_sites,), complex)
-    return LatticeState(basis.table @ a, basis.epsilon)
+def inverse_transform(basis: PlaneWaveBasis, coefficients) -> np.ndarray:
+    """Reassemble the state sum_m a_m * (column m), per column of the coefficients."""
+    return basis.table @ _columns(basis, coefficients, "coefficients")
 
 
-def momentum_apply(basis: PlaneWaveBasis, f: LatticeState) -> LatticeState:
-    """Forward-difference momentum operator P = -(i/epsilon) * Delta, periodic."""
-    _check_state(basis, f)
-    v = f.amplitudes
-    return LatticeState(-1j / basis.epsilon * (np.roll(v, -1) - v), basis.epsilon)
+def momentum_apply(basis: PlaneWaveBasis, f) -> np.ndarray:
+    """Forward-difference momentum operator P = -(i/epsilon) * Delta, periodic, on each column of f."""
+    v = _columns(basis, f, "state")
+    return -1j / basis.epsilon * (np.roll(v, -1, axis=0) - v)
 
 
 def momentum_eigenvalues(basis: PlaneWaveBasis) -> np.ndarray:

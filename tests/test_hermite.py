@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from latticeqm import (
+    checks,
     eval_psi,
     gram_matrix,
     ladder_apply,
@@ -194,3 +195,18 @@ def test_far_tail_is_zero_without_an_overflow_warning():
     far = [1e308, -1e308, np.finfo(float).max, -np.finfo(float).max]
     assert np.array_equal(psi_table(4, far), np.zeros((5, 4)))
     assert np.array_equal(psi_table(4, [0.5] + far)[:, 0], psi_table(4, [0.5])[:, 0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_far_tail_residuals_are_zero_without_an_overflow_warning():
+    # s^2 psi overflowed past |s| = 1.3e154 and 2 s psi past 9e307, each times a zero row: NaN rows
+    assert np.array_equal(schrodinger_residual(2, [1e200, -1e308]), np.zeros(3))
+    for residual in recurrence_residual(2, [1e308, -np.finfo(float).max]):
+        assert np.array_equal(residual, np.zeros(3))
+    near = [0.5, 1.5]
+    assert np.array_equal(schrodinger_residual(4, near + [1e200]), schrodinger_residual(4, near))
+    for far, plain in zip(recurrence_residual(4, near + [1e308]), recurrence_residual(4, near)):
+        assert np.array_equal(far, plain)
+    rows = checks.hermite_oracle([0.0, 1e308], 2, 2, 2, 2)
+    assert all(row.passed for row in rows)
+    assert rows[0].params == "n<=2 |s|<=1e+308"  # the label reads the caller's grid

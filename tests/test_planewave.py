@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from latticeqm import (
-    LatticeState,
     build_basis,
     checks,
     forward_transform,
@@ -53,16 +52,16 @@ def test_transform_frozen_examples():
     basis = build_basis(5, 1.0)
     point = np.zeros(5, dtype=complex)
     point[0] = 1.0
-    a = forward_transform(basis, LatticeState(point, 1.0))
+    a = forward_transform(basis, point)
     assert np.abs(a - 1.0 / np.sqrt(5.0)).max() < 1e-14
 
     coeff = np.zeros(5, dtype=complex)
     coeff[0] = 1.0
     f = inverse_transform(basis, coeff)
-    assert np.abs(f.amplitudes - 1.0 / np.sqrt(5.0)).max() < 1e-14
+    assert np.abs(f - 1.0 / np.sqrt(5.0)).max() < 1e-14
 
     basis2 = build_basis(2, 1.0)
-    a2 = forward_transform(basis2, LatticeState([1.0, 1.0], 1.0))
+    a2 = forward_transform(basis2, [1.0, 1.0])
     assert np.allclose(a2, [np.sqrt(2.0), 0.0], atol=1e-14)
 
 
@@ -71,11 +70,11 @@ def test_round_trip_and_parseval():
     for N in (2, 6, 31, 64):
         basis = build_basis(N, 0.8)
         for _ in range(10):
-            f = LatticeState(rng.standard_normal(N) + 1j * rng.standard_normal(N), 0.8)
+            f = rng.standard_normal(N) + 1j * rng.standard_normal(N)
             a = forward_transform(basis, f)
             g = inverse_transform(basis, a)
-            assert np.abs(g.amplitudes - f.amplitudes).max() < 1e-12
-            assert np.linalg.norm(a) == pytest.approx(f.norm(), abs=1e-12)
+            assert np.abs(g - f).max() < 1e-12
+            assert np.linalg.norm(a) == pytest.approx(np.linalg.norm(f), abs=1e-12)
 
 
 def test_momentum_eigenvalue_frozen_m1():
@@ -102,15 +101,14 @@ def test_momentum_eigenrelation_all_columns():
         basis = build_basis(N, 1.7)
         lam = momentum_eigenvalues(basis)
         for m in range(N):
-            col = LatticeState(basis.table[:, m], basis.epsilon)
+            col = basis.table[:, m]
             out = momentum_apply(basis, col)
-            assert np.abs(out.amplitudes - lam[m] * col.amplitudes).max() < 1e-10
+            assert np.abs(out - lam[m] * col).max() < 1e-10
 
 
 def test_momentum_annihilates_constants():
     basis = build_basis(6, 0.5)
-    f = LatticeState(np.ones(6), 0.5)
-    assert np.abs(momentum_apply(basis, f).amplitudes).max() == 0.0
+    assert np.abs(momentum_apply(basis, np.ones(6))).max() == 0.0
 
 
 def test_eigenvalue_flows_to_momentum_in_continuum():
@@ -143,8 +141,34 @@ def test_input_validation():
     assert np.isfinite(build_basis(4, 1e-300).momenta[:2]).all()
     basis = build_basis(4, 1.0)
     with pytest.raises(ValueError):
-        forward_transform(basis, LatticeState([1.0, 2.0], 1.0))
-    with pytest.raises(ValueError):
-        forward_transform(basis, LatticeState([1.0, 2.0, 3.0, 4.0], 2.0))
+        forward_transform(basis, [1.0, 2.0])
     with pytest.raises(ValueError):
         inverse_transform(basis, np.ones(3))
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 16])
+@pytest.mark.parametrize("k", [1, 3])
+def test_a_block_is_its_columns_one_by_one(N, k):
+    rng = np.random.default_rng(N * 10 + k)
+    basis = build_basis(N, 0.9)
+    block = rng.standard_normal((N, k)) + 1j * rng.standard_normal((N, k))
+    # the difference is elementwise, so a block reads the same bits
+    assert np.array_equal(momentum_apply(basis, block),
+                          np.column_stack([momentum_apply(basis, block[:, i]) for i in range(k)]))
+    # a matrix product may sum in another order than a matrix-vector product;
+    # each entry sums N products of |table| = 1/sqrt(N) with the input, so
+    # either order is within about N roundings of sqrt(N) max|input|
+    tol = 4 * N * np.sqrt(N) * np.finfo(float).eps * np.abs(block).max()
+    for transform in (forward_transform, inverse_transform):
+        out = transform(basis, block)
+        assert out.shape == (N, k)
+        assert np.abs(out - np.column_stack([transform(basis, block[:, i]) for i in range(k)])).max() <= tol
+
+
+@pytest.mark.parametrize("transform", [forward_transform, inverse_transform, momentum_apply])
+def test_a_block_of_the_wrong_shape_is_refused(transform):
+    basis = build_basis(4, 1.0)
+    for shape in ((5,), (5, 2), (4, 0), (4, 2, 1), (3, 3, 3)):
+        with pytest.raises(ValueError, match=r"^(state|coefficients) shape \(.*\) does not match "
+                                             r"\(4,\) or \(4, >=1\)$"):
+            transform(basis, np.ones(shape))
