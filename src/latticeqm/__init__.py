@@ -32,14 +32,11 @@ from .cayley import (
 )
 from .kravchuk import (
     DifferentialResiduals,
-    KravchukFamily,
     RecurrenceResiduals,
     WignerDMatrix,
-    binomial_weights,
     build_kravchuk,
     build_wigner_d,
     differential_residuals,
-    orthonormal_functions,
     recurrence_residuals,
     wigner_d_direct,
 )

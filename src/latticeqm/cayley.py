@@ -184,17 +184,26 @@ def _u(tau: float) -> float:
 def _difference_factor(name: str, tau: float, lam):
     """The entrywise factor on A_n in H's eigenbasis (eigenvalues lam) that gives its time difference ``name``.
 
-    A step scales entry (j, k) of A_n by conj(c_j) c_k, c the phases on lam of C (of its root for "half-step").
+    A step scales entry (j, k) of A_n by e^(i phi) = conj(c_j) c_k, c the phases on lam of C.  phi shrinks with
+    tau, so 1 or 2 subtracted from that ratio would cancel every digit.  The forward, backward and second
+    differences come from the half angle instead: on the phases h of C's root, e^(i phi/2) = conj(h_j) h_k has
+    imaginary part sin(phi/2), and
+
+        e^(i phi) - 1 = 2i sin(phi/2) e^(i phi/2),   e^(i phi) - 2 + e^(-i phi) = -4 sin^2(phi/2),
+
+    with 1 - e^(-i phi) = -conj(e^(i phi) - 1).  "central" takes e^(i phi) - e^(-i phi), which cancels nothing,
+    and "half-step" the same on the root's ratio.
     """
-    c = _cayley_phase(tau, lam, 0.5 if name == "half-step" else 1)
-    ratio = np.outer(c.conj(), c)
-    if name == "forward":
-        return (1j / tau) * (ratio - 1.0)
-    if name == "backward":
-        return (1j / tau) * (1.0 - ratio.conj())
+    c = _cayley_phase(tau, lam, 1 if name == "central" else 0.5)  # the phases of C, or of its root
+    if name in ("central", "half-step"):
+        ratio = np.outer(c.conj(), c)
+        return (1j / tau) * (ratio - ratio.conj())
+    half = np.outer(c, c.conj()) if name == "backward" else np.outer(c.conj(), c)  # e^(-i phi/2) or e^(i phi/2)
+    # scaled by 2/tau before the square, so a tau near 1e-154 does not overflow it
+    sine = ((2.0 if name == "backward" else -2.0) / tau) * half.imag
     if name == "forward-backward":
-        return (-1.0 / tau**2) * (ratio - 2.0 + ratio.conj())
-    return (1j / tau) * (ratio - ratio.conj())  # central, or half-step on the half ratio
+        return np.square(sine, out=half)
+    return np.multiply(half, sine, out=half)
 
 
 def _differences(prop: CayleyPropagator, A0, n: int):

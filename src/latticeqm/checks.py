@@ -173,10 +173,15 @@ def heisenberg(rng, H, tau: float, n: int) -> list:
             for name, residual in dataclasses.asdict(res).items()]
 
 
+def _exponent(value: float) -> str:
+    """A fitted exponent in a label; a NaN or infinite fit says that it had no signal."""
+    return f"{value:.6f}" if math.isfinite(value) else "n/a (no signal)"
+
+
 def involution(pairs, taus, n: int) -> list:
     """The five involution identities for each (H, A, label) pair at each tau."""
     return _nonempty([
-        CheckRow(f"involution-{c.name}", f"{label} tau {tau} exponent {c.fitted_exponent:.6f}", c.residual, 1e-10)
+        CheckRow(f"involution-{c.name}", f"{label} tau {tau} exponent {_exponent(c.fitted_exponent)}", c.residual, 1e-10)
         for H, A, label in pairs for tau in taus for c in cayley.involution_identities(H, A, tau, n)])
 
 

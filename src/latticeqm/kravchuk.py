@@ -6,16 +6,13 @@ dividing by the norm gives an orthonormal (N+1) x (N+1) table; with the
 checkerboard sign (-1)^(n+x) it becomes the rotation d-table of order j = N/2
 at angle beta, where p = sin^2(beta/2).
 
-Three construction routes are kept deliberately separate:
+Two construction routes are kept deliberately separate:
 
-* ``build_kravchuk`` runs the defining three-term recurrence in the degree.
-  That route is definitional and accurate for low degrees and for moderate p,
-  but loses digits on full tables at large N when p is far from 1/2.
 * ``build_wigner_d`` forms the rotation exp(-i beta J_y) from J_x, a real
   symmetric tridiagonal matrix with zero diagonal that does not depend on
   beta.  J_x only couples even sites to odd ones, so one singular value
   decomposition of its half-size even-odd block gives its whole spectrum;
-  that decomposition is cached per N (the last 8 orders).  Every singular
+  that decomposition is cached per N (the last 16 orders).  Every singular
   pair enters the table twice, so the signs the solver leaves free cancel,
   and the table stays orthogonal to machine precision for every N and every
   beta in (0, pi).  The same factors give the exact beta-derivative of the
@@ -26,8 +23,13 @@ Three construction routes are kept deliberately separate:
   A/B taken exactly from the floats cos(beta/2) and sin(beta/2), each entry
   is one integer quotient, rounded once, times the square root of a ratio of
   binomials.  Exact symmetries of the table fill the other three quarters.
-  It shares nothing with the other two routes and serves as the oracle they
-  are both tested against.
+  It shares nothing with the first route and serves as the oracle it is
+  tested against.
+
+The Kravchuk level rows of the finite oscillator, ``build_kravchuk``, are
+the first rows of the d-table at p = sin^2(beta/2), signed back by the
+checkerboard: they are read off ``build_wigner_d``, not built a third way,
+so they hold to rounding at every N and every p in (0, 1).
 
 The relation checks write into at most three scratch tables through ``out=``
 ufuncs on strided views: at N = 256 a ``wigner --check recurrence`` op fell
@@ -44,75 +46,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import _angle, _integer, _order, _probability
-
-
-def binomial_weights(N: int, p: float) -> np.ndarray:
-    """Binomial weights rho(x) = binom(N,x) p^x q^(N-x), x = 0..N.
-
-    Evaluated in log space so large N stays finite; the weights sum to one.
-    """
-    N, p = _order(N), _probability(p)
-    x = np.arange(N + 1)
-    log_binom = (
-        math.lgamma(N + 1)
-        - np.array([math.lgamma(v + 1) + math.lgamma(N - v + 1) for v in x])
-    )
-    return np.exp(log_binom + x * math.log(p) + (N - x) * math.log(1.0 - p))
-
-
-@dataclass(frozen=True)
-class KravchukFamily:
-    """Kravchuk values, weights and norms for one (N, p).
-
-    ``values[n, x]`` is k_n(x) for n = 0..n_max, x = 0..N, generated by the
-    three-term recurrence with k_0 = 1.  ``norms[n]`` is the weighted norm
-    sqrt(sum_x rho(x) k_n(x)^2).
-    """
-
-    N: int
-    p: float
-    values: np.ndarray
-    weights: np.ndarray
-    norms: np.ndarray
-
-
-def build_kravchuk(N: int, p: float, n_max: int | None = None) -> KravchukFamily:
-    """Generate Kravchuk polynomial values by the degree recurrence.
-
-    (n+1) k_{n+1}(x) = ((x - N p) - n (q - p)) k_n(x) - p q (N - n + 1) k_{n-1}(x)
-
-    starting from k_0 = 1 and k_1 = x - N p.  ``n_max`` defaults to N (the
-    full square table).  The recurrence is exact as written but accumulates
-    cancellation on high degrees at large N when p is far from 1/2; callers
-    needing full tables in that regime should use ``build_wigner_d``.
-    """
-    N, p = _order(N), _probability(p)
-    weights = binomial_weights(N, p)
-    q = 1.0 - p
-    n_max = N if n_max is None else _integer(n_max, "n_max")
-    if not 0 <= n_max <= N:
-        raise ValueError(f"n_max must lie in 0..{N}, got {n_max}")
-
-    x = np.arange(N + 1, dtype=float)
-    values = np.empty((n_max + 1, N + 1))
-    values[0] = 1.0
-    if n_max >= 1:
-        values[1] = x - N * p
-    for n in range(1, n_max):
-        values[n + 1] = (
-            ((x - N * p) - n * (q - p)) * values[n]
-            - p * q * (N - n + 1) * values[n - 1]
-        ) / (n + 1)
-
-    norms = np.sqrt(np.sum(weights * values**2, axis=1))
-    if not ((0.0 < norms) & (norms < math.inf)).all():
-        raise ValueError(f"the Kravchuk norms at N={N}, p={p} leave the float range: not all finite and positive")
-    return KravchukFamily(N=N, p=p, values=values, weights=weights, norms=norms)
-
-
-def orthonormal_functions(family: KravchukFamily) -> np.ndarray:
-    """Rows phi_n(x) = sqrt(rho(x)) k_n(x) / ||k_n||, orthonormal over x."""
-    return np.sqrt(family.weights) * family.values / family.norms[:, None]
 
 
 # ----------------------------------------------------------------------
@@ -133,7 +66,10 @@ class WignerDMatrix:
     table: np.ndarray
 
 
-@functools.lru_cache(maxsize=8)
+# verify-all reads 13 orders (1, 2, 5, 10, 12, 20, 30, 60 for its d-table rows,
+# 16, 32, 64, 50 and 200 for its Kravchuk level rows); a bound below that
+# evicts an order before its next read, and every report decomposes again
+@functools.lru_cache(maxsize=16)
 def _chiral(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(U, V, sigma) of J_x's even-odd block B = U diag(sigma) V^T, phase folded in.
 
@@ -190,12 +126,34 @@ def build_wigner_d(N: int, beta: float) -> WignerDMatrix:
     with the signs of P folded into the rows of U and V.  Each singular pair
     enters these products twice, so the sign the solver leaves free on it
     cancels and no column sign has to be resolved.  The factors are computed
-    once per N and kept for the last 8 orders, so a sweep over angles at one
+    once per N and kept for the last 16 orders, so a sweep over angles at one
     N decomposes once.
     """
     N, beta = _order(N), _angle(beta)
     table = _rotation(N, lambda sigma: np.cos(beta * sigma), lambda sigma: np.sin(beta * sigma))
     return WignerDMatrix(N=N, beta=beta, table=table)
+
+
+def build_kravchuk(N: int, p: float, n_max: int | None = None) -> np.ndarray:
+    """Orthonormal Kravchuk rows phi_n(x) = sqrt(rho(x)) k_n(x) / ||k_n||, n = 0..n_max, x = 0..N.
+
+    They are rows 0..n_max of ``build_wigner_d(N, beta_p).table``, signed by
+    the checkerboard (-1)^(n+x), at beta_p = 2 atan2(sqrt p, sqrt q), so
+    p = sin^2(beta_p / 2).  atan2 keeps beta_p inside (0, pi) for every p in
+    (0, 1), from 4.4e-162 at p = 5e-324 to pi - 2.1e-8 at p = 1 - 2^-53, and
+    no weight, norm or degree recurrence is formed: the rows are orthonormal
+    to rounding wherever the table is.  ``n_max`` defaults to N (the full
+    square table).  The rows are a fresh array, the caller's to write.
+    """
+    N, p = _order(N), _probability(p)
+    n_max = N if n_max is None else _integer(n_max, "n_max")
+    if not 0 <= n_max <= N:
+        raise ValueError(f"n_max must lie in 0..{N}, got {n_max}")
+    beta = 2.0 * math.atan2(math.sqrt(p), math.sqrt(1.0 - p))
+    rows = build_wigner_d(N, beta).table[: n_max + 1].copy()
+    rows[0::2, 1::2] *= -1.0
+    rows[1::2, 0::2] *= -1.0
+    return rows
 
 
 def _derivative(N: int, beta: float) -> np.ndarray:
@@ -271,7 +229,8 @@ def wigner_d_direct(N: int, beta: float) -> np.ndarray:
     d[n, x] = (-1)^(x-n) d[x, n] = d[N-x, N-n].  So every entry is within a
     few roundings of the sum at the float c and s: 1.1e-16 against that sum
     at 60 digits up to N = 44.  The route uses Python integers and ``math``
-    only and shares nothing with ``build_wigner_d`` or ``build_kravchuk``.
+    only and shares nothing with ``build_wigner_d``, so nothing with the
+    level rows ``build_kravchuk`` reads off it either.
     """
     N, beta = _order(N), _angle(beta)
     entry = _direct_entries(N, beta)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hermite
-from .kravchuk import RecurrenceResiduals, _relations, build_kravchuk, orthonormal_functions
+from .kravchuk import RecurrenceResiduals, _relations, build_kravchuk
 from .lattice import _count, _integer, _order, _probability
 
 
@@ -119,16 +119,15 @@ def s_grid(N: int, p: float) -> tuple[np.ndarray, float]:
 def _aligned_level_rows(N: int, p: float, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthonormal level rows rescaled to the s grid, signs matched to psi.
 
-    Returns (s, g, psi) where g[n] = phi_n / sqrt(spacing) with the overall
-    sign fixed at the grid point where psi_n is largest in magnitude.  Low
-    rows of the recurrence stay accurate even at N in the hundreds, which is
-    all the continuum checks ever ask for.
+    Returns (s, g, psi) where g[n] = phi_n / sqrt(spacing), phi_n the rows of
+    ``build_kravchuk`` as they come back, with the overall sign fixed at the
+    grid point where psi_n is largest in magnitude.  The rows are d-table
+    rows, orthonormal to rounding at every N and p, at the cost of one
+    singular value decomposition per N.
     """
-    family = build_kravchuk(N, p, n_max=n_max)
-    phi = orthonormal_functions(family)
     s, spacing = s_grid(N, p)
     psi = hermite.psi_table(n_max, s)
-    g = phi / math.sqrt(spacing)
+    g = build_kravchuk(N, p, n_max=n_max) / math.sqrt(spacing)
     levels, anchor = np.arange(n_max + 1), np.argmax(np.abs(psi), axis=1)
     flip = g[levels, anchor] * psi[levels, anchor] < 0
     g[flip] = -g[flip]
@@ -199,9 +198,9 @@ def continuum_convergence(n_max: int, N_list, p: float = 0.5) -> ConvergenceTabl
 def limit_recurrence_check(model: OscillatorModel, n: int) -> RecurrenceResiduals:
     """Residuals at level n of the d-table contiguity relations, rescaled by sqrt(2/N).
 
-    The recurrence rows phi_0 .. phi_{n+1}, signed by the checkerboard
-    (-1)^(k+x) on row k, are rows of the d-table at p = sin^2(beta/2), so the
-    relations of ``kravchuk.recurrence_residuals`` hold on them.  Times
+    The level rows phi_0 .. phi_{n+1}, signed by the checkerboard (-1)^(k+x)
+    on row k, are rows of the d-table at p = sin^2(beta/2), so the relations
+    of ``kravchuk.recurrence_residuals`` hold on them.  Times
     sqrt(2/N) and written on the grid s_x, they read
 
     three_term:
@@ -224,8 +223,8 @@ def limit_recurrence_check(model: OscillatorModel, n: int) -> RecurrenceResidual
     N, p = model.N, model.p
     if not 0 <= n < N:
         raise ValueError(f"need 0 <= n < N for the neighbour rows, got n={n}, N={N}")
-    # a fresh array, so the checkerboard signs it in place and touches no cached table
-    rows = orthonormal_functions(build_kravchuk(N, p, n_max=n + 1))
+    # a fresh array, so the checkerboard signs it back in place: exact, the d-table's rows bit for bit
+    rows = build_kravchuk(N, p, n_max=n + 1)
     rows[0::2, 1::2] *= -1.0
     rows[1::2, 0::2] *= -1.0
     three_term, shift = _relations(rows, N, 1.0 - 2.0 * p, 2.0 * math.sqrt(p * (1.0 - p)))

@@ -193,7 +193,7 @@ def test_order_row_needs_a_halving_ratio():
      lambda: checks.position((2, 9)), "position-grid"),
     (kravchuk, "wigner_d_direct", lambda table, e: table + e,
      lambda: checks.wigner((3, 8), (0.7,), ("oracle",)), "wigner-vs-oracle"),
-    *((oscillator, "orthonormal_functions", lambda phi, e: phi + e,
+    *((oscillator, "build_kravchuk", lambda phi, e: phi + e,
        lambda: checks.limit_recurrence((50, 0.5, 3), (200, 0.3, 2)), check)
       for check in ("limit-recurrence-three-term", "limit-recurrence-difference", "limit-recurrence-skewed")),
 ])
@@ -201,7 +201,7 @@ def test_a_result_off_by_ten_tolerances_fails_its_row(monkeypatch, module, name,
     row = _row(run(), check)
     assert row.passed, row
     original = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: shift(original(*args), 10.0 * row.tolerance))
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: shift(original(*args, **kwargs), 10.0 * row.tolerance))
     row = _row(run(), check)
     assert not row.passed, row
 

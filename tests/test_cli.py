@@ -92,14 +92,17 @@ def test_spectrum_commutator_trace_free(capsys):
     assert values[0] == pytest.approx(1.0)
 
 
-def test_converge_whose_weights_underflow_is_one_error_line(capsys):
-    # p = 1e-300 warned "invalid value encountered in divide" and exited 0
-    # with NaN-derived errors near 2.4e-75
+@pytest.mark.parametrize("p", ["1e-300", "5e-324"])
+def test_converge_at_the_smallest_p_warns_nothing(capsys, p):
+    # p = 1e-300 warned "invalid value encountered in divide" and exited 0 with
+    # NaN-derived errors, then was refused, while the level rows came from the
+    # degree recurrence's weights; the d-table rows hold at every p
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run_cli(capsys, "converge", "--n", "1", "--N-list", "16,32", "--p", "1e-300")
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and "N=16, p=1e-300" in err and err.count("\n") == 1
+        code, out, err = run_cli(capsys, "converge", "--n", "1", "--N-list", "16,32", "--p", p)
+    assert code == 0 and err == ""
+    errors = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
+    assert len(errors) == 2 and all(math.isfinite(e) for e in errors)
 
 
 def test_converge_errors_decrease(capsys):
@@ -183,8 +186,18 @@ def test_each_d_table_is_built_once_per_sweep_point(capsys, monkeypatch):
     built.clear()
     run_cli(capsys, "verify-all")
     # 12 for the oracle, symmetry and orthogonality sweep, one each for the
-    # recurrence and differential rows, 3 for the position eigenvectors
-    assert len(built) == 17
+    # recurrence and differential rows, 3 for the position eigenvectors, then
+    # the level rows: 3 for the continuum sizes, 2 for the limit recurrences
+    assert len(built) == 22
+
+
+def test_a_second_report_decomposes_no_order_again():
+    # with room for fewer orders than verify-all reads, the LRU evicted each
+    # order before its next read and every report decomposed again
+    cli.build_verification_report(7)
+    before = kravchuk._chiral.cache_info().misses
+    cli.build_verification_report(7)
+    assert kravchuk._chiral.cache_info().misses == before
 
 
 def test_each_hermite_table_is_built_once_per_relation(capsys, monkeypatch):
@@ -363,13 +376,27 @@ def test_heisenberg_check_rejects_degenerate_step(capsys, tau):
 
 
 def test_heisenberg_check_step_below_the_resolution_of_u_fails_its_rows(capsys):
-    # --tau 1e-8 exited 1 with a ZeroDivisionError traceback from the exponent fit;
-    # the residuals lose every digit to cancellation, so rows fail
+    # --tau 1e-8 exited 1 with a ZeroDivisionError traceback from the exponent fit,
+    # then exited 1 as the difference factors lost every digit to cancellation
+    # and rows failed; the half-angle factors keep them, and no row fails now
     code, out, err = run_cli(capsys, "heisenberg-check", "--tau", "1e-8")
-    assert code == 1 and err == ""
+    assert code == 0 and err == ""
     rows = [line.split(",") for line in out.splitlines()[1:]]
-    assert len(rows) == 9 and "fail" in [row[4] for row in rows]
-    assert all(row[1].endswith(" exponent nan") for row in rows if row[0].startswith("involution-"))
+    assert len(rows) == 9 and all(row[4] == "pass" for row in rows)
+    assert all(row[1].endswith(" exponent n/a (no signal)") for row in rows if row[0].startswith("involution-"))
+
+
+@pytest.mark.parametrize("tau", ["1e-3", "1e-6", "1e-9"])
+def test_heisenberg_check_at_small_steps_passes_every_row(capsys, tau):
+    # e^(i phi) - 1 and e^(i phi) - 2 + e^(-i phi) were formed from the phase
+    # ratio: involution-forward-backward read 9.7e-10 at 1e-3 and 9.8 at 1e-9,
+    # heisenberg-forward and -backward 3.3e-10 at 1e-6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "heisenberg-check", "--tau", tau)
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert code == 0 and err == "" and len(rows) == 9
+    assert all(row[4] == "pass" and float(row[2]) < 1e-13 for row in rows), rows
 
 
 @pytest.mark.parametrize("tau", ["3e77", "-1e300", "1e-300", "-1e-155"])

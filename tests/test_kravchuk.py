@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,86 +8,107 @@ import pytest
 
 from latticeqm import (
     WignerDMatrix,
-    binomial_weights,
     build_kravchuk,
     build_wigner_d,
     checks,
     cli,
     differential_residuals,
-    orthonormal_functions,
     recurrence_residuals,
     wigner_d_direct,
 )
 from latticeqm.kravchuk import _chiral, _derivative, _direct_entries, _relations, _rotation
 
 
-def test_weights_sum_to_one_and_stay_positive():
-    for N, p in ((1, 0.5), (10, 0.3), (64, 0.07), (200, 0.5)):
-        w = binomial_weights(N, p)
-        assert w.shape == (N + 1,)
-        assert np.all(w > 0.0)
-        assert abs(w.sum() - 1.0) < 1e-12
+def _degree_recurrence(N: int, p: float):
+    """Reference values k_n(x) by the three-term recurrence in the degree,
 
+        (n+1) k_{n+1}(x) = ((x - N p) - n (q - p)) k_n(x) - p q (N - n + 1) k_{n-1}(x),
 
-def test_weights_frozen_small_case():
-    w = binomial_weights(2, 0.5)
-    assert np.abs(w - [0.25, 0.5, 0.25]).max() < 1e-15
+    with the binomial weights rho(x) and the weighted norms ||k_n||.  It
+    cancels on high degrees when p is far from 1/2, so it is a reference at
+    moderate p only."""
+    q = 1.0 - p
+    x = np.arange(N + 1, dtype=float)
+    values = np.empty((N + 1, N + 1))
+    values[0], values[1] = 1.0, x - N * p
+    for n in range(1, N):
+        values[n + 1] = (((x - N * p) - n * (q - p)) * values[n] - p * q * (N - n + 1) * values[n - 1]) / (n + 1)
+    weights = np.array([math.comb(N, v) * p**v * q ** (N - v) for v in range(N + 1)])
+    return values, weights, np.sqrt(np.sum(weights * values**2, axis=1))
 
 
 def test_weight_validation():
     with pytest.raises(ValueError):
-        binomial_weights(0, 0.5)
+        build_kravchuk(0, 0.5)
     with pytest.raises(ValueError):
-        binomial_weights(5, 0.0)
+        build_kravchuk(5, 0.0)
     with pytest.raises(ValueError):
-        binomial_weights(5, 1.0)
+        build_kravchuk(5, 1.0)
     # a fractional order was truncated: build_kravchuk(3.9, 0.5).N read 3
-    for build in (binomial_weights, build_kravchuk):
-        with pytest.raises(ValueError, match="N must be an integer"):
-            build(3.9, 0.5)
+    with pytest.raises(ValueError, match="N must be an integer"):
+        build_kravchuk(3.9, 0.5)
     with pytest.raises(ValueError, match="n_max must be an integer"):
         build_kravchuk(5, 0.5, n_max=2.5)
-    assert build_kravchuk(np.int64(5), 0.5, n_max=np.int32(2)).values.shape == (3, 6)
+    with pytest.raises(ValueError, match=r"n_max must lie in 0\.\.5, got 6"):
+        build_kravchuk(5, 0.5, n_max=6)
+    assert build_kravchuk(np.int64(5), 0.5, n_max=np.int32(2)).shape == (3, 6)
 
 
-def test_family_whose_weights_underflow_is_refused():
-    # at p = 1e-300, 15 of the 17 norms of N = 16 were exactly 0, and the
-    # orthonormal rows divided by them: a RuntimeWarning, then NaN rows
-    with pytest.raises(ValueError, match=r"N=16, p=1e-300") as info:
-        build_kravchuk(16, 1e-300)
-    assert "\n" not in str(info.value)
-    assert np.all(build_kravchuk(16, 1e-12).norms > 0.0)
+# the smallest positive float to the largest below one; the degree recurrence
+# read 1.2e-6 in the shift relation at (40, 1e-12) and refused (16, 1e-300)
+@pytest.mark.parametrize("p", [5e-324, 1e-300, 1e-12, 0.2, 0.5, 0.9, 1.0 - 2.0**-53])
+@pytest.mark.parametrize("N", [16, 40])
+def test_level_rows_are_orthonormal_at_every_p(N, p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = build_kravchuk(N, p)
+    assert rows.shape == (N + 1, N + 1) and np.isfinite(rows).all()
+    assert np.abs(rows @ rows.T - np.eye(N + 1)).max() < 1e-13
+
+
+def test_level_rows_are_signed_d_table_rows():
+    for N, p in ((1, 0.5), (12, 0.3), (25, 1e-12)):
+        beta = 2.0 * math.atan2(math.sqrt(p), math.sqrt(1.0 - p))
+        rows = build_kravchuk(N, p, n_max=N // 2)
+        checker = (-1.0) ** np.add.outer(np.arange(N // 2 + 1), np.arange(N + 1))
+        assert np.array_equal(checker * rows, build_wigner_d(N, beta).table[: N // 2 + 1])
+        assert math.sin(0.5 * beta) ** 2 == pytest.approx(p, rel=1e-15)
 
 
 def test_frozen_single_site_family():
-    fam = build_kravchuk(1, 0.5)
-    assert np.abs(fam.values[0] - [1.0, 1.0]).max() < 1e-15
-    assert np.abs(fam.values[1] - [-0.5, 0.5]).max() < 1e-15
-    assert abs(fam.norms[0] - 1.0) < 1e-15
-    assert abs(fam.norms[1] - 0.5) < 1e-15
+    # phi_0 = sqrt(rho), phi_1 = sqrt(rho) (x - 1/2) / (1/2) on two sites of weight 1/2
+    r = math.sqrt(0.5)
+    assert np.abs(build_kravchuk(1, 0.5) - [[r, r], [-r, r]]).max() < 1e-15
 
 
 def test_norms_match_closed_form():
     for N, p in ((6, 0.5), (20, 0.3), (40, 0.5)):
-        fam = build_kravchuk(N, p)
+        values, weights, norms = _degree_recurrence(N, p)
         q = 1.0 - p
         for n in range(N + 1):
             closed = math.sqrt(math.comb(N, n) * (p * q) ** n)
-            assert fam.norms[n] == pytest.approx(closed, rel=1e-12)
+            assert norms[n] == pytest.approx(closed, rel=1e-12)
+        # the production rows are the reference's, weighted and normalized
+        phi = np.sqrt(weights) * values / norms[:, None]
+        assert np.abs(build_kravchuk(N, p) - phi).max() < 1e-10
 
 
 def test_orthonormality_in_stable_regime():
-    fam = build_kravchuk(20, 0.3)
-    phi = orthonormal_functions(fam)
+    phi = build_kravchuk(20, 0.3)
     gram = phi @ phi.T
     assert np.abs(gram - np.eye(21)).max() < 1e-10
+    values, weights, norms = _degree_recurrence(20, 0.3)
+    reference = np.sqrt(weights) * values / norms[:, None]
+    assert np.abs(reference @ reference.T - np.eye(21)).max() < 1e-10
 
 
 def test_truncated_family():
-    fam = build_kravchuk(30, 0.5, n_max=4)
-    assert fam.values.shape == (5, 31)
+    rows = build_kravchuk(30, 0.5, n_max=4)
+    assert rows.shape == (5, 31)
     full = build_kravchuk(30, 0.5)
-    assert np.abs(fam.values - full.values[:5]).max() == 0.0
+    assert np.abs(rows - full[:5]).max() == 0.0
+    values, weights, norms = _degree_recurrence(30, 0.5)
+    assert np.abs(rows - np.sqrt(weights) * values[:5] / norms[:5, None]).max() < 1e-12
 
 
 def test_wigner_single_site_rotation():
@@ -153,8 +175,8 @@ def test_table_matches_weighted_recurrence_in_stable_regime():
     # moderate sizes where the literal recurrence is still trustworthy
     for N, beta in ((8, math.pi / 2), (16, 2.0)):
         p = math.sin(beta / 2) ** 2
-        fam = build_kravchuk(N, p)
-        phi = orthonormal_functions(fam)
+        values, weights, norms = _degree_recurrence(N, p)
+        phi = np.sqrt(weights) * values / norms[:, None]
         parity = np.array([(-1.0) ** i for i in range(N + 1)])
         literal = parity[:, None] * phi * parity[None, :]
         D = build_wigner_d(N, beta)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from latticeqm import (
     annihilation_matrix,
     build_oscillator,
+    build_wigner_d,
     checks,
     commutator_spectrum,
     continuum_convergence,
@@ -178,12 +180,25 @@ def test_limit_recurrences_are_exact_rearrangements():
             assert res.shift < 1e-9
 
 
+# the smallest positive float to the largest below one; the degree recurrence
+# the level rows came from read 1.2e-6 at (40, 1e-12) and refused (16, 1e-300)
+@pytest.mark.parametrize("p", [5e-324, 1e-300, 1e-12, 0.2, 0.5, 0.9, 1.0 - 2.0**-53])
+@pytest.mark.parametrize("N", [16, 40])
+def test_limit_recurrences_hold_at_every_p(N, p):
+    model = build_oscillator(N, p=p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (0, 2, N - 1):
+            res = limit_recurrence_check(model, n)
+            assert res.three_term < 1e-9 and res.shift < 1e-9, (n, res)
+
+
 @pytest.mark.parametrize("N, p, n", [(50, 0.5, 3), (200, 0.3, 2), (256, 0.2, 128), (7, 0.9, 6)])
 def test_limit_recurrence_checkerboard_is_bit_identical_to_the_power_form(N, p, n):
-    from latticeqm.kravchuk import _relations, build_kravchuk, orthonormal_functions
+    from latticeqm.kravchuk import _relations
 
-    phi = orthonormal_functions(build_kravchuk(N, p, n_max=n + 1))
-    rows = (-1.0) ** np.add.outer(np.arange(n + 2), np.arange(N + 1)) * phi
+    # the level rows are signed d-table rows, and the checkerboard signs them back exactly
+    rows = build_wigner_d(N, 2.0 * math.atan2(math.sqrt(p), math.sqrt(1.0 - p))).table[: n + 2]
     three_term, shift = _relations(rows, N, 1.0 - 2.0 * p, 2.0 * math.sqrt(p * (1.0 - p)))
     scale = math.sqrt(2.0 / N)
     expected = np.array([scale * float(three_term[n]), scale * float(shift[n])])
