@@ -42,10 +42,7 @@ from .kravchuk import (
 )
 from .oscillator import (
     ConvergenceTable,
-    OscillatorModel,
-    PositionSpectrum,
     annihilation_matrix,
-    build_oscillator,
     commutator_spectrum,
     continuum_convergence,
     energy_spectrum,

@@ -163,13 +163,17 @@ def evolution_operator_residual(prop: CayleyPropagator, n: int) -> float:
     """Frobenius norm of the midpoint difference equation applied to C^n.
 
     Zero in exact arithmetic for every n: the step operator itself satisfies
-    the same implicit midpoint equation as the states it propagates.
+    the same implicit midpoint equation as the states it propagates.  In H's
+    eigenbasis V, C^n is the phases c^n, and both sides come from the phases h
+    of C's root, (i/tau)(c - 1) = (-2/tau) Im(h) h and (c + 1)/2 = Re(h) h, so
+    no two unitaries are subtracted as tau shrinks; H enters as V^dagger H V.
     """
-    U_n = evolution_operator(prop, n)
-    U_next = prop.factor @ U_n
-    lhs = (1j / prop.tau) * (U_next - U_n)
-    rhs = prop.hamiltonian @ (0.5 * (U_next + U_n))
-    return _norm(lhs - rhs)
+    n = _integer(n, "n")
+    lam, V = prop.eigenvalues, prop.eigenvectors
+    h, c_n = _cayley_phase(prop.tau, lam, 0.5), _cayley_phase(prop.tau, lam, n)
+    residual = (V.conj().T @ prop.hamiltonian @ V) * (h.real * h * c_n)
+    residual[np.diag_indices(prop.dim)] -= (-2.0 / prop.tau) * h.imag * h * c_n
+    return _norm(residual)
 
 
 def _u(tau: float) -> float:

@@ -224,14 +224,15 @@ def wigner(sizes, angles, groups) -> list:
 
 
 def ladder_spectra(sizes) -> list:
-    """Commutator and anticommutator spectra in closed form; traceless, sum raise_n^2 = sum lower_n^2."""
+    """Commutator and anticommutator spectra in closed form; traceless, sum raise_n^2 = sum lower_n^2,
+    which holds because the ladder c_n terminates at both ends."""
     def points():
         for N in sizes:
-            model = oscillator.build_oscillator(N)
+            c, j = oscillator._ladder(N), 0.5 * N
             n = np.arange(N + 1, dtype=float)
-            yield (_max_abs(oscillator.commutator_spectrum(model) - (1.0 - n / model.j)),
-                   _max_abs(oscillator.energy_spectrum(model) - ((2.0 * n + 1.0) - n * n / model.j)),
-                   abs(float((model.raise_coeff ** 2 - model.lower_coeff ** 2).sum())))
+            yield (_max_abs(oscillator.commutator_spectrum(N) - (1.0 - n / j)),
+                   _max_abs(oscillator.energy_spectrum(N) - ((2.0 * n + 1.0) - n * n / j)),
+                   abs(float((c[1:] ** 2 - c[:-1] ** 2).sum())))
     label = f"N in {_values(sizes)}"
     return _worst((("oscillator-commutator", label, 1e-10), ("oscillator-energies", label, 1e-10),
                    ("oscillator-commutator-trace", label, 1e-12)), points())
@@ -242,12 +243,11 @@ def position(sizes) -> list:
     column x of eigenvalue (j - x)/sqrt(j), all held by one product X @ table per N."""
     def points():
         for N in sizes:
-            model = oscillator.build_oscillator(N)
-            spec = oscillator.position_spectrum(model)
-            X = oscillator.position_matrix(model)
+            X, j = oscillator.position_matrix(N), 0.5 * N
             D = kravchuk.build_wigner_d(N, 0.5 * math.pi)
-            lam = (model.j - np.arange(N + 1)) / math.sqrt(model.j)
-            yield (_max_abs(spec.eigenvalues - spec.m_prime / math.sqrt(model.j)),
+            lam = (j - np.arange(N + 1)) / math.sqrt(j)
+            m_prime = np.arange(N + 1.0) - j
+            yield (_max_abs(oscillator.position_spectrum(N) - m_prime / math.sqrt(j)),
                    _max_abs(X @ D.table - D.table * lam))
     return _worst((("position-grid", f"N in {_values(sizes)}", 1e-9),
                    ("position-eigenvectors", f"d-table columns N in {_values(sizes)}", 1e-9)), points())
@@ -278,7 +278,7 @@ def continuum(levels, ladder_levels, sizes) -> list:
 def limit_recurrence(centred, skewed) -> list:
     """The 1/N-corrected recurrences at (N, p, n) = centred, and their worst at skewed."""
     (label, res), (skewed_label, skewed_res) = (
-        (f"N {N} p {p} n {n}", oscillator.limit_recurrence_check(oscillator.build_oscillator(N, p), n))
+        (f"N {N} p {p} n {n}", oscillator.limit_recurrence_check(N, p, n))
         for N, p, n in (centred, skewed))
     return [
         CheckRow("limit-recurrence-three-term", label, res.three_term, 1e-9),

@@ -108,7 +108,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("spectrum", help="finite oscillator spectra")
     p.add_argument("--N", type=_flag(_order, int), required=True, help="number of levels minus one, N = 2j")
-    p.add_argument("--p", type=_flag(_probability, float), default=0.5, help="weight parameter (default 0.5)")
     p.add_argument("--what", choices=("energy", "position", "commutator"), required=True,
                    help="which spectrum to emit")
     add_common(p)
@@ -213,18 +212,16 @@ def _cmd_wigner(params, fmt):
 
 
 def _cmd_spectrum(params, fmt):
-    model = oscillator.build_oscillator(params["N"], params["p"])
-    what = params["what"]
+    N, what = params["N"], params["what"]
     if what == "position":
-        spec = oscillator.position_spectrum(model)
-        header, labels, values = "m_prime,value", spec.m_prime.tolist(), spec.eigenvalues
+        header, labels, values = "m_prime,value", np.arange(N + 1.0) - 0.5 * N, oscillator.position_spectrum(N)
     else:
         spectrum = oscillator.energy_spectrum if what == "energy" else oscillator.commutator_spectrum
-        header, labels, values = "n,value", list(range(model.N + 1)), spectrum(model)
-    values = values.tolist()
+        header, labels, values = "n,value", np.arange(N + 1), spectrum(N)
+    labels, values = labels.tolist(), values.tolist()
     if fmt == "csv":
         return [(header, list(zip(labels, values)))], 0
-    return {"N": model.N, "p": model.p, "what": what, "labels": labels, "values": values}, 0
+    return {"N": N, "what": what, "labels": labels, "values": values}, 0
 
 
 def _cmd_converge(params, fmt):

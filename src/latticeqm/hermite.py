@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import _array, _count, _spacing
+from .lattice import _array, _count
 
 
 def _grid(s) -> np.ndarray:
@@ -102,18 +102,19 @@ class HermiteRecurrenceResiduals(NamedTuple):
     derivative: np.ndarray
 
 
-def recurrence_residual(n_max: int, s, h: float = 1e-5) -> HermiteRecurrenceResiduals:
+_STEP = 1e-5  # the central difference step of ``recurrence_residual``
+
+
+def recurrence_residual(n_max: int, s) -> HermiteRecurrenceResiduals:
     """Residuals of the two defining relations on a grid, per level n <= n_max.
 
     ``algebraic`` checks 2 s psi_n = sqrt(2(n+1)) psi_{n+1} + sqrt(2n) psi_{n-1}
     exactly (up to roundoff).  ``derivative`` checks
     2 psi_n' = sqrt(2n) psi_{n-1} - sqrt(2(n+1)) psi_{n+1} with the derivative
-    taken by a central difference of step h, so it carries an O(h^2) floor.
-    One table holds the rows on s, s + h and s - h side by side.
+    taken by a central difference of step h = 1e-5, so it carries an O(h^2)
+    floor.  One table holds the rows on s, s + h and s - h side by side.
     """
-    n_max = _count(n_max, "n_max")
-    h = _spacing(h, "h")
-    s = _grid(s)
+    n_max, s, h = _count(n_max, "n_max"), _grid(s), _STEP
     table, plus, minus = np.split(psi_table(n_max + 1, np.concatenate([s, s + h, s - h])), 3, axis=1)
     below, here, above = _below(table)[:-1], table[:-1], table[1:]
     n = _levels(here)

@@ -67,7 +67,8 @@ class WignerDMatrix:
 
 
 # verify-all reads 13 orders (1, 2, 5, 10, 12, 20, 30, 60 for its d-table rows,
-# 16, 32, 64, 50 and 200 for its Kravchuk level rows); a bound below that
+# 16, 32 and 64 for its Kravchuk level rows, 50 and 200 for its limit
+# recurrences); a bound below that
 # evicts an order before its next read, and every report decomposes again
 @functools.lru_cache(maxsize=16)
 def _chiral(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -134,6 +135,11 @@ def build_wigner_d(N: int, beta: float) -> WignerDMatrix:
     return WignerDMatrix(N=N, beta=beta, table=table)
 
 
+def _beta(p: float) -> float:
+    """beta_p = 2 atan2(sqrt p, sqrt q), the angle at which p = sin^2(beta_p / 2)."""
+    return 2.0 * math.atan2(math.sqrt(p), math.sqrt(1.0 - p))
+
+
 def build_kravchuk(N: int, p: float, n_max: int | None = None) -> np.ndarray:
     """Orthonormal Kravchuk rows phi_n(x) = sqrt(rho(x)) k_n(x) / ||k_n||, n = 0..n_max, x = 0..N.
 
@@ -149,8 +155,7 @@ def build_kravchuk(N: int, p: float, n_max: int | None = None) -> np.ndarray:
     n_max = N if n_max is None else _integer(n_max, "n_max")
     if not 0 <= n_max <= N:
         raise ValueError(f"n_max must lie in 0..{N}, got {n_max}")
-    beta = 2.0 * math.atan2(math.sqrt(p), math.sqrt(1.0 - p))
-    rows = build_wigner_d(N, beta).table[: n_max + 1].copy()
+    rows = build_wigner_d(N, _beta(p)).table[: n_max + 1].copy()
     rows[0::2, 1::2] *= -1.0
     rows[1::2, 0::2] *= -1.0
     return rows

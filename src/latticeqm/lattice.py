@@ -78,12 +78,12 @@ def _probability(p) -> float:
     return p
 
 
-def _spacing(value, name: str = "epsilon") -> float:
-    """A lattice spacing or difference step as a positive, finite float."""
-    x = _real(value, name)
-    if not 0.0 < x < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {x}")
-    return x
+def _spacing(epsilon) -> float:
+    """The lattice spacing epsilon as a positive, finite float."""
+    epsilon = _real(epsilon, "epsilon")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    return epsilon
 
 
 def _step(tau) -> float:

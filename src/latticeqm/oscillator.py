@@ -2,12 +2,15 @@
 
 The ladder coefficients
 
-    lower_n = sqrt(n (N - n + 1) / N),   raise_n = sqrt((N - n)(n + 1) / N)
+    lower_n = c_n,   raise_n = c_{n+1},   c_n = sqrt(n (N - n + 1) / N)
 
-act on the level basis v_0 .. v_N; both chains terminate, so the whole
-algebra lives on (N+1) x (N+1) matrices.  The commutator [A, A^dagger] is
-diagonal with entries 1 - n/j (j = N/2) instead of the constant 1, and the
-anticommutator gives energies (2n+1) - n^2/j in units of half a quantum.
+act on the level basis v_0 .. v_N; both chains terminate, c_0 = c_{N+1} = 0,
+so the whole algebra lives on (N+1) x (N+1) matrices.  The coefficients
+depend on the order N alone, so every ladder, matrix and spectrum function
+here takes N; the weight p enters only the Kravchuk level rows and the grid
+s of the continuum limit.  The commutator [A, A^dagger] is diagonal with
+entries 1 - n/j (j = N/2) instead of the constant 1, and the anticommutator
+gives energies (2n+1) - n^2/j in units of half a quantum.
 Everything distorted by 1/j flows back to the continuum oscillator as N
 grows; the checks in this module quantify that convergence on the rescaled
 coordinate s_x = (x - N p) / sqrt(2 N p q).
@@ -20,91 +23,68 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hermite
-from .kravchuk import RecurrenceResiduals, _relations, build_kravchuk
+from . import hermite, kravchuk
+from .kravchuk import RecurrenceResiduals, build_kravchuk
 from .lattice import _count, _integer, _order, _probability
 
 
-@dataclass(frozen=True)
-class OscillatorModel:
-    """Ladder coefficient tables for one finite oscillator."""
+def _ladder(N: int) -> np.ndarray:
+    """c_n = sqrt(n (N - n + 1) / N) for n = 0 .. N + 1, with c_0 = c_{N+1} = 0.
 
-    N: int
-    p: float
-    lower_coeff: np.ndarray  # lower_coeff[n] multiplies v_{n-1} in A v_n
-    raise_coeff: np.ndarray  # raise_coeff[n] multiplies v_{n+1} in A^dagger v_n
-
-    @property
-    def j(self) -> float:
-        return 0.5 * self.N
+    A v_n = c_n v_{n-1} and A^dagger v_n = c_{n+1} v_{n+1}: one table holds
+    both chains.  c_{n+1} equals sqrt((N - n)(n + 1) / N) bit for bit, since
+    both products are the same integer.
+    """
+    N = _order(N)
+    n = np.arange(N + 2, dtype=float)
+    return np.sqrt(n * (N - n + 1.0) / N)
 
 
-def build_oscillator(N: int, p: float = 0.5) -> OscillatorModel:
-    N, p = _order(N), _probability(p)
-    n = np.arange(N + 1, dtype=float)
-    lower = np.sqrt(n * (N - n + 1.0) / N)
-    raise_ = np.sqrt((N - n) * (n + 1.0) / N)
-    return OscillatorModel(N=N, p=p, lower_coeff=lower, raise_coeff=raise_)
-
-
-def annihilation_matrix(model: OscillatorModel) -> np.ndarray:
+def annihilation_matrix(N: int) -> np.ndarray:
     """A in the level basis: superdiagonal of lowering coefficients."""
-    return np.diag(model.lower_coeff[1:], k=1)
+    return np.diag(_ladder(N)[1:-1], k=1)
 
 
-def position_matrix(model: OscillatorModel) -> np.ndarray:
+def position_matrix(N: int) -> np.ndarray:
     """X = (A + A^dagger)/sqrt(2), a real symmetric tridiagonal matrix."""
-    A = annihilation_matrix(model)
+    A = annihilation_matrix(N)
     return (A + A.T) / math.sqrt(2.0)
 
 
-def hamiltonian_matrix(model: OscillatorModel) -> np.ndarray:
+def hamiltonian_matrix(N: int) -> np.ndarray:
     """H = (A A^dagger + A^dagger A) / 2, in units of hbar*omega."""
-    A = annihilation_matrix(model)
+    A = annihilation_matrix(N)
     return 0.5 * (A @ A.T + A.T @ A)
 
 
-def _ladder_diagonals(model: OscillatorModel) -> tuple[np.ndarray, np.ndarray]:
-    """diag(A A^dagger) and diag(A^dagger A): the row and column sums of A * A, with no matrix product."""
-    A = annihilation_matrix(model)
-    return np.einsum("ij,ij->i", A, A), np.einsum("ji,ji->i", A, A)
-
-
-def commutator_spectrum(model: OscillatorModel) -> np.ndarray:
-    """Diagonal of [A, A^dagger], read off the matrix A by ``_ladder_diagonals``.
+def commutator_spectrum(N: int) -> np.ndarray:
+    """Diagonal of [A, A^dagger], c_{n+1}^2 - c_n^2, read off the ladder with no matrix formed.
 
     The exact values are 1 - n/j; the deformation vanishes only as j grows.
     """
-    return np.subtract(*_ladder_diagonals(model))
+    square = np.square(_ladder(N))
+    return square[1:] - square[:-1]
 
 
-def energy_spectrum(model: OscillatorModel) -> np.ndarray:
-    """Diagonal of 2H = A A^dagger + A^dagger A, the energies in units of hbar*omega/2, read off A likewise.
+def energy_spectrum(N: int) -> np.ndarray:
+    """Diagonal of 2H = A A^dagger + A^dagger A, c_{n+1}^2 + c_n^2: the energies in units of hbar*omega/2.
 
     The exact values are (2n + 1) - n^2/j: equally spaced at the bottom,
     folded symmetrically around the middle level.
     """
-    return np.add(*_ladder_diagonals(model))
+    square = np.square(_ladder(N))
+    return square[1:] + square[:-1]
 
 
-@dataclass(frozen=True)
-class PositionSpectrum:
-    """Eigenvalues of the position matrix.
+def position_spectrum(N: int) -> np.ndarray:
+    """Eigenvalues of the position matrix, ascending.
 
-    ``eigenvalues`` ascend and land on the uniform grid m'/sqrt(j) for
-    m' = -j .. j, listed in ``m_prime``.  The eigenvectors are the
-    quarter-turn d-table columns, which ``checks.position`` compares.
+    They land on the uniform grid m'/sqrt(j) for m' = -j .. j.  The
+    eigenvectors are the quarter-turn d-table columns, which
+    ``checks.position`` compares.
     """
-
-    eigenvalues: np.ndarray
-    m_prime: np.ndarray
-
-
-def position_spectrum(model: OscillatorModel) -> PositionSpectrum:
     # eigh, not eigvalsh: their eigenvalues differ in the last bits, and position-grid keeps eigh's
-    lam = np.linalg.eigh(position_matrix(model)).eigenvalues
-    m_prime = np.arange(model.N + 1, dtype=float) - model.j
-    return PositionSpectrum(eigenvalues=lam, m_prime=m_prime)
+    return np.linalg.eigh(position_matrix(N)).eigenvalues
 
 
 def s_grid(N: int, p: float) -> tuple[np.ndarray, float]:
@@ -142,7 +122,8 @@ class ConvergenceTable:
     psi_n; ``lower_errors`` and ``raise_errors`` compare the rescaled A v_n
     and A^dagger v_n with sqrt(n) psi_{n-1} and sqrt(n+1) psi_{n+1}.  The
     lowering error of level 0 is exactly 0 because the chain terminates.
-    ``raise_coeff[0]`` and ``lower_coeff[1]`` are exactly 1.0 for every N,
+    c_1 = sqrt(N / N), the raise coefficient of level 0 and the lowering
+    coefficient of level 1, is exactly 1.0 for every N,
     so ``raise_errors[:, 0]`` equals ``max_errors[:, 1]`` and
     ``lower_errors[:, 1]`` equals ``max_errors[:, 0]`` bitwise: a profile
     row and a ladder row over those levels read the same residual.
@@ -174,6 +155,11 @@ def continuum_convergence(n_max: int, N_list, p: float = 0.5) -> ConvergenceTabl
     level n+1 profile.  The fitted order of a level is the least squares
     slope of log(error) against log(N), negated, so first order convergence
     reports a value near one.
+
+    The limit needs N p q >> 1.  When it fails, the grid spacing
+    1/sqrt(2 N p q) leaves almost every site where psi_n reads 0, and the
+    errors mean nothing: at p = 1e-300 the spacing is about 1e149, and the
+    errors read about 2.4e-75 and grow with N.
     """
     n_max = _count(n_max, "n_max")
     try:
@@ -184,24 +170,25 @@ def continuum_convergence(n_max: int, N_list, p: float = 0.5) -> ConvergenceTabl
     errors, lower, raise_ = (np.zeros((sizes.size, n_max + 1)) for _ in range(3))
     root = np.sqrt(np.arange(1.0, n_max + 2.0))[:, None]  # root[n] = sqrt(n + 1)
     for i, N in enumerate(sizes):
-        model = build_oscillator(int(N), p)
+        c = _ladder(int(N))
         _, g, psi = _aligned_level_rows(int(N), p, n_max + 1)
         errors[i] = np.abs(g[:-1] - psi[:-1]).max(axis=1)
-        lower[i, 1:] = np.abs(model.lower_coeff[1:n_max + 1, None] * g[:-2] - root[:-1] * psi[:-2]).max(axis=1)
-        raise_[i] = np.abs(model.raise_coeff[:n_max + 1, None] * g[1:] - root * psi[1:]).max(axis=1)
+        lower[i, 1:] = np.abs(c[1:n_max + 1, None] * g[:-2] - root[:-1] * psi[:-2]).max(axis=1)
+        raise_[i] = np.abs(c[1:n_max + 2, None] * g[1:] - root * psi[1:]).max(axis=1)
     log_sizes = np.log(sizes.astype(float))
     orders = np.array([-np.polyfit(log_sizes, np.log(errors[:, n]), 1)[0] for n in range(n_max + 1)])
     return ConvergenceTable(sizes=sizes, max_errors=errors, lower_errors=lower,
                             raise_errors=raise_, fitted_orders=orders)
 
 
-def limit_recurrence_check(model: OscillatorModel, n: int) -> RecurrenceResiduals:
+def limit_recurrence_check(N: int, p: float, n: int) -> RecurrenceResiduals:
     """Residuals at level n of the d-table contiguity relations, rescaled by sqrt(2/N).
 
     The level rows phi_0 .. phi_{n+1}, signed by the checkerboard (-1)^(k+x)
-    on row k, are rows of the d-table at p = sin^2(beta/2), so the relations
-    of ``kravchuk.recurrence_residuals`` hold on them.  Times
-    sqrt(2/N) and written on the grid s_x, they read
+    on row k, are rows 0 .. n+1 of the d-table at p = sin^2(beta/2); those
+    rows are read here directly, and the relations of
+    ``kravchuk.recurrence_residuals`` hold on them.  Times sqrt(2/N) and
+    written on the grid s_x, they read
 
     three_term:
         2 (s_x + (2p-1) n / sqrt(2 N p q)) phi_n
@@ -219,14 +206,10 @@ def limit_recurrence_check(model: OscillatorModel, n: int) -> RecurrenceResidual
     2 s psi_n and 2 psi_n'.  Held multiplied through as ``recurrence_residuals``
     holds it, the three-term residual is sqrt(p q) times that of the one shown.
     """
-    n = _integer(n, "n")
-    N, p = model.N, model.p
+    N, p, n = _order(N), _probability(p), _integer(n, "n")
     if not 0 <= n < N:
         raise ValueError(f"need 0 <= n < N for the neighbour rows, got n={n}, N={N}")
-    # a fresh array, so the checkerboard signs it back in place: exact, the d-table's rows bit for bit
-    rows = build_kravchuk(N, p, n_max=n + 1)
-    rows[0::2, 1::2] *= -1.0
-    rows[1::2, 0::2] *= -1.0
-    three_term, shift = _relations(rows, N, 1.0 - 2.0 * p, 2.0 * math.sqrt(p * (1.0 - p)))
+    rows = kravchuk.build_wigner_d(N, kravchuk._beta(p)).table[: n + 2]
+    three_term, shift = kravchuk._relations(rows, N, 1.0 - 2.0 * p, 2.0 * math.sqrt(p * (1.0 - p)))
     scale = math.sqrt(2.0 / N)
     return RecurrenceResiduals(three_term=scale * float(three_term[n]), shift=scale * float(shift[n]))

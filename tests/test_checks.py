@@ -46,9 +46,9 @@ def test_nan_at_one_sweep_point_fails_the_row(monkeypatch):
 def test_nan_skewed_difference_fails_the_skewed_row(monkeypatch):
     check = oscillator.limit_recurrence_check
 
-    def patched(model, n):
-        res = check(model, n)
-        return res._replace(shift=math.nan) if model.p == 0.3 else res
+    def patched(N, p, n):
+        res = check(N, p, n)
+        return res._replace(shift=math.nan) if p == 0.3 else res
 
     monkeypatch.setattr(oscillator, "limit_recurrence_check", patched)
     rows = checks.limit_recurrence((50, 0.5, 3), (200, 0.3, 2))
@@ -95,10 +95,9 @@ def test_symmetry_and_orthogonality_match_the_copying_formulation_bit_for_bit():
 def test_position_residual_matches_the_column_loop():
     # the check once formed X @ col - lam * col for one column at a time
     for N in range(1, 65):
-        model = oscillator.build_oscillator(N)
-        X = oscillator.position_matrix(model)
+        X, j = oscillator.position_matrix(N), 0.5 * N
         table = kravchuk.build_wigner_d(N, 0.5 * math.pi).table
-        columns = max(float(np.abs(X @ table[:, x] - (model.j - x) / math.sqrt(model.j) * table[:, x]).max())
+        columns = max(float(np.abs(X @ table[:, x] - (j - x) / math.sqrt(j) * table[:, x]).max())
                       for x in range(N + 1))
         assert abs(_row(checks.position((N,)), "position-eigenvectors").residual - columns) <= 1e-15, N
 
@@ -185,15 +184,14 @@ def test_order_row_needs_a_halving_ratio():
      lambda: checks.basis((2, 7), (0.7,)), "basis-dft-identity"),
     (oscillator, "commutator_spectrum", lambda spec, e: spec + e,
      lambda: checks.ladder_spectra((2, 9)), "oscillator-commutator"),
-    (oscillator, "build_oscillator",
-     lambda model, e: dataclasses.replace(model, raise_coeff=model.raise_coeff + e),
+    # a ladder that does not terminate: c_{N+1}^2 = e, so the trace reads e
+    (oscillator, "_ladder", lambda c, e: np.append(c[:-1], math.sqrt(e)),
      lambda: checks.ladder_spectra((2, 9)), "oscillator-commutator-trace"),
-    (oscillator, "position_spectrum",
-     lambda spec, e: dataclasses.replace(spec, eigenvalues=spec.eigenvalues + e),
+    (oscillator, "position_spectrum", lambda eigenvalues, e: eigenvalues + e,
      lambda: checks.position((2, 9)), "position-grid"),
     (kravchuk, "wigner_d_direct", lambda table, e: table + e,
      lambda: checks.wigner((3, 8), (0.7,), ("oracle",)), "wigner-vs-oracle"),
-    *((oscillator, "build_kravchuk", lambda phi, e: phi + e,
+    *((kravchuk, "build_wigner_d", lambda D, e: dataclasses.replace(D, table=D.table + e),
        lambda: checks.limit_recurrence((50, 0.5, 3), (200, 0.3, 2)), check)
       for check in ("limit-recurrence-three-term", "limit-recurrence-difference", "limit-recurrence-skewed")),
 ])

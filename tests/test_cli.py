@@ -580,10 +580,6 @@ def test_invalid_parameters_exit_two(capsys, tmp_path):
         (["wigner", "--N", "3", "--beta", "0.0"], "--beta: beta must lie strictly between 0 and pi, got 0.0"),
         (["wigner", "--N", "3", "--beta", "3.2"], "--beta: beta must lie strictly between 0 and pi, got 3.2"),
         (["wigner", "--N", "3", "--beta", "nan"], "--beta: beta must lie strictly between 0 and pi, got nan"),
-        (["spectrum", "--N", "5", "--what", "energy", "--p", "1.5"],
-         "--p: p must lie strictly between 0 and 1, got 1.5"),
-        (["spectrum", "--N", "5", "--what", "energy", "--p", "0"],
-         "--p: p must lie strictly between 0 and 1, got 0.0"),
         (["converge", "--n", "-1", "--N-list", "16,32"], "--n: n must be at least 0, got -1"),
         (["converge", "--n", "1", "--N-list", "16,a"],
          "--N-list: must be comma separated integers, got '16,a'"),
@@ -654,8 +650,7 @@ LIBRARY_CALL = {
     ("heisenberg-check", "--seed"): lambda v: np.random.default_rng(int(v)),
     ("wigner", "--N"): lambda v: kravchuk.build_wigner_d(int(v), 1.0),
     ("wigner", "--beta"): lambda v: kravchuk.build_wigner_d(3, float(v)),
-    ("spectrum", "--N"): lambda v: oscillator.build_oscillator(int(v)),
-    ("spectrum", "--p"): lambda v: oscillator.build_oscillator(2, float(v)),
+    ("spectrum", "--N"): lambda v: oscillator.energy_spectrum(int(v)),
     ("converge", "--n"): lambda v: oscillator.continuum_convergence(int(v), [16, 32]),
     ("converge", "--N-list"): lambda v: oscillator.continuum_convergence(1, [int(v), 16]),
     ("converge", "--p"): lambda v: oscillator.continuum_convergence(1, [16, 32], float(v)),
@@ -686,6 +681,58 @@ def test_every_typed_flag_accepts_what_its_library_call_accepts(capsys, command,
         flag_accepts = False
     capsys.readouterr()
     assert flag_accepts == library_accepts
+
+
+# two valid values of each flag, appended to its VALID_ARGV line: None leaves
+# the flag out and True gives it bare; evolve reads the files written below
+FLAG_VALUES = {
+    ("basis", "--N"): ("4", "5"),
+    ("basis", "--epsilon"): ("1", "2"),
+    ("basis", "--table"): (None, True),
+    ("evolve", "--hamiltonian"): ("H.json", "H2.json"),
+    ("evolve", "--tau"): ("0.1", "0.2"),
+    ("evolve", "--steps"): ("1", "2"),
+    ("evolve", "--state"): ("s.json", "s2.json"),
+    ("heisenberg-check", "--dim"): ("2", "3"),
+    ("heisenberg-check", "--tau"): ("0.1", "0.2"),
+    ("heisenberg-check", "--n"): ("3", "4"),
+    ("heisenberg-check", "--seed"): ("0", "1"),
+    ("wigner", "--N"): ("3", "4"),
+    ("wigner", "--beta"): ("1", "0.5"),
+    ("wigner", "--check"): ("all", "symmetry"),
+    ("spectrum", "--N"): ("2", "3"),
+    ("spectrum", "--what"): ("energy", "commutator"),
+    ("converge", "--n"): ("1", "2"),
+    ("converge", "--N-list"): ("16,32", "16,64"),
+    ("converge", "--p"): ("0.5", "0.3"),
+    ("hermite", "--n"): ("1", "2"),
+    ("hermite", "--s-min"): ("0", "-1"),
+    ("hermite", "--s-max"): ("1", "2"),
+    ("hermite", "--samples"): ("3", "4"),
+    ("verify-all", "--seed"): ("7", "8"),
+}
+FLAGS = [(command, action.option_strings[0])
+         for command, sub in cli._build_parser()[1].items()
+         for action in sub._actions if action.dest not in ("help", "format", "output")]
+
+
+# spectrum --p was stored with the oscillator and read by nothing, so its
+# every value printed the same bytes
+@pytest.mark.parametrize("command, flag", FLAGS, ids=[command + flag for command, flag in FLAGS])
+def test_every_flag_changes_the_output(capsys, tmp_path, monkeypatch, command, flag):
+    assert set(FLAG_VALUES) == set(FLAGS), "name two values of each flag, and only of flags the parser has"
+    monkeypatch.chdir(tmp_path)
+    for name, H in (("H.json", [[1.0, 0.5], [0.5, -1.0]]), ("H2.json", [[0.0, 1.0], [1.0, 2.0]])):
+        Path(name).write_text(json.dumps({"re": H}))
+    for name, state in (("s.json", [1.0, 0.0]), ("s2.json", [0.6, 0.8])):
+        Path(name).write_text(LatticeState(state, 1.0).to_json())
+    outputs = []
+    for value in FLAG_VALUES[command, flag]:
+        extra = [] if value is None else [flag] if value is True else [flag, value]
+        code, out, err = run_cli(capsys, command, *VALID_ARGV[command], *extra)
+        assert (code, err) == (0, ""), value
+        outputs.append(out)
+    assert outputs[0] != outputs[1]
 
 
 def test_unknown_subcommand_rejected(capsys):

@@ -7,6 +7,7 @@ from latticeqm import (
     checks,
     eval_psi,
     gram_matrix,
+    hermite,
     ladder_apply,
     psi_table,
     recurrence_residual,
@@ -91,18 +92,20 @@ def test_algebraic_recurrence_is_tight():
     assert recurrence_residual(9, s).algebraic.max() < 1e-12
 
 
-def test_derivative_recurrence_floor_scales_quadratically():
+def test_derivative_recurrence_floor_scales_quadratically(monkeypatch):
     s = np.linspace(-3.0, 3.0, 61)
-    r1 = recurrence_residual(3, s, h=2e-5).derivative[3]
-    r2 = recurrence_residual(3, s, h=1e-5).derivative[3]
+    r2 = recurrence_residual(3, s).derivative[3]
+    monkeypatch.setattr(hermite, "_STEP", 2e-5)
+    r1 = recurrence_residual(3, s).derivative[3]
     assert r1 < 1e-8
     assert 3.0 < r1 / r2 < 5.0
 
 
 def test_recurrence_residual_rejects_a_bad_step():
-    # h = 0 returned derivative = nan; nan and inf failed on "grid points s"
-    for h in (0.0, -1e-5, math.nan, math.inf):
-        with pytest.raises(ValueError, match="h must be positive and finite"):
+    # h = 0 returned derivative = nan; nan and inf failed on "grid points s".
+    # No caller passed a step, and the step is now fixed: any step is refused
+    for h in (0.0, -1e-5, math.nan, math.inf, 1e-5):
+        with pytest.raises(TypeError):
             recurrence_residual(2, [0.0, 1.0], h=h)
 
 

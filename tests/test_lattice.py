@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from latticeqm import (
     LatticeState,
     build_basis,
     build_kravchuk,
-    build_oscillator,
     build_propagator,
     build_wigner_d,
     check_hermitian,
@@ -21,6 +22,7 @@ from latticeqm import (
     momentum_apply,
     psi_table,
     recurrence_residual,
+    s_grid,
     schrodinger_residual,
 )
 
@@ -82,19 +84,16 @@ def test_bool_is_not_an_integer(call):
         call()
 
 
-# True read as 1.0 and text parsed as a number; h="1e-5" raised a TypeError
-# and p=True was refused as "got 1.0"
+# True read as 1.0 and text parsed as a number; p=True was refused as "got 1.0"
 @pytest.mark.parametrize("call, name", [
     (lambda: build_basis(4, True), "epsilon"),
     (lambda: LatticeState([1.0], True), "epsilon"),
     (lambda: build_propagator(np.eye(2), True), "tau"),
     (lambda: build_propagator(np.eye(2), "0.1"), "tau"),
     (lambda: build_wigner_d(4, True), "beta"),
-    (lambda: recurrence_residual(2, [0.0], h=True), "h"),
-    (lambda: recurrence_residual(2, [0.0], h="1e-5"), "h"),
-    (lambda: build_oscillator(4, True), "p"),
+    (lambda: s_grid(4, True), "p"),
 ], ids=["build_basis", "LatticeState", "build_propagator-bool", "build_propagator-text",
-        "build_wigner_d", "recurrence_residual-bool", "recurrence_residual-text", "build_oscillator"])
+        "build_wigner_d", "s_grid"])
 def test_bool_and_text_are_not_real_numbers(call, name):
     with pytest.raises(ValueError, match=f"{name} must be a real number, got "):
         call()
@@ -163,7 +162,7 @@ def test_real_parameters_take_ints_floats_and_numpy_scalars_by_value():
         assert LatticeState([1.0], eps).epsilon == 2.0
     assert build_propagator(np.eye(2), np.float64(0.1)).tau == 0.1
     assert build_wigner_d(4, 1).beta == 1.0
-    assert build_oscillator(4, np.float64(0.25)).p == 0.25
+    assert s_grid(4, np.float64(0.25))[1] == s_grid(4, 0.25)[1] == 1.0 / math.sqrt(1.5)
     # an int past the float range reads as inf, which the range check refuses
     with pytest.raises(ValueError, match="epsilon must be positive and finite"):
         build_basis(4, 10**309)

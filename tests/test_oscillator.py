@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 
@@ -6,7 +7,6 @@ import pytest
 
 from latticeqm import (
     annihilation_matrix,
-    build_oscillator,
     build_wigner_d,
     checks,
     commutator_spectrum,
@@ -23,16 +23,12 @@ from latticeqm import (
 
 
 def test_frozen_two_site_coefficients():
-    model = build_oscillator(2)
-    assert model.lower_coeff[0] == 0.0
-    assert model.lower_coeff[1] == pytest.approx(1.0)
-    assert model.raise_coeff[0] == pytest.approx(1.0)
-    assert model.j == pytest.approx(1.0)
+    # c_0 .. c_3 at N = 2: lower_n = c_n and raise_n = c_{n+1}, both chains terminate
+    assert np.array_equal(oscillator._ladder(2), [0.0, 1.0, 1.0, 0.0])
 
 
 def test_ladder_matrices_annihilate_the_ends():
-    model = build_oscillator(7)
-    A = annihilation_matrix(model)
+    A = annihilation_matrix(7)
     e0 = np.eye(8)[0]
     eN = np.eye(8)[7]
     assert np.abs(A @ e0).max() == 0.0
@@ -45,32 +41,39 @@ def test_commutator_spectrum_formula_and_trace():
     assert trace.residual < 1e-12
     for N in (2, 5, 50, 200):
         # matrix route agrees
-        model = build_oscillator(N)
-        A = annihilation_matrix(model)
+        A = annihilation_matrix(N)
         comm = A @ A.T - A.T @ A
-        spec = commutator_spectrum(model)
+        spec = commutator_spectrum(N)
         assert np.abs(np.diag(comm) - spec).max() < 1e-12
         assert abs(spec.sum()) < 1e-12
-    assert np.abs(commutator_spectrum(build_oscillator(2)) - [1.0, 0.0, -1.0]).max() < 1e-14
+    assert np.abs(commutator_spectrum(2) - [1.0, 0.0, -1.0]).max() < 1e-14
 
 
 def test_energy_spectrum_formula():
     _, energies, _ = checks.ladder_spectra((2, 5, 50, 200))
     assert energies.residual < 1e-10
-    assert np.abs(energy_spectrum(build_oscillator(2)) - [1.0, 2.0, 1.0]).max() < 1e-14
+    assert np.abs(energy_spectrum(2) - [1.0, 2.0, 1.0]).max() < 1e-14
 
 
 def test_spectra_match_the_dense_product_formulation_bit_for_bit():
     # the spectra once took the diagonals of the (N+1)^3 products A A^T and A^T A
     for N in range(1, 301):
-        model = build_oscillator(N)
-        A = annihilation_matrix(model)
-        assert np.array_equal(commutator_spectrum(model), np.diagonal(A @ A.T - A.T @ A)), N
-        assert np.array_equal(energy_spectrum(model), 2.0 * np.diagonal(0.5 * (A @ A.T + A.T @ A))), N
+        A = annihilation_matrix(N)
+        assert np.array_equal(commutator_spectrum(N), np.diagonal(A @ A.T - A.T @ A)), N
+        assert np.array_equal(energy_spectrum(N), 2.0 * np.diagonal(0.5 * (A @ A.T + A.T @ A))), N
+
+
+def test_one_ladder_table_holds_both_chains_bit_for_bit():
+    # the lowering and raising tables were two arrays, sqrt(n (N-n+1)/N) and sqrt((N-n)(n+1)/N)
+    for N in (*range(1, 65), 1000, 4097):
+        n = np.arange(N + 1, dtype=float)
+        c = oscillator._ladder(N)
+        assert np.array_equal(c[:-1], np.sqrt(n * (N - n + 1.0) / N)), N
+        assert np.array_equal(c[1:], np.sqrt((N - n) * (n + 1.0) / N)), N
 
 
 def test_ladder_spectra_run_without_the_dense_hamiltonian(monkeypatch):
-    def refuse(model):
+    def refuse(N):
         raise AssertionError("the spectra read the diagonals off A")
     monkeypatch.setattr(oscillator, "hamiltonian_matrix", refuse)
     assert all(row.passed for row in checks.ladder_spectra((2, 200)))
@@ -78,21 +81,21 @@ def test_ladder_spectra_run_without_the_dense_hamiltonian(monkeypatch):
 
 def test_hamiltonian_matrix_is_diagonal_with_spectrum():
     # the spectrum is quoted in half-quantum units, the matrix in whole quanta
-    model = build_oscillator(12)
-    H = hamiltonian_matrix(model)
+    H = hamiltonian_matrix(12)
     off = H - np.diag(np.diag(H))
     assert np.abs(off).max() < 1e-12
-    assert np.abs(np.diag(H) - 0.5 * energy_spectrum(model)).max() < 1e-12
+    assert np.abs(np.diag(H) - 0.5 * energy_spectrum(12)).max() < 1e-12
     # the energy scale knob is gone: a stray keyword is an error, not a NaN matrix
     with pytest.raises(TypeError):
-        build_oscillator(12, energy_scale=3.0)
+        hamiltonian_matrix(12, energy_scale=3.0)
 
 
 def test_position_spectrum_is_uniform_grid():
     grid, _ = checks.position((2, 20, 60))
     assert grid.residual < 1e-9
-    two = position_spectrum(build_oscillator(2))
-    assert np.abs(np.sort(two.eigenvalues) - [-1.0, 0.0, 1.0]).max() < 1e-12
+    two = position_spectrum(2)
+    assert np.all(np.diff(two) > 0.0)  # ascending
+    assert np.abs(two - [-1.0, 0.0, 1.0]).max() < 1e-12
 
 
 def test_rotation_columns_diagonalize_position():
@@ -101,9 +104,15 @@ def test_rotation_columns_diagonalize_position():
 
 
 def test_position_matrix_is_p_independent():
-    Xa = position_matrix(build_oscillator(16, p=0.5))
-    Xb = position_matrix(build_oscillator(16, p=0.2))
-    assert np.abs(Xa - Xb).max() == 0.0
+    # p was stored with the ladder and read by no ladder, matrix or spectrum function:
+    # each takes the order N alone, and a weight passed to one is an error
+    for fn in (annihilation_matrix, position_matrix, hamiltonian_matrix,
+               commutator_spectrum, energy_spectrum, position_spectrum):
+        assert list(inspect.signature(fn).parameters) == ["N"], fn.__name__
+        with pytest.raises(TypeError):
+            fn(16, 0.2)
+    X = position_matrix(16)
+    assert np.array_equal(X, X.T) and np.count_nonzero(np.diagonal(X)) == 0
 
 
 def test_dimensionless_grid_spacing():
@@ -163,7 +172,7 @@ def test_ladder_limit_errors_decrease():
     assert monotone.residual < 1.0
     zero = continuum_convergence(0, [8, 16])
     assert all(e == 0.0 for e in zero.lower_errors[:, 0])
-    # the unit end coefficients raise_coeff[0] = lower_coeff[1] = 1 make two
+    # the unit coefficient c_1 = 1, raise_0 and lower_1, makes two
     # ladder columns copies of profile columns, at every p
     for p in (0.5, 0.2, 0.35, 0.8):
         table = continuum_convergence(1, [16, 32, 64], p)
@@ -173,9 +182,8 @@ def test_ladder_limit_errors_decrease():
 
 def test_limit_recurrences_are_exact_rearrangements():
     for N, p in ((12, 0.5), (200, 0.5), (200, 0.3)):
-        model = build_oscillator(N, p=p)
         for n in (0, 1, 3):
-            res = limit_recurrence_check(model, n)
+            res = limit_recurrence_check(N, p, n)
             assert res.three_term < 1e-9
             assert res.shift < 1e-9
 
@@ -185,11 +193,10 @@ def test_limit_recurrences_are_exact_rearrangements():
 @pytest.mark.parametrize("p", [5e-324, 1e-300, 1e-12, 0.2, 0.5, 0.9, 1.0 - 2.0**-53])
 @pytest.mark.parametrize("N", [16, 40])
 def test_limit_recurrences_hold_at_every_p(N, p):
-    model = build_oscillator(N, p=p)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for n in (0, 2, N - 1):
-            res = limit_recurrence_check(model, n)
+            res = limit_recurrence_check(N, p, n)
             assert res.three_term < 1e-9 and res.shift < 1e-9, (n, res)
 
 
@@ -197,12 +204,12 @@ def test_limit_recurrences_hold_at_every_p(N, p):
 def test_limit_recurrence_checkerboard_is_bit_identical_to_the_power_form(N, p, n):
     from latticeqm.kravchuk import _relations
 
-    # the level rows are signed d-table rows, and the checkerboard signs them back exactly
+    # the check read the level rows and signed them back by the checkerboard; it now reads the d-table rows
     rows = build_wigner_d(N, 2.0 * math.atan2(math.sqrt(p), math.sqrt(1.0 - p))).table[: n + 2]
     three_term, shift = _relations(rows, N, 1.0 - 2.0 * p, 2.0 * math.sqrt(p * (1.0 - p)))
     scale = math.sqrt(2.0 / N)
     expected = np.array([scale * float(three_term[n]), scale * float(shift[n])])
-    res = limit_recurrence_check(build_oscillator(N, p=p), n)
+    res = limit_recurrence_check(N, p, n)
     got = np.array([res.three_term, res.shift])
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
@@ -239,14 +246,15 @@ def test_oversized_size_is_one_value_error(size):
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        build_oscillator(0)
-    with pytest.raises(ValueError):
-        build_oscillator(10, p=0.0)
-    # a fractional order was truncated: build_oscillator(3.9).N read 3
-    with pytest.raises(ValueError, match="N must be an integer"):
-        build_oscillator(3.9)
-    assert build_oscillator(np.int64(4)).N == 4
+    for fn in (annihilation_matrix, commutator_spectrum, energy_spectrum, position_spectrum):
+        with pytest.raises(ValueError, match="N must be a positive integer, got 0"):
+            fn(0)
+        # a fractional order was truncated: the oscillator built at N = 3.9 had N = 3
+        with pytest.raises(ValueError, match="N must be an integer"):
+            fn(3.9)
+        assert np.array_equal(fn(np.int64(4)), fn(4))
+    with pytest.raises(ValueError, match="p must lie strictly between 0 and 1"):
+        limit_recurrence_check(10, 0.0, 1)
     # these raised ZeroDivisionError, ZeroDivisionError and "math domain error"
     with pytest.raises(ValueError, match="p must lie strictly between 0 and 1"):
         s_grid(4, 0.0)
@@ -254,9 +262,8 @@ def test_validation():
         s_grid(0, 0.5)
     with pytest.raises(ValueError, match="p must lie strictly between 0 and 1"):
         s_grid(4, 2.0)
-    model = build_oscillator(6)
-    with pytest.raises(ValueError):
-        limit_recurrence_check(model, 6)
+    with pytest.raises(ValueError, match="need 0 <= n < N"):
+        limit_recurrence_check(6, 0.5, 6)
     with pytest.raises(ValueError):
         continuum_convergence(0, [16])
     # every size must exceed n_max, so the ladder's row n_max + 1 exists
