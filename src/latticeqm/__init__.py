@@ -47,7 +47,6 @@ from .oscillator import (
     continuum_convergence,
     energy_spectrum,
     hamiltonian_matrix,
-    limit_recurrence_check,
     position_matrix,
     position_spectrum,
     s_grid,

@@ -128,6 +128,8 @@ def propagator(rng, H, taus, steps: int, residual_steps) -> list:
     in one norm call, the midpoint residual of C^n, the half step, and spectral
     C^13 against 13 solve-built steps, for the Cayley step of H at each tau."""
     d = H.shape[0]
+    if steps < 1:  # the trajectory would hold no state, so its norm row would read 0
+        raise ValueError("empty sweep: no step along the trajectory")
     if not len(residual_steps):
         raise ValueError("empty sweep: no step count for the midpoint residual")
 
@@ -272,18 +274,6 @@ def continuum(levels, ladder_levels, sizes) -> list:
                 ((_worst_ratio(table.max_errors[:, n]), 0.9 - order) for n, order in zip(levels, orders))),
         *_worst((("ladder-monotone", f"n {_values(ladder_levels)} N in {_values(sizes)}", 0.99),),
                 ((_worst_ratio(errors),) for errors in ladder)),
-    ]
-
-
-def limit_recurrence(centred, skewed) -> list:
-    """The 1/N-corrected recurrences at (N, p, n) = centred, and their worst at skewed."""
-    (label, res), (skewed_label, skewed_res) = (
-        (f"N {N} p {p} n {n}", oscillator.limit_recurrence_check(N, p, n))
-        for N, p, n in (centred, skewed))
-    return [
-        CheckRow("limit-recurrence-three-term", label, res.three_term, 1e-9),
-        CheckRow("limit-recurrence-difference", label, res.shift, 1e-9),
-        *_worst((("limit-recurrence-skewed", skewed_label, 1e-9),), ((r,) for r in skewed_res)),
     ]
 
 

@@ -272,11 +272,13 @@ def build_verification_report(seed: int = 7) -> list:
     rows += checks.involution(pairs, (0.2,), 2)
     rows += checks.wigner((1, 2, 5, 12), (0.3, 0.5 * math.pi, 2.5), ("oracle", "symmetry", "orthogonality"))
     rows += checks.wigner((30,), (0.7,), ("recurrence",))
+    rows += checks.wigner((50,), (0.5 * math.pi,), ("recurrence",))
+    # beta_p = 2 asin(sqrt p) at p = 0.3: the Kravchuk level rows' table there
+    rows += checks.wigner((200,), (2.0 * math.asin(math.sqrt(0.3)),), ("recurrence",))
     rows += checks.wigner((10,), (1.0,), ("differential",))
     rows += checks.ladder_spectra((2, 7, 50, 200))
     rows += checks.position((2, 20, 60))
     rows += checks.continuum((0, 1, 2), (1,), (16, 32, 64))
-    rows += checks.limit_recurrence((50, 0.5, 3), (200, 0.3, 2))
     rows += checks.hermite_oracle(np.linspace(-6.0, 6.0, 1201), 10, 8, 6, 6)
     rows += checks.state_round_trip(rng, (9,), 0.25)
     return rows

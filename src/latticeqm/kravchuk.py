@@ -66,9 +66,9 @@ class WignerDMatrix:
     table: np.ndarray
 
 
-# verify-all reads 13 orders (1, 2, 5, 10, 12, 20, 30, 60 for its d-table rows,
-# 16, 32 and 64 for its Kravchuk level rows, 50 and 200 for its limit
-# recurrences); a bound below that
+# verify-all reads 13 orders (30, 50 and 200 for its recurrence rows, 1, 2,
+# 5, 10, 12, 20 and 60 for its other d-table rows, 16, 32 and 64 for its
+# Kravchuk level rows); a bound below that
 # evicts an order before its next read, and every report decomposes again
 @functools.lru_cache(maxsize=16)
 def _chiral(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -309,6 +309,13 @@ def recurrence_residuals(D: WignerDMatrix) -> RecurrenceResiduals:
 
     Out-of-range neighbours carry zero coefficients, so both relations are
     checked on the whole table at once.
+
+    At beta_p, where p = sin^2(beta/2), the rows are the Kravchuk level rows
+    signed by the checkerboard, so these are their contiguity relations too.
+    Times sqrt(2/N) and written on the grid s_x = (x - N p)/sqrt(2 N p q),
+    the coefficients flow as N grows to those of the continuum relations for
+    2 s psi_n and 2 psi_n'; ``test_difference_identity_approaches_derivative``
+    measures that flow.
     """
     per_row = _relations(D.table, D.N, math.cos(D.beta), math.sin(D.beta))
     return RecurrenceResiduals(*(float(r.max()) for r in per_row))

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hermite, kravchuk
-from .kravchuk import RecurrenceResiduals, build_kravchuk
+from . import hermite
+from .kravchuk import build_kravchuk
 from .lattice import _count, _integer, _order, _probability
 
 
@@ -180,36 +180,3 @@ def continuum_convergence(n_max: int, N_list, p: float = 0.5) -> ConvergenceTabl
     return ConvergenceTable(sizes=sizes, max_errors=errors, lower_errors=lower,
                             raise_errors=raise_, fitted_orders=orders)
 
-
-def limit_recurrence_check(N: int, p: float, n: int) -> RecurrenceResiduals:
-    """Residuals at level n of the d-table contiguity relations, rescaled by sqrt(2/N).
-
-    The level rows phi_0 .. phi_{n+1}, signed by the checkerboard (-1)^(k+x)
-    on row k, are rows 0 .. n+1 of the d-table at p = sin^2(beta/2); those
-    rows are read here directly, and the relations of
-    ``kravchuk.recurrence_residuals`` hold on them.  Times sqrt(2/N) and
-    written on the grid s_x, they read
-
-    three_term:
-        2 (s_x + (2p-1) n / sqrt(2 N p q)) phi_n
-            = sqrt(2(n+1)) sqrt(1 - n/N) phi_{n+1}
-            + sqrt(2n) sqrt(1 - (n-1)/N) phi_{n-1}
-
-    shift:
-        sqrt(2 N p) ( sqrt((1 - x/N)(x+1)/(N p)) phi_n(x+1)
-                      - sqrt((x/(N p))(1 - (x-1)/N)) phi_n(x-1) )
-            = sqrt(2n (1 - (n-1)/N)) phi_{n-1}
-            - sqrt(2(n+1)(1 - n/N)) phi_{n+1}
-
-    Both are exact, so the residuals sit at roundoff level for any N; as N
-    grows the coefficients visibly flow to the continuum relations for
-    2 s psi_n and 2 psi_n'.  Held multiplied through as ``recurrence_residuals``
-    holds it, the three-term residual is sqrt(p q) times that of the one shown.
-    """
-    N, p, n = _order(N), _probability(p), _integer(n, "n")
-    if not 0 <= n < N:
-        raise ValueError(f"need 0 <= n < N for the neighbour rows, got n={n}, N={N}")
-    rows = kravchuk.build_wigner_d(N, kravchuk._beta(p)).table[: n + 2]
-    three_term, shift = kravchuk._relations(rows, N, 1.0 - 2.0 * p, 2.0 * math.sqrt(p * (1.0 - p)))
-    scale = math.sqrt(2.0 / N)
-    return RecurrenceResiduals(three_term=scale * float(three_term[n]), shift=scale * float(shift[n]))

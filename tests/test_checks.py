@@ -43,20 +43,6 @@ def test_nan_at_one_sweep_point_fails_the_row(monkeypatch):
     assert all(r.passed for r in rows if r is not row)
 
 
-def test_nan_skewed_difference_fails_the_skewed_row(monkeypatch):
-    check = oscillator.limit_recurrence_check
-
-    def patched(N, p, n):
-        res = check(N, p, n)
-        return res._replace(shift=math.nan) if p == 0.3 else res
-
-    monkeypatch.setattr(oscillator, "limit_recurrence_check", patched)
-    rows = checks.limit_recurrence((50, 0.5, 3), (200, 0.3, 2))
-    skewed = _row(rows, "limit-recurrence-skewed")
-    assert math.isnan(skewed.residual) and not skewed.passed
-    assert all(r.passed for r in rows if r is not skewed)
-
-
 @pytest.mark.parametrize("N, entry", [(1, (0, 1)), (12, (0, 0)), (12, (5, 12)), (256, (100, 37))])
 def test_a_nan_entry_fails_every_table_relation(monkeypatch, N, entry):
     # in-place abs and max(initial=0) keep a NaN; fmax or nanmax would drop it
@@ -144,6 +130,7 @@ _SIZES = (16, 32)
     lambda rng: checks.momentum(()),
     lambda rng: checks.propagator(rng, _H, (), 5, (3,)),
     lambda rng: checks.propagator(rng, _H, (0.1,), 5, ()),
+    lambda rng: checks.propagator(rng, np.diag([1.0, -2.0]), (0.1,), 0, (3,)),
     lambda rng: checks.ladder_spectra(()),
     lambda rng: checks.position(()),
     lambda rng: checks.continuum((0,), (), _SIZES),
@@ -155,8 +142,8 @@ _SIZES = (16, 32)
     lambda rng: checks.involution([(checks.SIGMA_Z, checks.SIGMA_X, "z x")], (), 1),
     lambda rng: checks.hermite_oracle(np.array([]), 3, 3, 3, 3),
 ], ids=["wigner-sizes", "wigner-angles", "basis-spacings", "basis-sizes", "fourier-sizes",
-        "fourier-states", "momentum", "propagator-taus", "propagator-residual-steps", "ladder-spectra",
-        "position", "continuum-ladder-levels", "continuum-levels", "continuum-both-levels",
+        "fourier-states", "momentum", "propagator-taus", "propagator-residual-steps", "propagator-steps",
+        "ladder-spectra", "position", "continuum-ladder-levels", "continuum-levels", "continuum-both-levels",
         "state-round-trip", "wigner-groups", "involution-pairs",
         "involution-taus", "hermite-oracle-grid"])
 def test_an_empty_sweep_is_an_error(run):
@@ -192,8 +179,8 @@ def test_order_row_needs_a_halving_ratio():
     (kravchuk, "wigner_d_direct", lambda table, e: table + e,
      lambda: checks.wigner((3, 8), (0.7,), ("oracle",)), "wigner-vs-oracle"),
     *((kravchuk, "build_wigner_d", lambda D, e: dataclasses.replace(D, table=D.table + e),
-       lambda: checks.limit_recurrence((50, 0.5, 3), (200, 0.3, 2)), check)
-      for check in ("limit-recurrence-three-term", "limit-recurrence-difference", "limit-recurrence-skewed")),
+       lambda: checks.wigner((200,), (2.0 * math.asin(math.sqrt(0.3)),), ("recurrence",)), check)
+      for check in ("wigner-recurrence-three-term", "wigner-recurrence-shift")),
 ])
 def test_a_result_off_by_ten_tolerances_fails_its_row(monkeypatch, module, name, shift, run, check):
     row = _row(run(), check)

@@ -185,9 +185,9 @@ def test_each_d_table_is_built_once_per_sweep_point(capsys, monkeypatch):
     assert built == [(6, 0.4)]
     built.clear()
     run_cli(capsys, "verify-all")
-    # 12 for the oracle, symmetry and orthogonality sweep, one each for the
-    # recurrence and differential rows, 3 for the position eigenvectors, then
-    # the level rows: 3 for the continuum sizes, 2 for the limit recurrences
+    # 12 for the oracle, symmetry and orthogonality sweep, one for the
+    # differential rows, 3 for the recurrence rows, 3 for the position
+    # eigenvectors, then 3 for the level rows of the continuum sizes
     assert len(built) == 22
 
 
@@ -441,14 +441,12 @@ VERIFY_ALL_ROWS = [
     *[(f"involution-{name}", 1e-10)
       for name in ("forward", "backward", "forward-backward", "half-step", "central")] * 3,
     ("wigner-vs-oracle", 1e-10), ("wigner-symmetry", 1e-12), ("wigner-orthogonality", 1e-12),
-    ("wigner-recurrence-three-term", 1e-10), ("wigner-recurrence-shift", 1e-10),
+    *[("wigner-recurrence-three-term", 1e-10), ("wigner-recurrence-shift", 1e-10)] * 3,
     ("wigner-differential-plus", 1e-6), ("wigner-differential-minus", 1e-6),
     ("oscillator-commutator", 1e-10), ("oscillator-energies", 1e-10),
     ("oscillator-commutator-trace", 1e-12),
     ("position-grid", 1e-9), ("position-eigenvectors", 1e-9),
     ("continuum-monotone", 0.99), ("continuum-order", 0.0), ("ladder-monotone", 0.99),
-    ("limit-recurrence-three-term", 1e-9), ("limit-recurrence-difference", 1e-9),
-    ("limit-recurrence-skewed", 1e-9),
     ("hermite-schrodinger", 1e-10), ("hermite-recurrence-algebraic", 1e-12),
     ("hermite-recurrence-derivative", 1e-8), ("hermite-gram", 1e-8), ("hermite-ladder", 1e-12),
     ("state-json-round-trip", 0.0),
@@ -889,3 +887,32 @@ def test_every_private_helper_has_a_caller():
     read = _names_read(sources)
     assert private  # the walk finds the helpers
     assert sorted(name for name in private if name.split(".")[1] not in read) == []
+
+
+# lattice's argument validators are the package's shared private helpers
+LATTICE_VALIDATORS = {"_array", "_count", "_integer", "_finite", "_order", "_probability", "_spacing", "_step",
+                      "_angle"}
+# every other private name one module reads of another: (reader, module.name)
+PRIVATE_READS = {("checks", "oscillator._ladder"), ("cli", "checks._involution_dim"),
+                 ("cli", "oscillator._sweep_sizes")}
+
+
+def test_a_module_reads_only_the_private_names_it_is_pinned_to():
+    # oscillator read kravchuk._beta and kravchuk._relations to run the
+    # d-table's relations a second time; a new read of another module's
+    # private name is a second route to its quantity, and fails here
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    reads = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        others = modules - {path.stem}
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in others:
+                reads.update((path.stem, node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in others:
+                reads.add((path.stem, node.value.id, node.attr))
+    private = {(reader, f"{module}.{name}") for reader, module, name in reads
+               if name.startswith("_") and not name.startswith("__")}
+    validators = {(reader, name) for reader, name in private
+                  if name.split(".")[0] == "lattice" and name.split(".")[1] in LATTICE_VALIDATORS}
+    assert validators  # the walk finds the validators' imports
+    assert sorted(private - validators - PRIVATE_READS) == []

@@ -14,10 +14,11 @@ from latticeqm import (
     energy_spectrum,
     eval_psi,
     hamiltonian_matrix,
-    limit_recurrence_check,
+    kravchuk,
     oscillator,
     position_matrix,
     position_spectrum,
+    recurrence_residuals,
     s_grid,
 )
 
@@ -180,38 +181,17 @@ def test_ladder_limit_errors_decrease():
         assert np.array_equal(table.lower_errors[:, 1], table.max_errors[:, 0])
 
 
-def test_limit_recurrences_are_exact_rearrangements():
-    for N, p in ((12, 0.5), (200, 0.5), (200, 0.3)):
-        for n in (0, 1, 3):
-            res = limit_recurrence_check(N, p, n)
-            assert res.three_term < 1e-9
-            assert res.shift < 1e-9
-
-
-# the smallest positive float to the largest below one; the degree recurrence
-# the level rows came from read 1.2e-6 at (40, 1e-12) and refused (16, 1e-300)
-@pytest.mark.parametrize("p", [5e-324, 1e-300, 1e-12, 0.2, 0.5, 0.9, 1.0 - 2.0**-53])
-@pytest.mark.parametrize("N", [16, 40])
+# the level rows are the d-table rows at beta_p, so their contiguity relations
+# are the table's, held here on every row; p runs from the smallest positive
+# float to the largest below one, where the degree recurrence the level rows
+# came from read 1.2e-6 at (40, 1e-12) and refused (16, 1e-300)
+@pytest.mark.parametrize("p", [5e-324, 1e-300, 1e-12, 0.2, 0.3, 0.5, 0.9, 1.0 - 2.0**-53])
+@pytest.mark.parametrize("N", [12, 16, 40, 200])
 def test_limit_recurrences_hold_at_every_p(N, p):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for n in (0, 2, N - 1):
-            res = limit_recurrence_check(N, p, n)
-            assert res.three_term < 1e-9 and res.shift < 1e-9, (n, res)
-
-
-@pytest.mark.parametrize("N, p, n", [(50, 0.5, 3), (200, 0.3, 2), (256, 0.2, 128), (7, 0.9, 6)])
-def test_limit_recurrence_checkerboard_is_bit_identical_to_the_power_form(N, p, n):
-    from latticeqm.kravchuk import _relations
-
-    # the check read the level rows and signed them back by the checkerboard; it now reads the d-table rows
-    rows = build_wigner_d(N, 2.0 * math.atan2(math.sqrt(p), math.sqrt(1.0 - p))).table[: n + 2]
-    three_term, shift = _relations(rows, N, 1.0 - 2.0 * p, 2.0 * math.sqrt(p * (1.0 - p)))
-    scale = math.sqrt(2.0 / N)
-    expected = np.array([scale * float(three_term[n]), scale * float(shift[n])])
-    res = limit_recurrence_check(N, p, n)
-    got = np.array([res.three_term, res.shift])
-    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        res = recurrence_residuals(build_wigner_d(N, kravchuk._beta(p)))
+    assert res.three_term <= 1e-10 and res.shift <= 1e-10, res
 
 
 def test_difference_identity_approaches_derivative():
@@ -253,8 +233,6 @@ def test_validation():
         with pytest.raises(ValueError, match="N must be an integer"):
             fn(3.9)
         assert np.array_equal(fn(np.int64(4)), fn(4))
-    with pytest.raises(ValueError, match="p must lie strictly between 0 and 1"):
-        limit_recurrence_check(10, 0.0, 1)
     # these raised ZeroDivisionError, ZeroDivisionError and "math domain error"
     with pytest.raises(ValueError, match="p must lie strictly between 0 and 1"):
         s_grid(4, 0.0)
@@ -262,8 +240,6 @@ def test_validation():
         s_grid(0, 0.5)
     with pytest.raises(ValueError, match="p must lie strictly between 0 and 1"):
         s_grid(4, 2.0)
-    with pytest.raises(ValueError, match="need 0 <= n < N"):
-        limit_recurrence_check(6, 0.5, 6)
     with pytest.raises(ValueError):
         continuum_convergence(0, [16])
     # every size must exceed n_max, so the ladder's row n_max + 1 exists
