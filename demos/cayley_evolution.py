@@ -12,7 +12,8 @@ def main():
     rng = np.random.default_rng(2)
     H = checks.random_hermitian(rng, 6)
 
-    print("Norm drift over 10^4 steps and the midpoint equation at n = 50, tau = 0.2")
+    print("Norm drift over 10^4 steps, the midpoint equation at n = 50 and the spectral")
+    print("route against the solve-built steps, tau = 0.2")
     rows = checks.propagator(rng, H, (0.2,), 10_000, (50,))
     for row in rows:
         print(" ", row)

@@ -6,13 +6,13 @@ One time step of size tau is the Cayley transform
 
 the unique unitary for which psi_{n+1} = C psi_n solves the implicit midpoint
 difference equation (i/tau)(psi_{n+1} - psi_n) = H (psi_{n+1} + psi_n)/2
-exactly.  The module also provides the principal unitary square root of C for
-half-step quantities, and residual checks for the forward, backward,
-symmetric and central difference schemes an evolved observable satisfies.
+exactly.  The module also provides residual checks for the forward,
+backward, symmetric and central difference schemes an evolved observable
+satisfies.
 
 C comes from one linear solve, and trajectories step it.  Every other
-function of H (C^n, the half step, P^(-1), R^(-1)) is diagonal in the
-eigenbasis V of H, computed on first read.  The scheme residuals work there:
+function of H (C^n, the phases of C's root, P^(-1), R^(-1)) is diagonal in
+the eigenbasis V of H, computed on first read.  The scheme residuals work there:
 each time difference of A_n is an entrywise factor, formed in its own row,
 and so is the central row's sandwich H X H, which scales entry (j, k) of X
 by lambda_j lambda_k.
@@ -61,7 +61,7 @@ def check_hermitian(H) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CayleyPropagator:
-    """One-step unitary C; the spectral data of H and the half step are computed on first read."""
+    """One-step unitary C; the spectral data of H are computed on first read."""
 
     hamiltonian: np.ndarray
     tau: float
@@ -77,10 +77,6 @@ class CayleyPropagator:
 
     eigenvalues = property(lambda self: self._eigh.eigenvalues)    # of H, ascending
     eigenvectors = property(lambda self: self._eigh.eigenvectors)  # unitary, columns match eigenvalues
-
-    @functools.cached_property
-    def half_factor(self) -> np.ndarray:  # the principal root: half_factor @ half_factor = factor
-        return self.spectral_function(lambda lam: _cayley_phase(self.tau, lam, 0.5))
 
     def spectral_function(self, fn) -> np.ndarray:
         """Assemble fn(H) from the stored eigendecomposition."""

@@ -266,28 +266,7 @@ class RecurrenceResiduals(NamedTuple):
 def _diagonal_term(T: np.ndarray, N: int, cos: float, out: np.ndarray) -> np.ndarray:
     """``out`` holding (m' - m cos beta) d[n,x], with m = N/2 - n and m' = N/2 - x."""
     m = 0.5 * N - np.arange(N + 1, dtype=float)
-    return np.multiply(np.subtract(m[None, :], m[: T.shape[0], None] * cos, out=out), T, out=out)
-
-
-def _relations(T: np.ndarray, N: int, cos: float, sin: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row max residuals (three-term, shift) of ``recurrence_residuals``'s
-    relations on rows 0..m of an order-N table at cos beta and sin beta.
-
-    Row m is read without its neighbour m+1, so when m < N its residuals are
-    not those of the relations; every row below m is.
-    """
-    up, down = (_coupled(T, N, step, np.empty_like(T)) for step in (-1, 1))
-    difference, total = up - down, np.add(up, down, out=up)
-    total *= 0.5 * sin
-    work = _diagonal_term(T, N, cos, down)
-    work -= total
-    three_term = np.abs(work, out=work).max(axis=1)
-    # the column couplings are the row couplings of the transposed table
-    _coupled(T.T, N, 1, work.T)
-    work -= _coupled(T.T, N, -1, total.T).T
-    work -= difference
-    shift = np.abs(work, out=work).max(axis=1)
-    return three_term, shift
+    return np.multiply(np.subtract(m[None, :], m[:, None] * cos, out=out), T, out=out)
 
 
 def recurrence_residuals(D: WignerDMatrix) -> RecurrenceResiduals:
@@ -317,8 +296,18 @@ def recurrence_residuals(D: WignerDMatrix) -> RecurrenceResiduals:
     2 s psi_n and 2 psi_n'; ``test_difference_identity_approaches_derivative``
     measures that flow.
     """
-    per_row = _relations(D.table, D.N, math.cos(D.beta), math.sin(D.beta))
-    return RecurrenceResiduals(*(float(r.max()) for r in per_row))
+    T, N = D.table, D.N
+    up, down = (_coupled(T, N, step, np.empty_like(T)) for step in (-1, 1))
+    difference, total = up - down, np.add(up, down, out=up)
+    total *= 0.5 * math.sin(D.beta)
+    work = _diagonal_term(T, N, math.cos(D.beta), down)
+    work -= total
+    three_term = float(np.abs(work, out=work).max())
+    # the column couplings are the row couplings of the transposed table
+    _coupled(T.T, N, 1, work.T)
+    work -= _coupled(T.T, N, -1, total.T).T
+    work -= difference
+    return RecurrenceResiduals(three_term, float(np.abs(work, out=work).max()))
 
 
 class DifferentialResiduals(NamedTuple):

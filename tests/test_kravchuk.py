@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -16,7 +17,7 @@ from latticeqm import (
     recurrence_residuals,
     wigner_d_direct,
 )
-from latticeqm.kravchuk import _chiral, _derivative, _direct_entries, _relations, _rotation
+from latticeqm.kravchuk import _chiral, _derivative, _direct_entries, _rotation
 
 
 def _degree_recurrence(N: int, p: float):
@@ -232,11 +233,11 @@ def test_three_term_relation_holds_next_to_the_poles(N, beta):
 
 
 def test_three_term_relation_rejects_a_flipped_cos_term():
-    # the (m' - m cos beta) term with the sign of cos beta flipped fails by far
-    N, beta = 30, 0.7
-    table = build_wigner_d(N, beta).table
-    assert _relations(table, N, math.cos(beta), math.sin(beta))[0].max() <= 1e-12
-    assert _relations(table, N, -math.cos(beta), math.sin(beta))[0].max() > 1.0
+    # the (m' - m cos beta) term with the sign of cos beta flipped fails by far:
+    # at pi - beta the table keeps sin beta and flips cos beta
+    D = build_wigner_d(30, 0.7)
+    assert recurrence_residuals(D).three_term <= 1e-12
+    assert recurrence_residuals(dataclasses.replace(D, beta=math.pi - D.beta)).three_term > 1.0
 
 
 def _central_difference(N, beta, h):
@@ -260,14 +261,14 @@ def test_differential_relation():
 
 def test_differential_rows_hold_at_large_N():
     # a central difference in beta left an O(h^2) floor that grew with N:
-    # 4.55e-6 here, above the rows' own 1e-6 tolerance
+    # 4.55e-6 here, above the 1e-6 tolerance the rows then had
     for row in checks.wigner((256,), (0.3,), ("differential",)):
         assert row.residual <= 1e-6, row
 
 
 def test_differential_rows_hold_near_the_poles():
     # dividing by sin(beta) amplified rounding: 5.9e-6 here, above the
-    # rows' 1e-6 tolerance, on a correct table
+    # 1e-6 tolerance the rows then had, on a correct table
     for row in checks.wigner((32,), (1e-9,), ("differential",)):
         assert row.residual <= 1e-6, row
 
@@ -415,13 +416,7 @@ def test_kernels_match_the_copying_formulation_bit_for_bit():
                 assert np.array_equal(D.table, _fresh_rotation(N, lambda s: np.cos(beta * s),
                                                                lambda s: np.sin(beta * s)))
             assert tuple(differential_residuals(D)) == _padded_differential(D)
-            args = (N, math.cos(beta), math.sin(beta))
-            for m in sorted({0, 1, N // 2, N}):
-                # partial tables arrive as fresh arrays of rows 0..m
-                rows = np.array(D.table[: m + 1])
-                for got, want in zip(_relations(rows, *args), _padded_relations(rows, *args)):
-                    assert np.array_equal(got, want), (N, beta, m)
-            want = _padded_relations(D.table, *args)
+            want = _padded_relations(D.table, N, math.cos(beta), math.sin(beta))
             assert tuple(recurrence_residuals(D)) == tuple(float(r.max()) for r in want)
 
 

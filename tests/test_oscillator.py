@@ -37,9 +37,8 @@ def test_ladder_matrices_annihilate_the_ends():
 
 
 def test_commutator_spectrum_formula_and_trace():
-    commutator, _, trace = checks.ladder_spectra((2, 5, 50, 200))
+    commutator, _ = checks.ladder_spectra((2, 5, 50, 200))
     assert commutator.residual < 1e-12
-    assert trace.residual < 1e-12
     for N in (2, 5, 50, 200):
         # matrix route agrees
         A = annihilation_matrix(N)
@@ -51,7 +50,7 @@ def test_commutator_spectrum_formula_and_trace():
 
 
 def test_energy_spectrum_formula():
-    _, energies, _ = checks.ladder_spectra((2, 5, 50, 200))
+    _, energies = checks.ladder_spectra((2, 5, 50, 200))
     assert energies.residual < 1e-10
     assert np.abs(energy_spectrum(2) - [1.0, 2.0, 1.0]).max() < 1e-14
 
